@@ -8,10 +8,9 @@ from concurrent threads without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import gammaln, ndtr, ndtri, xlog1py, xlogy
 
 from .errors import DomainError, StructuralError
 
@@ -129,24 +128,35 @@ class TargetSpec:
         return self.feature_dist.support
 
 
+def _binomial_pmf(trials: int, success_prob) -> np.ndarray:
+    """Binomial pmf over k = 0..trials, computed in log space.
+
+    ``success_prob`` may be an array, broadcast against k along the last
+    axis. Log-gamma coefficients keep every term finite for any trial count;
+    a success probability of exactly 0 or 1 gives the degenerate pmf.
+    """
+    k = np.arange(trials + 1)
+    log_coeff = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
+    return np.exp(log_coeff + xlogy(k, success_prob) + xlog1py(trials - k, -success_prob))
+
+
 def binomial_dist(trials: int, success_prob: float, support_map=None) -> DiscreteScoreDist:
     """Binomial pmf over k = 0..trials as a DiscreteScoreDist.
 
     ``support_map`` optionally relabels the support with trials+1 strictly
-    increasing score values. The pmf is computed from exact binomial
-    coefficients, so it matches an iterated Bernoulli convolution to float
-    precision.
+    increasing score values. The pmf is computed in log space and
+    renormalized, so it matches an iterated Bernoulli convolution to float
+    precision and stays finite for large trial counts.
     """
     if int(trials) != trials or trials < 1:
         raise DomainError("trials must be a positive integer")
     trials = int(trials)
     if not np.isfinite(success_prob) or not (0.0 < success_prob < 1.0):
         raise DomainError("success_prob must be finite and strictly inside (0, 1)")
-    k = np.arange(trials + 1)
-    coeffs = np.array([comb(trials, int(j)) for j in k], dtype=float)
-    pmf = coeffs * success_prob**k * (1.0 - success_prob) ** (trials - k)
+    pmf = _binomial_pmf(trials, success_prob)
+    pmf = pmf / pmf.sum()
     if support_map is None:
-        support = k.astype(float)
+        support = np.arange(trials + 1, dtype=float)
     else:
         support = np.asarray(support_map, dtype=float)
         if support.ndim != 1 or support.size != trials + 1:
@@ -180,13 +190,10 @@ def vasicek_mixture_dist(
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
     succ = ndtr((ndtri(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation))
-    k = np.arange(trials + 1)
-    coeffs = np.array([comb(trials, int(j)) for j in k], dtype=float)
     # rows: quadrature nodes, columns: k
-    pmf_rows = coeffs * succ[:, None] ** k * (1.0 - succ[:, None]) ** (trials - k)
-    pmf = w @ pmf_rows
+    pmf = w @ _binomial_pmf(trials, succ[:, None])
     pmf = pmf / pmf.sum()
-    return DiscreteScoreDist(k.astype(float), pmf)
+    return DiscreteScoreDist(np.arange(trials + 1, dtype=float), pmf)
 
 
 def mean_under(dist: DiscreteScoreDist, curve: PosteriorCurve) -> float:

@@ -16,6 +16,7 @@ from scipy.special import expit, logit, ndtri
 
 from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values
 from .dist_core import (
+    DiscreteScoreDist,
     PosteriorCurve,
     SourceModel,
     TargetSpec,
@@ -262,6 +263,25 @@ def parametric_cspd_qmm(
     return _finish(family, tgt, values, {"a": float(a), "b": float(b)}, diag)
 
 
+def _refreshed_f0(
+    method: str, feature: DiscreteScoreDist, values: np.ndarray
+) -> np.ndarray:
+    """Adjusted class-0 CDF implied by a posterior over the target features.
+
+    Both class-0 CDF refinements feed these values to a probit, so a value
+    that rounds to 0 or 1 in a saturated tail raises a :class:`DomainError`
+    naming the method and the stage instead of a non-finite probit.
+    """
+    cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
+    f0 = adjusted_cdf(cc.dist0)
+    if not (np.all(f0 > 0.0) and np.all(f0 < 1.0)):
+        raise DomainError(
+            f"{method}: class-0 CDF refresh left values outside (0, 1), "
+            "where their probit is not finite"
+        )
+    return f0
+
+
 def _roc_posterior(q: float, c: float, f0: np.ndarray) -> np.ndarray:
     # equal-variance normal ROC shape: posterior is a logistic function of
     # the probit of the class-0 CDF
@@ -289,9 +309,7 @@ def roc_qmm(
     feature = tgt.feature_dist
 
     def update(f0: np.ndarray) -> np.ndarray:
-        eta = _roc_posterior(q, c, f0)
-        cc = class_conditionals(feature, PosteriorCurve(feature.support, eta))
-        return adjusted_cdf(cc.dist0)
+        return _refreshed_f0("roc_qmm", feature, _roc_posterior(q, c, f0))
 
     init = adjusted_cdf(feature)
     f0, diag = fixed_point_f0(update, init, settings.tol_fixed_point, settings.max_iter)
@@ -346,8 +364,7 @@ def two_param_qmm(
             fam, auc_src, q, tgt, src.posterior, inner_settings
         )
         values = fam.posterior_values(src.posterior.values, a_new, b_new)
-        cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
-        f0_new = adjusted_cdf(cc.dist0)
+        f0_new = _refreshed_f0("two_param_qmm", feature, values)
         delta = float(np.max(np.abs(f0_new - f0)))
         if np.isfinite(a):
             delta = max(delta, abs(a_new - a), abs(b_new - b))

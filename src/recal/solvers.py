@@ -61,17 +61,27 @@ def bisect_root(
     hi: float,
     tol: float,
     *,
+    fprime: Callable[[float], float] | None = None,
+    x0: float | None = None,
     expand_lo: bool = True,
     expand_hi: bool = True,
     max_expansions: int = MAX_EXPANSIONS,
 ) -> float:
-    """Bracketed bisection for a root of a monotone scalar function.
+    """Bracketed root search for a monotone scalar function.
 
     Returns x with |f(x)| <= tol or bracket width <= tol * max(1, |x|). When
     f(lo) and f(hi) do not differ in sign, the bracket is widened
     geometrically on the permitted sides (each round extends by the current
     width) up to ``max_expansions`` rounds; failure to find a sign change
     raises :class:`NoRootError` carrying the probed interval.
+
+    The first point tried inside the bracket is ``x0`` when it lies there,
+    else the midpoint. Without ``fprime`` the bracket is then bisected. With
+    the derivative ``fprime`` of an increasing f, each further step is a
+    Newton step from the last point; the midpoint is taken instead whenever
+    the Newton step would leave the current sign-change bracket, the
+    derivative is not positive, or the step fails to halve the one before it
+    (``rtsafe`` in *Numerical Recipes*).
     """
     if not np.isfinite(lo) or not np.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
@@ -102,8 +112,9 @@ def bisect_root(
         return lo
     if fhi == 0.0:
         return hi
+    mid = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    step_before = hi - lo
     for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
             break
         fmid = float(f(mid))
@@ -115,6 +126,14 @@ def bisect_root(
             hi, fhi = mid, fmid
         if (hi - lo) <= tol * max(1.0, abs(mid)):
             break
+        last, mid = mid, 0.5 * (lo + hi)
+        if fprime is not None:
+            slope = float(fprime(last))
+            if slope > 0.0:
+                step = fmid / slope
+                if lo < last - step < hi and 2.0 * abs(step) <= step_before:
+                    mid = last - step
+            step_before = abs(last - mid)
     return 0.5 * (lo + hi)
 
 
@@ -122,15 +141,18 @@ def bisect_root(
 class TransformFamily:
     """A one-link parametric transform eta = link(a * x + b) in solver form.
 
-    ``make_x`` maps the source posterior values to the per-point regressor x
-    (it may ignore them when x is attached to the support instead, as in the
-    two-parameter scheme). The solver works with an internal slope alpha >= 0
-    so the transform is non-decreasing in x; ``literal_sign`` maps the
-    internal (alpha, beta) to the family's literal (a, b) convention.
+    ``link_pdf`` is the derivative of ``link``, which the solver's Newton
+    intercept step uses. ``make_x`` maps the source posterior values to the
+    per-point regressor x (it may ignore them when x is attached to the
+    support instead, as in the two-parameter scheme). The solver works with
+    an internal slope alpha >= 0 so the transform is non-decreasing in x;
+    ``literal_sign`` maps the internal (alpha, beta) to the family's literal
+    (a, b) convention.
     """
 
     name: str
     link: Callable[[np.ndarray], np.ndarray]
+    link_pdf: Callable[[np.ndarray], np.ndarray]
     make_x: Callable[[np.ndarray], np.ndarray]
     slope_may_vanish: bool
     literal_sign: float = 1.0
@@ -154,19 +176,34 @@ class TransformFamily:
         return np.asarray(self.link(alpha * x + beta), dtype=float)
 
 
+def _logistic_pdf(z: np.ndarray) -> np.ndarray:
+    """Derivative expit(z) * (1 - expit(z)) of the logistic link."""
+    e = np.exp(-np.abs(z))
+    return e / (1.0 + e) ** 2
+
+
+def _normal_pdf(z: np.ndarray) -> np.ndarray:
+    """Derivative of the ``ndtr`` link: the standard normal density."""
+    return np.exp(-0.5 * np.square(z)) / np.sqrt(2.0 * np.pi)
+
+
 def platt_family() -> TransformFamily:
     """eta = sigmoid(a * u + b) on the raw posterior values; a >= 0."""
-    return TransformFamily("platt", expit, lambda u: u, slope_may_vanish=True)
+    return TransformFamily(
+        "platt", expit, _logistic_pdf, lambda u: u, slope_may_vanish=True
+    )
 
 
 def logistic_cspd_family() -> TransformFamily:
     """eta = sigmoid(a * logit(u) + b); strictly increasing needs a > 0."""
-    return TransformFamily("logistic_cspd", expit, logit, slope_may_vanish=False)
+    return TransformFamily(
+        "logistic_cspd", expit, _logistic_pdf, logit, slope_may_vanish=False
+    )
 
 
 def normal_cspd_family() -> TransformFamily:
     """eta = ndtr(a * ndtri(u) + b); strictly increasing needs a > 0."""
-    return TransformFamily("normal_cspd", ndtr, ndtri, slope_may_vanish=False)
+    return TransformFamily("normal_cspd", ndtr, _normal_pdf, ndtri, slope_may_vanish=False)
 
 
 def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
@@ -178,7 +215,12 @@ def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
     """
     z = ndtri(np.asarray(f0_values, dtype=float))
     return TransformFamily(
-        "rob_logit", expit, lambda _u: z, slope_may_vanish=True, literal_sign=-1.0
+        "rob_logit",
+        expit,
+        _logistic_pdf,
+        lambda _u: z,
+        slope_may_vanish=True,
+        literal_sign=-1.0,
     )
 
 
@@ -192,18 +234,23 @@ def solve_qmm_2d(
 ) -> tuple[float, float, SolveDiagnostics]:
     """Fit (a, b) so the transformed curve has mean q and the target AUC.
 
-    Nested solve: for fixed slope the intercept is found by bisection on the
-    mean equation, which is strictly monotone because the link is a strictly
-    increasing distribution function; the slope is then found by a bracketed
-    search on the AUC residual. The slope bracket starts at 1 and expands
+    Nested solve: for fixed slope the intercept is found by a safeguarded
+    Newton search (:func:`bisect_root` with the link's pdf as derivative,
+    started from the previous probe's intercept) on the mean equation, which
+    is strictly monotone because the link is a strictly increasing
+    distribution function; the slope is then found by a bracketed search on
+    the AUC residual. The slope bracket starts at 1 and expands
     geometrically, capped at 2**60 on either side; if no sign change exists
     an :class:`InfeasibleError` reports the attainable AUC range instead of
-    silently clamping.
+    silently clamping. Inside the bracket each slope step is an Illinois
+    (modified regula falsi) step, or the midpoint when that step would leave
+    the bracket.
     """
     weights = target.feature_dist.probs
     x = family.x_values(source_curve.values)
     tol_auc = settings.tol_auc
     evals = 0
+    beta_start = None  # the previous probe's intercept
 
     def probe(alpha: float):
         """Solve the mean equation at a fixed slope.
@@ -214,16 +261,22 @@ def solve_qmm_2d(
         when the resulting values saturate a whole class. Unhealthy probes
         mark the numerically attainable edge of the family.
         """
-        nonlocal evals
+        nonlocal evals, beta_start
         evals += 1
 
         def mean_resid(beta: float) -> float:
             return float(np.dot(weights, family.link(alpha * x + beta))) - q
 
+        def mean_slope(beta: float) -> float:
+            return float(np.dot(weights, family.link_pdf(alpha * x + beta)))
+
         try:
-            beta = bisect_root(mean_resid, -2.0, 2.0, settings.tol_mean)
+            beta = bisect_root(
+                mean_resid, -2.0, 2.0, settings.tol_mean, fprime=mean_slope, x0=beta_start
+            )
         except NoRootError:
             return np.nan, np.nan, False
+        beta_start = beta
         values = family.link(alpha * x + beta)
         if abs(float(np.dot(weights, values)) - q) > settings.tol_mean:
             return np.nan, beta, False
@@ -298,21 +351,34 @@ def solve_qmm_2d(
         )
     else:
         alpha, beta, auc = hi, beta_hi, auc_hi
+        r_lo, r_hi = residual(auc_lo), residual(auc_hi)
+        kept = 0  # +1 / -1 when the last step kept the lo / hi end
         for _ in range(MAX_BISECT_ITER):
-            mid = 0.5 * (lo + hi)
+            mid = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
+            if not lo < mid < hi:  # also when r_hi is unknown (nan)
+                mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
             auc_mid, beta_mid, healthy = probe(mid)
             if not healthy:
-                hi = mid  # hardness grows with the slope; retreat downward
+                # hardness grows with the slope; retreat downward
+                hi, r_hi = mid, np.nan
                 continue
             alpha, beta, auc = mid, beta_mid, auc_mid
-            if abs(residual(auc_mid)) <= tol_auc:
+            r_mid = residual(auc_mid)
+            if abs(r_mid) <= tol_auc:
                 break
-            if residual(auc_mid) > 0.0:
-                hi = mid
+            # Illinois rule: halve the residual of an end kept twice in a row
+            if r_mid > 0.0:
+                hi, r_hi = mid, r_mid
+                if kept == 1:
+                    r_lo *= 0.5
+                kept = 1
             else:
-                lo = mid
+                lo, r_lo = mid, r_mid
+                if kept == -1:
+                    r_hi *= 0.5
+                kept = -1
             if (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
                 break
 

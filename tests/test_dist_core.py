@@ -140,6 +140,12 @@ class TestBinomialDist:
         with pytest.raises(DomainError):
             binomial_dist(0, 0.5)
 
+    def test_large_trial_count_stays_finite(self):
+        # a float binomial coefficient overflows above ~1,030 trials
+        d = binomial_dist(2000, 0.05)
+        assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+        assert abs(float(np.dot(d.support, d.probs)) - 2000 * 0.05) <= 1e-9
+
 
 class TestVasicekMixtureDist:
     def test_near_zero_correlation_collapses_to_binomial(self):
@@ -187,6 +193,12 @@ class TestVasicekMixtureDist:
     def test_pmf_normalized(self):
         d = vasicek_mixture_dist(16, 0.3, 0.3)
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+
+    def test_large_trial_count_stays_finite(self):
+        # a float binomial coefficient overflows above ~1,030 trials
+        d = vasicek_mixture_dist(2000, 0.05, 0.3)
+        assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+        assert abs(float(np.dot(d.support, d.probs)) / 2000 - 0.05) <= 1e-8
 
     @pytest.mark.parametrize("mean", [0.02, 0.3, 0.5, 0.9])
     @pytest.mark.parametrize("correlation", [0.05, 0.3, 0.8])

@@ -10,6 +10,7 @@ from recal import (
     SourceModel,
     TargetSpec,
     adjusted_cdf,
+    bisect_root,
     capped_scaling,
     class_conditionals,
     fjs_bounds,
@@ -43,6 +44,36 @@ def method_row(result, tgt):
 def single_point_source(eta=0.3):
     dist = DiscreteScoreDist([0.0], [1.0])
     return SourceModel(dist, PosteriorCurve([0.0], [eta]), eta)
+
+
+def saturated_tail_scenario(n=4097):
+    """Support [-4, 4], a logistic source posterior (slope 1.237, prior
+    0.0686) and a narrow target (shift -0.459, scale 0.704, q 0.2496): the
+    class-0 CDF refreshed from a recalibrated posterior rounds to 1 in the
+    upper tail. The failure first showed at n = 65,537; it already shows at
+    n = 4,097."""
+    s = np.linspace(-4.0, 4.0, n)
+    src_probs = np.exp(-0.5 * s**2)
+    src_probs /= src_probs.sum()
+    intercept = bisect_root(
+        lambda b: float(np.dot(src_probs, expit(1.237 * s + b))) - 0.0686, -30.0, 30.0, 1e-14
+    )
+    posterior = expit(1.237 * s + intercept)
+    src = SourceModel(
+        DiscreteScoreDist(s, src_probs),
+        PosteriorCurve(s, posterior),
+        float(np.dot(src_probs, posterior)),
+    )
+    tgt_probs = np.exp(-0.5 * ((s + 0.459) / 0.704) ** 2)
+    tgt_probs /= tgt_probs.sum()
+    return src, TargetSpec(DiscreteScoreDist(s, tgt_probs), 0.2496)
+
+
+@pytest.mark.parametrize("method", [MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM])
+def test_saturated_class0_cdf_refresh_names_method_and_stage(method):
+    src, tgt = saturated_tail_scenario()
+    with pytest.raises(DomainError, match=f"^{method.value}: class-0 CDF refresh"):
+        run_method(method, src, tgt)
 
 
 class TestCappedScaling:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logit
 
 from recal import (
@@ -15,7 +17,9 @@ from recal import (
     implied_auc,
     logistic_cspd_family,
     mean_under,
+    normal_cspd_family,
     platt_family,
+    rob_logit_family,
     solve_qmm_2d,
     source_implied_auc,
 )
@@ -70,6 +74,88 @@ class TestBisectRoot:
         f = lambda x: np.expm1(x) - 0.5
         root = bisect_root(f, 0.0, 1.0, 1e-10)
         assert abs(f(root)) <= 1e-10
+
+
+def _meets_contract(f, root, tol):
+    """|f(root)| <= tol, or a sign change within the stopping width of root."""
+    width = 2.0 * tol * max(1.0, abs(root))
+    return abs(f(root)) <= tol or f(root - width) <= 0.0 <= f(root + width)
+
+
+@st.composite
+def _mean_equations(draw):
+    """A mean equation sum_i w_i link(alpha * x_i + beta) = q in beta, as the
+    QMM probe poses it, with shallow and steep (saturating) slopes."""
+    family = draw(st.sampled_from([platt_family(), normal_cspd_family()]))
+    n = draw(st.integers(1, 12))
+    x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    alpha = draw(st.one_of(st.floats(0.01, 10.0), st.floats(1e3, 1e6)))
+    q = draw(st.floats(0.001, 0.999))
+    x0 = draw(st.one_of(st.none(), st.floats(-10.0, 10.0)))
+    w = w / w.sum()
+
+    def f(beta):
+        return float(np.dot(w, family.link(alpha * x + beta))) - q
+
+    def fprime(beta):
+        return float(np.dot(w, family.link_pdf(alpha * x + beta)))
+
+    return f, fprime, x0
+
+
+class TestBisectRootNewton:
+    @settings(max_examples=300, deadline=None)
+    @given(_mean_equations(), st.sampled_from([1e-9, 1e-12]))
+    def test_matches_midpoint_path_within_tol(self, equation, tol):
+        f, fprime, x0 = equation
+        try:
+            reference = bisect_root(f, -2.0, 2.0, tol)
+        except NoRootError:
+            with pytest.raises(NoRootError):
+                bisect_root(f, -2.0, 2.0, tol, fprime=fprime, x0=x0)
+            return
+        root = bisect_root(f, -2.0, 2.0, tol, fprime=fprime, x0=x0)
+        assert _meets_contract(f, reference, tol)
+        assert _meets_contract(f, root, tol)
+        # both residuals within tol leave a gap of at most 2 tol / slope;
+        # a bracket-width stop leaves at most twice the stopping width
+        gap = abs(root - reference)
+        slope = min(fprime(root), fprime(reference))
+        assert gap * slope <= 2.0 * tol or gap <= 4.0 * tol * max(1.0, abs(reference))
+
+    def test_newton_needs_fewer_evaluations(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.expm1(x) - 0.5
+
+        bisect_root(f, 0.0, 1.0, 1e-12)
+        bisected = len(calls)
+        calls.clear()
+        root = bisect_root(f, 0.0, 1.0, 1e-12, fprime=np.exp)
+        assert abs(f(root)) <= 1e-12
+        assert len(calls) < bisected / 3
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        platt_family(),
+        logistic_cspd_family(),
+        normal_cspd_family(),
+        rob_logit_family(np.array([0.2, 0.5, 0.8])),
+    ],
+    ids=lambda fam: fam.name,
+)
+def test_link_pdf_is_derivative_of_link(family):
+    z = np.linspace(-8.0, 8.0, 161)
+    h = 1e-5
+    central = (family.link(z + h) - family.link(z - h)) / (2.0 * h)
+    # rounding error ~ eps / h and truncation error ~ h**2 / 6 are both
+    # about 2e-11 here
+    np.testing.assert_allclose(family.link_pdf(z), central, rtol=0.0, atol=1e-10)
 
 
 def _toy_problem(n=5, q=0.08, seed=0):
