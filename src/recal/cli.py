@@ -5,6 +5,12 @@ Verbs:
   table   print the results table to stdout (3 decimals)
   curves  emit the curve CSV (stdout, or curves.csv under --out)
 
+Every verb takes one path: parse the scenario, apply the flag overrides
+(checked by the same validators as the scenario file), run the selected
+methods, render what the verb needs, and write it: into files under
+``--out`` when given (``run`` defaults it to ``.``), else to stdout.
+``run`` also prints one status line per method.
+
 Exit codes: 0 all requested methods converged, 1 usage/input/output error,
 2 at least one method reported converged=false (outputs are still written).
 """
@@ -17,9 +23,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import RecalError, ScenarioError
+from .errors import RecalError
 from .eval_report import (
-    FunctionalSpec,
     build_results_table,
     curves_to_csv,
     export_curves,
@@ -27,7 +32,14 @@ from .eval_report import (
     table_to_csv,
 )
 from .recal_methods import RecalResult, source_implied_auc
-from .scenario import Scenario, _parse_methods, parse_scenario, run_methods
+from .scenario import (
+    Scenario,
+    _parse_functional,
+    _parse_methods,
+    _parse_settings,
+    parse_scenario,
+    run_methods,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="recal", description="Recalibrate a discrete binary classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    verbs = {
+        "run": ("run the scenario and write output files", "output directory (default: .)"),
+        "table": ("print the results table", None),
+        "curves": ("emit the curve CSV", "write curves.csv into this directory"),
+    }
+    for name, (summary, out_help) in verbs.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", required=True, help="path of the scenario JSON file")
         p.add_argument(
             "--methods",
@@ -54,46 +72,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-mean", type=float, help="mean-matching tolerance override")
         p.add_argument("--tol-auc", type=float, help="AUC-matching tolerance override")
         p.add_argument("--max-iter", type=int, help="iteration cap override")
-
-    p_run = sub.add_parser("run", help="run the scenario and write output files")
-    add_common(p_run)
-    p_run.add_argument("--out", default=".", help="output directory (default: .)")
-
-    p_table = sub.add_parser("table", help="print the results table")
-    add_common(p_table)
-
-    p_curves = sub.add_parser("curves", help="emit the curve CSV")
-    add_common(p_curves)
-    p_curves.add_argument("--out", help="write curves.csv into this directory")
-
+        if out_help is not None:
+            p.add_argument("--out", default="." if name == "run" else None, help=out_help)
     return parser
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
+    changes = {}
     if args.methods is not None:
         spec = args.methods
-        parsed = _parse_methods(
+        changes["methods"] = _parse_methods(
             "all" if spec == "all" else [m.strip() for m in spec.split(",")]
         )
-        scenario = replace(scenario, methods=parsed)
     if args.functional is not None:
-        scenario = replace(scenario, functional=FunctionalSpec.from_id(args.functional))
-    settings = scenario.settings
-    if args.tol_mean is not None:
-        if args.tol_mean <= 0:
-            raise ScenarioError("--tol-mean: must be positive")
-        settings = replace(settings, tol_mean=args.tol_mean)
-    if args.tol_auc is not None:
-        if args.tol_auc <= 0:
-            raise ScenarioError("--tol-auc: must be positive")
-        settings = replace(settings, tol_auc=args.tol_auc)
-    if args.max_iter is not None:
-        if args.max_iter < 1:
-            raise ScenarioError("--max-iter: must be a positive integer")
-        settings = replace(settings, max_iter=args.max_iter)
-    if settings is not scenario.settings:
-        scenario = replace(scenario, settings=settings)
-    return scenario
+        changes["functional"] = _parse_functional(args.functional)
+    flags = {key: getattr(args, key) for key in ("tol_mean", "tol_auc", "max_iter")}
+    changes["settings"] = _parse_settings(
+        {key: value for key, value in flags.items() if value is not None},
+        scenario.settings,
+        name=lambda key: "--" + key.replace("_", "-"),
+    )
+    return replace(scenario, **changes)
 
 
 def _diagnostics_payload(scenario: Scenario, results: list[RecalResult]) -> dict:
@@ -122,60 +121,21 @@ def _diagnostics_payload(scenario: Scenario, results: list[RecalResult]) -> dict
     }
 
 
-def _run_command(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
-    results = run_methods(scenario)
-    table = build_results_table(scenario.source, scenario.target, results, scenario.functional)
-    curves = export_curves(scenario.source, scenario.target, results)
+def _render(command: str, scenario: Scenario, results: list[RecalResult]) -> dict[str, str]:
+    """Name -> text of what the verb outputs: the files written under --out,
+    or, without --out, the one text for stdout. ``table`` has only the latter."""
+    src, tgt = scenario.source, scenario.target
+    if command == "curves":
+        return {"curves.csv": curves_to_csv(export_curves(src, tgt, results))}
+    table = build_results_table(src, tgt, results, scenario.functional)
+    if command == "table":
+        return {"table": format_table(table)}
     payload = _diagnostics_payload(scenario, results)
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "table.csv").write_text(table_to_csv(table), encoding="utf-8", newline="\n")
-        (out_dir / "curves.csv").write_text(curves_to_csv(curves), encoding="utf-8", newline="\n")
-        (out_dir / "diagnostics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
-    except OSError as exc:
-        print(f"recal: error: cannot write outputs: {exc}", file=sys.stderr)
-        return 1
-    for result in results:
-        diag = result.diagnostics
-        print(
-            f"{result.method.value}: converged={diag.converged} "
-            f"iterations={diag.iterations}"
-        )
-    if not payload["all_converged"]:
-        print("recal: warning: at least one method did not converge", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _table_command(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
-    results = run_methods(scenario)
-    table = build_results_table(scenario.source, scenario.target, results, scenario.functional)
-    sys.stdout.write(format_table(table))
-    return 0 if all(r.diagnostics.converged for r in results) else 2
-
-
-def _curves_command(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
-    results = run_methods(scenario)
-    csv_text = curves_to_csv(export_curves(scenario.source, scenario.target, results))
-    if args.out is None:
-        sys.stdout.write(csv_text)
-    else:
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "curves.csv").write_text(csv_text, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            print(f"recal: error: cannot write outputs: {exc}", file=sys.stderr)
-            return 1
-    return 0 if all(r.diagnostics.converged for r in results) else 2
+    return {
+        "table.csv": table_to_csv(table),
+        "curves.csv": curves_to_csv(export_curves(src, tgt, results)),
+        "diagnostics.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    }
 
 
 def main(argv=None) -> int:
@@ -187,15 +147,34 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         return 0 if exc.code in (0, None) else 1
+    out = getattr(args, "out", None)
     try:
-        if args.command == "run":
-            return _run_command(args)
-        if args.command == "table":
-            return _table_command(args)
-        return _curves_command(args)
+        scenario = _apply_overrides(parse_scenario(args.scenario), args)
+        results = run_methods(scenario)
+        texts = _render(args.command, scenario, results)
+        if out is None:
+            sys.stdout.write("".join(texts.values()))
+        else:
+            Path(out).mkdir(parents=True, exist_ok=True)
+            for name, text in texts.items():
+                (Path(out) / name).write_text(text, encoding="utf-8", newline="\n")
     except RecalError as exc:
         print(f"recal: error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"recal: error: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
+    converged = all(r.diagnostics.converged for r in results)
+    if args.command == "run":
+        for result in results:
+            diag = result.diagnostics
+            print(
+                f"{result.method.value}: converged={diag.converged} "
+                f"iterations={diag.iterations}"
+            )
+        if not converged:
+            print("recal: warning: at least one method did not converge", file=sys.stderr)
+    return 0 if converged else 2
 
 
 if __name__ == "__main__":

@@ -329,9 +329,11 @@ def two_param_qmm(
     Each outer step solves (a, b) against the targets (q, source implied AUC)
     at the current class-0 CDF, then refreshes the CDF from the resulting
     posterior exactly as the ROC-based scheme does. The loop stops when the
-    CDF values and (a, b) are jointly stable to 1e-9. The reported a is the
-    literal parameter of the decreasing-in-probit transform (negative for an
-    increasing net effect).
+    CDF values and (a, b) are jointly stable to 1e-9. The solver fits
+    sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the reported
+    (a, b) = (-alpha, -beta) and slope bracket are those of the paper's
+    literal form 1 / (1 + exp(b + a * ndtri(F0))), so a is negative for an
+    increasing net effect.
     """
     _check_pair(src, tgt)
     q = tgt.prior
@@ -353,24 +355,24 @@ def two_param_qmm(
         tol_mean=min(settings.tol_mean, 1e-12),
         tol_auc=min(settings.tol_auc, 1e-11),
     )
-    a = b = np.nan
+    alpha = beta = np.nan
     values = None
     inner_diag = None
     iterations = 0
     delta = np.inf
     for _ in range(settings.max_iter):
         fam = rob_logit_family(f0)
-        a_new, b_new, inner_diag = solve_qmm_2d(
+        alpha_new, beta_new, inner_diag = solve_qmm_2d(
             fam, auc_src, q, tgt, src.posterior, inner_settings
         )
-        values = fam.posterior_values(src.posterior.values, a_new, b_new)
+        values = fam.posterior_values(src.posterior.values, alpha_new, beta_new)
         f0_new = _refreshed_f0("two_param_qmm", feature, values)
         delta = float(np.max(np.abs(f0_new - f0)))
-        if np.isfinite(a):
-            delta = max(delta, abs(a_new - a), abs(b_new - b))
+        if np.isfinite(alpha):
+            delta = max(delta, abs(alpha_new - alpha), abs(beta_new - beta))
         else:
             delta = np.inf
-        a, b, f0 = a_new, b_new, f0_new
+        alpha, beta, f0 = alpha_new, beta_new, f0_new
         iterations += 1
         if delta <= joint_tol:
             break
@@ -385,10 +387,10 @@ def two_param_qmm(
         residual_mean=inner_diag.residual_mean,
         residual_auc=inner_diag.residual_auc,
         residual_fixed_point=delta,
-        bracket=inner_diag.bracket,
+        bracket=(-inner_diag.bracket[1], -inner_diag.bracket[0]),
     )
     return _finish(
-        MethodId.TWO_PARAM_QMM, tgt, values, {"a": float(a), "b": float(b)}, diag
+        MethodId.TWO_PARAM_QMM, tgt, values, {"a": -float(alpha), "b": -float(beta)}, diag
     )
 
 

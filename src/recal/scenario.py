@@ -33,6 +33,7 @@ Bayes ratio prior * f1 / (prior * f1 + (1 - prior) * f0).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -118,43 +119,44 @@ def _binomial_spec(obj: dict, path: str) -> tuple[int, float]:
 def _parse_source(obj: dict) -> SourceModel:
     if not isinstance(obj, dict):
         raise ScenarioError("source: expected an object")
-    if "class0" in obj or "class1" in obj:
-        _check_keys(obj, "source", ("class0", "class1", "prior"))
-        trials0, sp0 = _binomial_spec(obj["class0"], "source.class0")
-        trials1, sp1 = _binomial_spec(obj["class1"], "source.class1")
-        if trials0 != trials1:
-            raise ScenarioError("source.class1.trials: must match source.class0.trials")
-        prior = _open_unit(obj, "source", "prior")
-        f0 = binomial_dist(trials0, sp0)
-        f1 = binomial_dist(trials1, sp1)
-        probs = prior * f1.probs + (1.0 - prior) * f0.probs
-        posterior = prior * f1.probs / probs
-        try:
-            feature = DiscreteScoreDist(f0.support, probs)
-            curve = PosteriorCurve(f0.support, posterior)
-            return SourceModel(feature, curve, prior)
-        except RecalError as exc:
-            raise ScenarioError(f"source: {exc}") from exc
-    _check_keys(obj, "source", ("support", "probs", "posterior"), optional=("prior",))
-    support = _vector(obj, "source", "support")
-    probs = _vector(obj, "source", "probs")
-    posterior = _vector(obj, "source", "posterior")
     try:
+        if "class0" in obj or "class1" in obj:
+            _check_keys(obj, "source", ("class0", "class1", "prior"))
+            trials0, sp0 = _binomial_spec(obj["class0"], "source.class0")
+            trials1, sp1 = _binomial_spec(obj["class1"], "source.class1")
+            if trials0 != trials1:
+                raise ScenarioError("source.class1.trials: must match source.class0.trials")
+            prior = _open_unit(obj, "source", "prior")
+            f0 = binomial_dist(trials0, sp0)
+            f1 = binomial_dist(trials1, sp1)
+            joint1 = prior * f1.probs
+            probs = joint1 + (1.0 - prior) * f0.probs
+            underflow = int(np.count_nonzero(probs == 0.0))
+            if underflow:
+                raise ScenarioError(
+                    f"source: both class pmfs underflow to 0 at {underflow} of {probs.size} "
+                    "support points, where the posterior is undefined"
+                )
+            feature = DiscreteScoreDist(f0.support, probs)
+            return SourceModel(feature, PosteriorCurve(f0.support, joint1 / probs), prior)
+        _check_keys(obj, "source", ("support", "probs", "posterior"), optional=("prior",))
+        support = _vector(obj, "source", "support")
+        probs = _vector(obj, "source", "probs")
+        posterior = _vector(obj, "source", "posterior")
         feature = DiscreteScoreDist(support, probs)
         curve = PosteriorCurve(support, posterior)
-    except RecalError as exc:
-        raise ScenarioError(f"source: {exc}") from exc
-    prior = float(np.dot(feature.probs, curve.values))
-    if "prior" in obj:
-        prior_given = _open_unit(obj, "source", "prior")
-        if abs(prior_given - prior) > 1e-10:
-            raise ScenarioError(
-                "source.prior: inconsistent with the posterior mean "
-                f"({prior_given!r} vs {prior!r})"
-            )
-        prior = prior_given
-    try:
+        prior = float(np.dot(feature.probs, curve.values))
+        if "prior" in obj:
+            prior_given = _open_unit(obj, "source", "prior")
+            if abs(prior_given - prior) > 1e-10:
+                raise ScenarioError(
+                    "source.prior: inconsistent with the posterior mean "
+                    f"({prior_given!r} vs {prior!r})"
+                )
+            prior = prior_given
         return SourceModel(feature, curve, prior)
+    except ScenarioError:
+        raise
     except RecalError as exc:
         raise ScenarioError(f"source: {exc}") from exc
 
@@ -246,27 +248,30 @@ def _parse_functional(value) -> FunctionalSpec:
         raise ScenarioError(f"functional: {exc}") from exc
 
 
-def _parse_settings(obj: dict | None) -> SolverSettings:
+def _parse_settings(
+    obj: dict | None, base: SolverSettings = DEFAULT_SETTINGS, name=None
+) -> SolverSettings:
+    """Validate solver settings, from a ``solver`` block or the CLI's
+    overrides, and apply them on top of ``base``.
+
+    Tolerances must be positive and finite, ``max_iter`` a positive integer.
+    Errors name the setting as ``name(key)``, by default ``solver.<key>``.
+    """
     if obj is None:
-        return DEFAULT_SETTINGS
+        return base
     _check_keys(obj, "solver", (), optional=("tol_mean", "tol_auc", "max_iter"))
-    settings = DEFAULT_SETTINGS
-    if "tol_mean" in obj:
-        tol = _number(obj, "solver", "tol_mean")
-        if tol <= 0:
-            raise ScenarioError("solver.tol_mean: must be positive")
-        settings = replace(settings, tol_mean=tol)
-    if "tol_auc" in obj:
-        tol = _number(obj, "solver", "tol_auc")
-        if tol <= 0:
-            raise ScenarioError("solver.tol_auc: must be positive")
-        settings = replace(settings, tol_auc=tol)
-    if "max_iter" in obj:
-        n = _integer(obj, "solver", "max_iter")
-        if n < 1:
-            raise ScenarioError("solver.max_iter: must be a positive integer")
-        settings = replace(settings, max_iter=n)
-    return settings
+    name = name or (lambda key: f"solver.{key}")
+    changes = {}
+    for key, value in obj.items():
+        integral = key == "max_iter"
+        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+            expected = "an integer" if integral else "a number"
+            raise ScenarioError(f"{name(key)}: expected {expected}")
+        if not 0 < value < math.inf:
+            rule = "a positive integer" if integral else "positive and finite"
+            raise ScenarioError(f"{name(key)}: must be {rule}")
+        changes[key] = value if integral else float(value)
+    return replace(base, **changes)
 
 
 def scenario_from_dict(obj: dict) -> Scenario:

@@ -139,15 +139,13 @@ def bisect_root(
 
 @dataclass(frozen=True)
 class TransformFamily:
-    """A one-link parametric transform eta = link(a * x + b) in solver form.
+    """A one-link parametric transform eta = link(a * x + b).
 
     ``link_pdf`` is the derivative of ``link``, which the solver's Newton
     intercept step uses. ``make_x`` maps the source posterior values to the
     per-point regressor x (it may ignore them when x is attached to the
-    support instead, as in the two-parameter scheme). The solver works with
-    an internal slope alpha >= 0 so the transform is non-decreasing in x;
-    ``literal_sign`` maps the internal (alpha, beta) to the family's literal
-    (a, b) convention.
+    support instead, as in the two-parameter scheme). Every family is
+    non-decreasing in x for a >= 0, the slope range the solver searches.
     """
 
     name: str
@@ -155,7 +153,6 @@ class TransformFamily:
     link_pdf: Callable[[np.ndarray], np.ndarray]
     make_x: Callable[[np.ndarray], np.ndarray]
     slope_may_vanish: bool
-    literal_sign: float = 1.0
 
     def x_values(self, source_values: np.ndarray) -> np.ndarray:
         x = np.asarray(self.make_x(source_values), dtype=float)
@@ -166,14 +163,8 @@ class TransformFamily:
             )
         return x
 
-    def to_literal(self, alpha: float, beta: float) -> tuple[float, float]:
-        return self.literal_sign * alpha, self.literal_sign * beta
-
     def posterior_values(self, source_values: np.ndarray, a: float, b: float) -> np.ndarray:
-        x = self.x_values(source_values)
-        alpha = self.literal_sign * a
-        beta = self.literal_sign * b
-        return np.asarray(self.link(alpha * x + beta), dtype=float)
+        return np.asarray(self.link(a * self.x_values(source_values) + b), dtype=float)
 
 
 def _logistic_pdf(z: np.ndarray) -> np.ndarray:
@@ -207,20 +198,15 @@ def normal_cspd_family() -> TransformFamily:
 
 
 def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
-    """eta_i = 1 / (1 + exp(b + a * ndtri(f0_i))) attached to support points.
+    """eta_i = sigmoid(a * ndtri(f0_i) + b) attached to support points.
 
-    The transform as written is decreasing in the probit of the class-0 CDF
-    for a > 0, so the solver works with the sign-flipped internal slope and
-    reports the literal (a, b); net effect on the score stays increasing.
+    The paper writes this transform as 1 / (1 + exp(b' + a' * ndtri(f0_i))),
+    decreasing in the probit of the class-0 CDF for a' > 0; it is the same
+    family with (a', b') = (-a, -b), the form ``two_param_qmm`` reports.
     """
     z = ndtri(np.asarray(f0_values, dtype=float))
     return TransformFamily(
-        "rob_logit",
-        expit,
-        _logistic_pdf,
-        lambda _u: z,
-        slope_may_vanish=True,
-        literal_sign=-1.0,
+        "rob_logit", expit, _logistic_pdf, lambda _u: z, slope_may_vanish=True
     )
 
 
@@ -289,113 +275,99 @@ def solve_qmm_2d(
     def residual(auc: float) -> float:
         return auc - source_auc_target
 
-    # a constant transform (slope 0) has AUC exactly 1/2; families that admit
-    # it get the exact degenerate solution instead of a bracketed search
     if family.slope_may_vanish and abs(residual(0.5)) <= tol_auc:
-        auc0, beta0, healthy0 = probe(0.0)
-        a, b = family.to_literal(0.0, beta0)
-        diag = SolveDiagnostics(
-            iterations=evals,
-            converged=healthy0 and abs(residual(auc0)) <= tol_auc,
-            residual_mean=abs(float(np.dot(weights, family.link(0.0 * x + beta0))) - q),
-            residual_auc=abs(residual(auc0)),
-            bracket=(0.0, 0.0),
-        )
-        return a, b, diag
-
-    # bracket the slope around 1, expanding geometrically on the side where
-    # the AUC residual keeps its sign; upward expansion stops early at the
-    # last slope the mean equation can still be solved for
-    lo = hi = 1.0
-    auc_lo, beta_lo, healthy = probe(lo)
-    if not healthy:
-        raise InfeasibleError(
-            f"{family.name}: mean equation insoluble at unit slope; "
-            "the transform family is numerically exhausted"
-        )
-    auc_hi, beta_hi = auc_lo, beta_lo
-    if residual(auc_lo) < -tol_auc:
-        for _ in range(MAX_EXPANSIONS):
-            trial = hi * 2.0
-            auc_trial, beta_trial, healthy = probe(trial)
-            if not healthy:
-                break  # numerically attainable edge reached
-            hi, auc_hi, beta_hi = trial, auc_trial, beta_trial
-            if residual(auc_hi) >= -tol_auc:
-                break
-    elif residual(auc_lo) > tol_auc:
-        for _ in range(MAX_EXPANSIONS):
-            trial = lo / 2.0
-            auc_trial, beta_trial, healthy = probe(trial)
-            if not healthy:
-                break
-            lo, auc_lo, beta_lo = trial, auc_trial, beta_trial
-            if residual(auc_lo) <= tol_auc:
-                break
-        if residual(auc_lo) > tol_auc and family.slope_may_vanish:
-            auc_trial, beta_trial, healthy = probe(0.0)
-            if healthy:
-                lo, auc_lo, beta_lo = 0.0, auc_trial, beta_trial
-
-    bracket = (lo, hi)
-    if abs(residual(auc_hi)) <= tol_auc:
-        alpha, beta, auc = hi, beta_hi, auc_hi
-    elif abs(residual(auc_lo)) <= tol_auc:
-        alpha, beta, auc = lo, beta_lo, auc_lo
-    elif residual(auc_lo) * residual(auc_hi) > 0.0:
-        observed = (min(auc_lo, auc_hi), max(auc_lo, auc_hi))
-        raise InfeasibleError(
-            f"{family.name}: target AUC {source_auc_target!r} lies outside the AUC "
-            f"range [{observed[0]!r}, {observed[1]!r}] attained over the probed slopes",
-            attainable_auc_range=observed,
-        )
+        # a constant transform (slope 0) has AUC exactly 1/2; families that
+        # admit it get the exact degenerate solution instead of a search. An
+        # unhealthy probe leaves auc NaN, which reads as not converged below.
+        alpha, bracket = 0.0, (0.0, 0.0)
+        auc, beta, _ = probe(alpha)
     else:
-        alpha, beta, auc = hi, beta_hi, auc_hi
-        r_lo, r_hi = residual(auc_lo), residual(auc_hi)
-        kept = 0  # +1 / -1 when the last step kept the lo / hi end
-        for _ in range(MAX_BISECT_ITER):
-            mid = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
-            if not lo < mid < hi:  # also when r_hi is unknown (nan)
-                mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            auc_mid, beta_mid, healthy = probe(mid)
-            if not healthy:
-                # hardness grows with the slope; retreat downward
-                hi, r_hi = mid, np.nan
-                continue
-            alpha, beta, auc = mid, beta_mid, auc_mid
-            r_mid = residual(auc_mid)
-            if abs(r_mid) <= tol_auc:
-                break
-            # Illinois rule: halve the residual of an end kept twice in a row
-            if r_mid > 0.0:
-                hi, r_hi = mid, r_mid
-                if kept == 1:
-                    r_lo *= 0.5
-                kept = 1
-            else:
-                lo, r_lo = mid, r_mid
-                if kept == -1:
-                    r_hi *= 0.5
-                kept = -1
-            if (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
-                break
+        auc, beta, healthy = probe(1.0)
+        if not healthy:
+            raise InfeasibleError(
+                f"{family.name}: mean equation insoluble at unit slope; "
+                "the transform family is numerically exhausted"
+            )
+        # bracket the slope around 1 as [slope, auc, beta] at each end,
+        # expanding geometrically on the side where the AUC residual keeps
+        # its sign: downward while the AUC is too high, upward while it is
+        # too low. Upward expansion stops early at the last slope the mean
+        # equation can still be solved for.
+        ends = [[1.0, auc, beta], [1.0, auc, beta]]
+        down = residual(auc) > 0.0
+        sign = 1.0 if down else -1.0
+        if sign * residual(auc) > tol_auc:
+            end = ends[0] if down else ends[1]
+            for _ in range(MAX_EXPANSIONS):
+                trial = end[0] * (0.5 if down else 2.0)
+                auc_trial, beta_trial, healthy = probe(trial)
+                if not healthy:
+                    break  # numerically attainable edge reached
+                end[:] = trial, auc_trial, beta_trial
+                if sign * residual(auc_trial) <= tol_auc:
+                    break
+            if down and residual(end[1]) > tol_auc and family.slope_may_vanish:
+                auc_trial, beta_trial, healthy = probe(0.0)
+                if healthy:
+                    end[:] = 0.0, auc_trial, beta_trial
+        (lo, auc_lo, beta_lo), (hi, auc_hi, beta_hi) = ends
+        bracket = (lo, hi)
+
+        if abs(residual(auc_hi)) <= tol_auc:
+            alpha, beta, auc = hi, beta_hi, auc_hi
+        elif abs(residual(auc_lo)) <= tol_auc:
+            alpha, beta, auc = lo, beta_lo, auc_lo
+        elif residual(auc_lo) * residual(auc_hi) > 0.0:
+            observed = (min(auc_lo, auc_hi), max(auc_lo, auc_hi))
+            raise InfeasibleError(
+                f"{family.name}: target AUC {source_auc_target!r} lies outside the AUC "
+                f"range [{observed[0]!r}, {observed[1]!r}] attained over the probed slopes",
+                attainable_auc_range=observed,
+            )
+        else:
+            alpha, beta, auc = hi, beta_hi, auc_hi
+            r_lo, r_hi = residual(auc_lo), residual(auc_hi)
+            kept = 0  # +1 / -1 when the last step kept the lo / hi end
+            for _ in range(MAX_BISECT_ITER):
+                mid = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
+                if not lo < mid < hi:  # also when r_hi is unknown (nan)
+                    mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                auc_mid, beta_mid, healthy = probe(mid)
+                if not healthy:
+                    # hardness grows with the slope; retreat downward
+                    hi, r_hi = mid, np.nan
+                    continue
+                alpha, beta, auc = mid, beta_mid, auc_mid
+                r_mid = residual(auc_mid)
+                if abs(r_mid) <= tol_auc:
+                    break
+                # Illinois rule: halve the residual of an end kept twice in a row
+                if r_mid > 0.0:
+                    hi, r_hi = mid, r_mid
+                    if kept == 1:
+                        r_lo *= 0.5
+                    kept = 1
+                else:
+                    lo, r_lo = mid, r_mid
+                    if kept == -1:
+                        r_hi *= 0.5
+                    kept = -1
+                if (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
+                    break
 
     mean = float(np.dot(weights, family.link(alpha * x + beta)))
     residual_mean = abs(mean - q)
     residual_auc = abs(auc - source_auc_target)
-    a, b = family.to_literal(alpha, beta)
-    lit_lo = family.literal_sign * bracket[0]
-    lit_hi = family.literal_sign * bracket[1]
     diag = SolveDiagnostics(
         iterations=evals,
         converged=residual_mean <= settings.tol_mean and residual_auc <= tol_auc,
         residual_mean=residual_mean,
         residual_auc=residual_auc,
-        bracket=(min(lit_lo, lit_hi), max(lit_lo, lit_hi)),
+        bracket=bracket,
     )
-    return a, b, diag
+    return alpha, beta, diag
 
 
 def fixed_point_f0(

@@ -166,6 +166,22 @@ class TestTableCommand:
         assert len(lines) == 3
 
 
+    def test_non_convergence_exits_two(self, fixture_path, capsys):
+        code = run_cli(
+            "table", "--scenario", fixture_path, "--methods", "roc_qmm", "--max-iter", "1"
+        )
+        assert code == 2
+        assert capsys.readouterr().out.startswith("method")
+
+    def test_invalid_scenario_exits_one_and_prints_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"source": {}}))
+        assert run_cli("table", "--scenario", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
+
 class TestCurvesCommand:
     def test_stdout_csv(self, fixture_path, capsys):
         code = run_cli("curves", "--scenario", fixture_path)
@@ -180,6 +196,21 @@ class TestCurvesCommand:
         assert (tmp_path / "curves.csv").exists()
 
 
+    def test_non_convergence_exits_two(self, fixture_path, capsys):
+        code = run_cli(
+            "curves", "--scenario", fixture_path, "--methods", "roc_qmm", "--max-iter", "1"
+        )
+        assert code == 2
+        assert capsys.readouterr().out.startswith("series,support,value\n")
+
+    def test_unwritable_output_exits_one(self, tmp_path, fixture_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        code = run_cli("curves", "--scenario", fixture_path, "--out", str(blocker / "sub"))
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exits_one(self, capsys):
         assert run_cli() == 1
@@ -192,3 +223,15 @@ class TestUsageErrors:
             "run", "--scenario", fixture_path, "--tol-mean", "-1", "--out", str(tmp_path)
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol-mean", "inf"), ("--tol-auc", "nan"), ("--tol-mean", "1e400")]
+    )
+    def test_non_finite_tolerance_exits_one_and_names_flag(
+        self, fixture_path, capsys, flag, value
+    ):
+        code = run_cli("table", "--scenario", fixture_path, flag, value)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be positive and finite" in captured.err

@@ -378,6 +378,11 @@ class TestTwoParamQmm:
         assert result.diagnostics.converged
         assert result.params["a"] < 0.0  # literal slope of the decreasing form
 
+    def test_bracket_holds_reported_slope(self, example_scenario):
+        result = two_param_qmm(example_scenario.source, example_scenario.target)
+        lo, hi = result.diagnostics.bracket
+        assert lo <= result.params["a"] <= hi
+
     def test_contracts(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         result = two_param_qmm(src, tgt)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,29 @@ class TestParseScenario:
         obj = minimal_dict(solver={"tol_means": 1e-6})
         with pytest.raises(ScenarioError, match="tol_means"):
             scenario_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "key, literal", [("tol_mean", "1e400"), ("tol_auc", "NaN"), ("tol_mean", "Infinity")]
+    )
+    def test_non_finite_solver_tolerance_named(self, tmp_path, key, literal):
+        # the JSON reader turns 1e400 into inf and accepts NaN and Infinity
+        text = json.dumps(minimal_dict(solver={key: "TOL"})).replace('"TOL"', literal)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=f"solver.{key}"):
+            parse_scenario(path)
+
+    def test_class_pmf_underflow_named_without_warning(self):
+        obj = minimal_dict()
+        obj["source"] = {
+            "class0": {"trials": 1100, "success_prob": 0.05},
+            "class1": {"trials": 1100, "success_prob": 0.051},
+            "prior": 0.1,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="class pmfs underflow"):
+                scenario_from_dict(obj)
 
     def test_tabulated_functional(self):
         obj = minimal_dict(
