@@ -8,6 +8,7 @@ to CSV. CSV output is UTF-8 with '.' decimals and LF line endings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -27,6 +28,9 @@ CONCAVITY_SLACK = 1e-12
 
 TABLE_CSV_HEADER = "method,mean_probs,auc,mean_functional"
 CURVES_CSV_HEADER = "series,support,value"
+# one CSV line per row: the label, then each number at 12 significant digits
+_TABLE_CSV_LINE = "{},{:.12g},{:.12g},{:.12g}\n".format
+_CURVES_CSV_LINE = "{},{:.12g},{:.12g}\n".format
 
 
 def _check_concave_on_grid(grid: np.ndarray, values: np.ndarray) -> None:
@@ -189,18 +193,10 @@ def format_table(table: ResultsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def table_to_csv(table: ResultsTable) -> str:
     """CSV rendering at 12 significant digits."""
-    lines = [TABLE_CSV_HEADER]
-    for row in table.rows:
-        lines.append(
-            f"{row.label},{_fmt(row.mean_probs)},{_fmt(row.auc)},{_fmt(row.mean_functional)}"
-        )
-    return "\n".join(lines) + "\n"
+    cells = ((r.label, r.mean_probs, r.auc, r.mean_functional) for r in table.rows)
+    return TABLE_CSV_HEADER + "\n" + "".join(starmap(_TABLE_CSV_LINE, cells))
 
 
 def export_curves(
@@ -217,8 +213,7 @@ def export_curves(
     rows: list[tuple[str, float, float]] = []
 
     def emit(series: str, support: np.ndarray, values: np.ndarray) -> None:
-        for s, v in zip(support, values):
-            rows.append((series, float(s), float(v)))
+        rows.extend(zip(repeat(series), support.tolist(), values.tolist()))
 
     emit("source_pmf", source.support, source.feature_dist.probs)
     emit("target_pmf", target.support, target.feature_dist.probs)
@@ -234,7 +229,4 @@ def export_curves(
 
 def curves_to_csv(rows: list[tuple[str, float, float]]) -> str:
     """CSV rendering of curve rows at 12 significant digits."""
-    lines = [CURVES_CSV_HEADER]
-    for series, support, value in rows:
-        lines.append(f"{series},{_fmt(support)},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return CURVES_CSV_HEADER + "\n" + "".join(starmap(_CURVES_CSV_LINE, rows))

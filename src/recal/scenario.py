@@ -77,11 +77,20 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
             raise ScenarioError(f"{path}.{key}: unexpected key")
 
 
+def _floats(value, where: str):
+    """A number, or a list of numbers, as float(s). JSON integers are
+    unbounded, so one past the float range is refused here by name."""
+    try:
+        return np.asarray(value, dtype=float) if isinstance(value, list) else float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}: number is too large for a float") from None
+
+
 def _number(obj: dict, path: str, key: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}.{key}: expected a number")
-    return float(value)
+    return _floats(value, f"{path}.{key}")
 
 
 def _integer(obj: dict, path: str, key: str) -> int:
@@ -102,10 +111,11 @@ def _vector(obj: dict, path: str, key: str) -> np.ndarray:
     value = obj[key]
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{path}.{key}: expected a non-empty array of numbers")
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ScenarioError(f"{path}.{key}: expected a non-empty array of numbers")
-    return np.asarray(value, dtype=float)
+    # check each distinct element type once; bool is an int subclass, not a number
+    types = set(map(type, value))
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        raise ScenarioError(f"{path}.{key}: expected a non-empty array of numbers")
+    return _floats(value, f"{path}.{key}")
 
 
 def _binomial_spec(obj: dict, path: str) -> tuple[int, float]:
@@ -267,10 +277,12 @@ def _parse_settings(
         if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
             expected = "an integer" if integral else "a number"
             raise ScenarioError(f"{name(key)}: expected {expected}")
+        if not integral:
+            value = _floats(value, name(key))
         if not 0 < value < math.inf:
             rule = "a positive integer" if integral else "positive and finite"
             raise ScenarioError(f"{name(key)}: must be {rule}")
-        changes[key] = value if integral else float(value)
+        changes[key] = value
     return replace(base, **changes)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +236,16 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag}: must be positive and finite" in captured.err
+
+    def test_oversized_json_integer_exits_one_without_traceback(
+        self, tmp_path, fixture_path, capsys
+    ):
+        scenario = json.loads(Path(fixture_path).read_text())
+        scenario["target"]["prior"] = 10**400  # past the float range
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("table", "--scenario", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "recal: error: target.prior: number is too large for a float\n"
+        assert "Traceback" not in captured.err

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recal import (
+    CANONICAL_ORDER,
     DiscreteScoreDist,
     DomainError,
     FunctionalSpec,
     PosteriorCurve,
+    ResultsTable,
     StructuralError,
+    TableRow,
     TargetSpec,
     build_results_table,
     curves_to_csv,
@@ -24,6 +29,21 @@ from conftest import CELL_TOL, REFERENCE_TABLE, random_dist, random_values
 @pytest.fixture(scope="module")
 def example_results(example_scenario):
     return run_methods(example_scenario)
+
+
+def reference_csv(header, rows):
+    # the element-by-element rule: label, then each number at 12 significant
+    # digits, LF line endings and a trailing LF
+    lines = [header] + [",".join([f"{row[0]}"] + [f"{x:.12g}" for x in row[1:]]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [
+    -0.0, 5e-324, 1e-300, 1 / 3, 0.1, 1.0, 1e16, 123456789012.5,
+    float("inf"), -float("inf"), float("nan"),
+]
+EDGE_ROWS = [(f"s{i}", a, b) for i, (a, b) in enumerate(zip(EDGE_FLOATS, EDGE_FLOATS[::-1]))]
+any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 
 class TestFunctionalSpec:
@@ -230,6 +250,21 @@ class TestResultsTable:
         # 12 significant digits survive a round trip at 1e-11 relative error
         assert abs(float(first[2]) - table.rows[0].auc) <= 1e-11
 
+    def test_csv_matches_reference_on_edge_values(self):
+        rows = [(label, a, b, a) for label, a, b in EDGE_ROWS]
+        table = ResultsTable(tuple(TableRow(*row) for row in rows))
+        assert table_to_csv(table) == reference_csv(
+            "method,mean_probs,auc,mean_functional", rows
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(), any_float, any_float, any_float)))
+    def test_csv_matches_reference(self, rows):
+        table = ResultsTable(tuple(TableRow(*row) for row in rows))
+        assert table_to_csv(table) == reference_csv(
+            "method,mean_probs,auc,mean_functional", rows
+        )
+
 
 class TestExportCurves:
     def test_series_inventory_without_results(self, example_scenario):
@@ -250,6 +285,45 @@ class TestExportCurves:
         for name, _, value in rows:
             if name.startswith("posterior_"):
                 assert value > 0.0
+
+    def test_rows_match_elementwise_reference(self, example_scenario, example_results):
+        src, tgt = example_scenario.source, example_scenario.target
+        series = [
+            ("source_pmf", src.support, src.feature_dist.probs),
+            ("target_pmf", tgt.support, tgt.feature_dist.probs),
+            ("posterior_source", src.support, src.posterior.values),
+        ]
+        by_method = {r.method: r for r in example_results}
+        series += [
+            (f"posterior_{m.value}", by_method[m].posterior.support, by_method[m].posterior.values)
+            for m in CANONICAL_ORDER
+        ]
+        expected = [
+            (name, float(s), float(v)) for name, xs, vs in series for s, v in zip(xs, vs)
+        ]
+        rows = export_curves(src, tgt, list(reversed(example_results)))
+        assert rows == expected
+        assert all(
+            type(row) is tuple and type(row[1]) is float and type(row[2]) is float
+            for row in rows
+        )
+
+    @pytest.mark.parametrize(
+        "make_row",
+        [tuple, list, lambda row: (row[0], np.float64(row[1]), np.float64(row[2]))],
+        ids=["tuple", "list", "np_float64"],
+    )
+    def test_csv_matches_reference_on_edge_values(self, make_row):
+        rows = [make_row(row) for row in EDGE_ROWS]
+        assert curves_to_csv(rows) == reference_csv("series,support,value", EDGE_ROWS)
+
+    def test_csv_of_no_rows_is_the_header_line(self):
+        assert curves_to_csv([]) == "series,support,value\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(), any_float, any_float)))
+    def test_csv_matches_reference(self, rows):
+        assert curves_to_csv(rows) == reference_csv("series,support,value", rows)
 
     def test_csv_rendering(self, example_scenario, example_results):
         rows = export_curves(example_scenario.source, example_scenario.target, example_results)

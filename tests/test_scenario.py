@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recal import (
     MethodId,
@@ -16,6 +18,9 @@ from recal import (
     scenario_to_dict,
     write_scenario,
 )
+from recal.scenario import _vector
+
+TOO_BIG = 10**400  # a JSON integer past the float range
 
 
 def minimal_dict(**overrides):
@@ -187,6 +192,23 @@ class TestParseScenario:
             with pytest.raises(ScenarioError, match="class pmfs underflow"):
                 scenario_from_dict(obj)
 
+    def test_oversized_support_integer_named(self):
+        obj = minimal_dict()
+        obj["source"]["support"] = [0, TOO_BIG]
+        with pytest.raises(ScenarioError, match="source.support: number is too large"):
+            scenario_from_dict(obj)
+
+    def test_oversized_prior_integer_named(self):
+        obj = minimal_dict()
+        obj["target"]["prior"] = TOO_BIG
+        with pytest.raises(ScenarioError, match="target.prior: number is too large"):
+            scenario_from_dict(obj)
+
+    def test_oversized_tolerance_integer_named(self):
+        obj = minimal_dict(solver={"tol_mean": TOO_BIG})
+        with pytest.raises(ScenarioError, match="solver.tol_mean: number is too large"):
+            scenario_from_dict(obj)
+
     def test_tabulated_functional(self):
         obj = minimal_dict(
             functional={"id": "tabulated", "grid": [0.0, 0.5, 1.0], "values": [0.0, 0.4, 0.5]}
@@ -203,6 +225,67 @@ class TestParseScenario:
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):
             parse_scenario(tmp_path / "nope.json")
+
+
+def vector_reference_accepts(value):
+    # the element-by-element rule
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(not isinstance(x, bool) and isinstance(x, (int, float)) for x in value)
+    )
+
+
+class TestVectorRules:
+    @pytest.mark.parametrize(
+        "value",
+        [[0.5, True], ["0.5"], [None], [[0.5]], [], 0.5, "0.5", {"0": 0.5}],
+        ids=["bool", "string", "null", "nested", "empty", "number", "text", "object"],
+    )
+    def test_rejected_and_key_named(self, value):
+        obj = minimal_dict()
+        obj["source"]["support"] = value
+        with pytest.raises(
+            ScenarioError, match="source.support: expected a non-empty array of numbers"
+        ):
+            scenario_from_dict(obj)
+
+    def test_numpy_float64_elements_accepted(self):
+        obj = minimal_dict()
+        for key in ("support", "probs", "posterior"):
+            obj["source"][key] = [np.float64(x) for x in obj["source"][key]]
+        scenario = scenario_from_dict(obj)
+        assert scenario.source.posterior.values.tolist() == [0.1, 0.2]
+
+    def test_plain_int_elements_accepted(self):
+        obj = minimal_dict()
+        obj["source"]["support"] = [0, 1]
+        obj["target"]["feature"]["support"] = [0, 1]
+        scenario = scenario_from_dict(obj)
+        assert scenario.source.support.dtype == np.float64
+        assert scenario.source.support.tolist() == [0.0, 1.0]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-5, 5),
+                st.floats(allow_nan=False),
+                st.booleans(),
+                st.none(),
+                st.text(max_size=2),
+                st.floats(-1, 1).map(np.float64),
+                st.just([0.5]),
+            ),
+            max_size=5,
+        )
+    )
+    def test_accepts_exactly_what_the_elementwise_rule_accepts(self, value):
+        obj = {"v": value}
+        if vector_reference_accepts(value):
+            assert _vector(obj, "x", "v").tolist() == [float(x) for x in value]
+        else:
+            with pytest.raises(ScenarioError, match="x.v: expected a non-empty array"):
+                _vector(obj, "x", "v")
 
 
 class TestRoundTrip:
