@@ -2,7 +2,8 @@
 
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation is pure, so the whole module is safe to use
-from concurrent threads without coordination.
+from concurrent threads without coordination; the generators' first use
+imports scipy.special under the interpreter's import lock.
 """
 
 from __future__ import annotations
@@ -10,12 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, xlog1py, xlogy
 
+from . import _special as sp
 from .errors import DomainError, StructuralError
 
 PROB_SUM_TOL = 1e-12
 PRIOR_CONSISTENCY_TOL = 1e-10
+
+# Largest generator inputs: a binomial support has at most MAX_TRIALS + 1 =
+# 65,537 points, the largest support size the project measures, and the
+# Vasicek mixture's pmf matrix at most MAX_QUAD_NODES x (MAX_TRIALS + 1)
+# float64 entries (134 MB).
+MAX_TRIALS = 65_536
+MAX_QUAD_NODES = 256
 
 
 def _validated_array(values, name: str) -> np.ndarray:
@@ -128,6 +136,13 @@ class TargetSpec:
         return self.feature_dist.support
 
 
+def _count(value, name: str, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi], checked before it sizes any array."""
+    if not lo <= value <= hi or int(value) != value:  # NaN fails the first test
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}]")
+    return int(value)
+
+
 def _binomial_pmf(trials: int, success_prob) -> np.ndarray:
     """Binomial pmf over k = 0..trials, computed in log space.
 
@@ -136,8 +151,8 @@ def _binomial_pmf(trials: int, success_prob) -> np.ndarray:
     a success probability of exactly 0 or 1 gives the degenerate pmf.
     """
     k = np.arange(trials + 1)
-    log_coeff = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
-    return np.exp(log_coeff + xlogy(k, success_prob) + xlog1py(trials - k, -success_prob))
+    log_coeff = sp.gammaln(trials + 1.0) - sp.gammaln(k + 1.0) - sp.gammaln(trials - k + 1.0)
+    return np.exp(log_coeff + sp.xlogy(k, success_prob) + sp.xlog1py(trials - k, -success_prob))
 
 
 def binomial_dist(trials: int, success_prob: float, support_map=None) -> DiscreteScoreDist:
@@ -146,11 +161,9 @@ def binomial_dist(trials: int, success_prob: float, support_map=None) -> Discret
     ``support_map`` optionally relabels the support with trials+1 strictly
     increasing score values. The pmf is computed in log space and
     renormalized, so it matches an iterated Bernoulli convolution to float
-    precision and stays finite for large trial counts.
+    precision and stays finite for large trial counts, up to ``MAX_TRIALS``.
     """
-    if int(trials) != trials or trials < 1:
-        raise DomainError("trials must be a positive integer")
-    trials = int(trials)
+    trials = _count(trials, "trials", 1, MAX_TRIALS)
     if not np.isfinite(success_prob) or not (0.0 < success_prob < 1.0):
         raise DomainError("success_prob must be finite and strictly inside (0, 1)")
     pmf = _binomial_pmf(trials, success_prob)
@@ -172,11 +185,9 @@ def vasicek_mixture_dist(
     The success probability is V(z) = ndtr((ndtri(mean) - sqrt(corr) * z)
     / sqrt(1 - corr)) for a standard normal z, the one-factor law with the
     given mean. The mixture integral is evaluated by Gauss-Hermite quadrature
-    and the pmf is renormalized.
+    with 16 to ``MAX_QUAD_NODES`` nodes and the pmf is renormalized.
     """
-    if int(trials) != trials or trials < 1:
-        raise DomainError("trials must be a positive integer")
-    trials = int(trials)
+    trials = _count(trials, "trials", 1, MAX_TRIALS)
     if not np.isfinite(mean) or not (0.0 < mean < 1.0):
         raise DomainError("mean must be finite and strictly inside (0, 1)")
     if not np.isfinite(correlation) or not (0.0 < correlation < 1.0):
@@ -184,12 +195,12 @@ def vasicek_mixture_dist(
             "correlation must lie strictly inside (0, 1); "
             "request the degenerate case as a plain binomial instead"
         )
-    if int(quad_nodes) != quad_nodes or quad_nodes < 16:
-        raise DomainError("quad_nodes must be an integer >= 16")
-    nodes, weights = np.polynomial.hermite.hermgauss(int(quad_nodes))
+    nodes, weights = np.polynomial.hermite.hermgauss(
+        _count(quad_nodes, "quad_nodes", 16, MAX_QUAD_NODES)
+    )
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
-    succ = ndtr((ndtri(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation))
+    succ = sp.ndtr((sp.ndtri(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation))
     # rows: quadrature nodes, columns: k
     pmf = w @ _binomial_pmf(trials, succ[:, None])
     pmf = pmf / pmf.sum()

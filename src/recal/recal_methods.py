@@ -12,8 +12,8 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logit, ndtri
 
+from . import _special as sp
 from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values
 from .dist_core import (
     DiscreteScoreDist,
@@ -285,7 +285,7 @@ def _refreshed_f0(
 def _roc_posterior(q: float, c: float, f0: np.ndarray) -> np.ndarray:
     # equal-variance normal ROC shape: posterior is a logistic function of
     # the probit of the class-0 CDF
-    return expit(logit(q) - c * c / 2.0 + c * ndtri(f0))
+    return sp.expit(sp.logit(q) - c * c / 2.0 + c * sp.ndtri(f0))
 
 
 def roc_qmm(
@@ -305,7 +305,7 @@ def roc_qmm(
     auc_src = source_implied_auc(src)
     if not (0.0 < auc_src < 1.0):
         raise DomainError("roc_qmm: source implied AUC must lie strictly inside (0, 1)")
-    c = float(np.sqrt(2.0) * ndtri(auc_src))
+    c = float(np.sqrt(2.0) * sp.ndtri(auc_src))
     feature = tgt.feature_dist
 
     def update(f0: np.ndarray) -> np.ndarray:

@@ -25,6 +25,9 @@ Schema (all keys checked; unknown keys are rejected)::
       "solver": {"tol_mean": float, "tol_auc": float, "max_iter": int}  // optional
     }
 
+``trials`` is at most ``dist_core.MAX_TRIALS`` and ``quad_nodes`` (at least
+16) at most ``dist_core.MAX_QUAD_NODES``.
+
 With a class-conditional source, the unconditional feature pmf is
 prior * f1 + (1 - prior) * f0 and the posterior at each support point is the
 Bayes ratio prior * f1 / (prior * f1 + (1 - prior) * f0).
@@ -41,6 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .dist_core import (
+    MAX_QUAD_NODES,
+    MAX_TRIALS,
     DiscreteScoreDist,
     PosteriorCurve,
     SourceModel,
@@ -93,10 +98,12 @@ def _number(obj: dict, path: str, key: str) -> float:
     return _floats(value, f"{path}.{key}")
 
 
-def _integer(obj: dict, path: str, key: str) -> int:
+def _integer(obj: dict, path: str, key: str, lo: int, hi: int) -> int:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}.{key}: expected an integer")
+    if not lo <= value <= hi:
+        raise ScenarioError(f"{path}.{key}: must be an integer in [{lo}, {hi}]")
     return value
 
 
@@ -120,10 +127,7 @@ def _vector(obj: dict, path: str, key: str) -> np.ndarray:
 
 def _binomial_spec(obj: dict, path: str) -> tuple[int, float]:
     _check_keys(obj, path, ("trials", "success_prob"))
-    trials = _integer(obj, path, "trials")
-    if trials < 1:
-        raise ScenarioError(f"{path}.trials: must be a positive integer")
-    return trials, _open_unit(obj, path, "success_prob")
+    return _integer(obj, path, "trials", 1, MAX_TRIALS), _open_unit(obj, path, "success_prob")
 
 
 def _parse_source(obj: dict) -> SourceModel:
@@ -193,11 +197,11 @@ def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
                 ("type", "trials", "mean", "correlation"),
                 optional=("quad_nodes",),
             )
-            trials = _integer(feat, "target.feature", "trials")
+            trials = _integer(feat, "target.feature", "trials", 1, MAX_TRIALS)
             mean = _open_unit(feat, "target.feature", "mean")
             correlation = _open_unit(feat, "target.feature", "correlation")
             nodes = (
-                _integer(feat, "target.feature", "quad_nodes")
+                _integer(feat, "target.feature", "quad_nodes", 16, MAX_QUAD_NODES)
                 if "quad_nodes" in feat
                 else 128
             )

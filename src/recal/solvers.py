@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit, ndtr, ndtri
 
+from . import _special as sp
 from .auc_engine import implied_auc_values
 from .dist_core import PosteriorCurve, TargetSpec
 from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootError
@@ -167,6 +167,16 @@ class TransformFamily:
         return np.asarray(self.link(a * self.x_values(source_values) + b), dtype=float)
 
 
+def expit(z):
+    """The logistic link; a module attribute that families bind when built."""
+    return sp.expit(z)
+
+
+def ndtr(z):
+    """The standard normal CDF link; bound like :func:`expit`."""
+    return sp.ndtr(z)
+
+
 def _logistic_pdf(z: np.ndarray) -> np.ndarray:
     """Derivative expit(z) * (1 - expit(z)) of the logistic link."""
     e = np.exp(-np.abs(z))
@@ -188,13 +198,15 @@ def platt_family() -> TransformFamily:
 def logistic_cspd_family() -> TransformFamily:
     """eta = sigmoid(a * logit(u) + b); strictly increasing needs a > 0."""
     return TransformFamily(
-        "logistic_cspd", expit, _logistic_pdf, logit, slope_may_vanish=False
+        "logistic_cspd", expit, _logistic_pdf, lambda u: sp.logit(u), slope_may_vanish=False
     )
 
 
 def normal_cspd_family() -> TransformFamily:
     """eta = ndtr(a * ndtri(u) + b); strictly increasing needs a > 0."""
-    return TransformFamily("normal_cspd", ndtr, _normal_pdf, ndtri, slope_may_vanish=False)
+    return TransformFamily(
+        "normal_cspd", ndtr, _normal_pdf, lambda u: sp.ndtri(u), slope_may_vanish=False
+    )
 
 
 def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
@@ -204,7 +216,7 @@ def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
     decreasing in the probit of the class-0 CDF for a' > 0; it is the same
     family with (a', b') = (-a, -b), the form ``two_param_qmm`` reports.
     """
-    z = ndtri(np.asarray(f0_values, dtype=float))
+    z = sp.ndtri(np.asarray(f0_values, dtype=float))
     return TransformFamily(
         "rob_logit", expit, _logistic_pdf, lambda _u: z, slope_may_vanish=True
     )

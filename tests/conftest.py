@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from recal import (
     SourceModel,
     TargetSpec,
     class_conditionals,
+    example_scenario_path,
     worked_example_scenario,
 )
+from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS
 
 # reference results for the bundled worked example:
 # label -> (mean_probs, auc, mean_functional), reported at 3 decimals
@@ -69,6 +74,31 @@ def mixture_target(src, q):
     cc = class_conditionals(src.feature_dist, src.posterior)
     probs = q * cc.dist1.probs + (1.0 - q) * cc.dist0.probs
     return TargetSpec(DiscreteScoreDist(src.support, probs), q)
+
+
+# scenario keys holding a count that sizes an array, the target feature type
+# they are set under, and the count's bounds
+COUNT_KEYS = [
+    ("source.class0.trials", "vasicek_mixture", 1, MAX_TRIALS),
+    ("source.class1.trials", "vasicek_mixture", 1, MAX_TRIALS),
+    ("target.feature.trials", "binomial", 1, MAX_TRIALS),
+    ("target.feature.trials", "vasicek_mixture", 1, MAX_TRIALS),
+    ("target.feature.quad_nodes", "vasicek_mixture", 16, MAX_QUAD_NODES),
+]
+
+
+def example_with_count(key, kind, value):
+    """The worked-example scenario dict with the target feature of ``kind``
+    and ``value`` set at the dotted ``key``."""
+    obj = json.loads(Path(example_scenario_path()).read_text())
+    if kind == "binomial":
+        obj["target"]["feature"] = {"type": "binomial", "trials": 16, "success_prob": 0.3}
+    *parents, leaf = key.split(".")
+    node = obj
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return obj
 
 
 @pytest.fixture(scope="session")

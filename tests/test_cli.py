@@ -5,6 +5,7 @@ import pytest
 
 from recal import example_scenario_path
 from recal.cli import main
+from conftest import COUNT_KEYS, example_with_count
 
 
 @pytest.fixture()
@@ -249,3 +250,16 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == "recal: error: target.prior: number is too large for a float\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "key, kind, lo, hi", COUNT_KEYS, ids=[f"{k}-{t}" for k, t, _, _ in COUNT_KEYS]
+    )
+    def test_oversized_count_exits_one_without_traceback(
+        self, tmp_path, capsys, key, kind, lo, hi
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(example_with_count(key, kind, 10**400)))
+        assert run_cli("table", "--scenario", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"recal: error: {key}: must be an integer in [{lo}, {hi}]\n"

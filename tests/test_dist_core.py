@@ -14,7 +14,14 @@ from recal import (
     mean_under,
     vasicek_mixture_dist,
 )
+from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS
 from conftest import random_dist, random_values
+
+# refused counts, none of which may size an array: one past the bound, a
+# 400-digit JSON integer, infinity and NaN
+OVERSIZED_IDS = ["bound_plus_1", "400_digits", "inf", "nan"]
+OVERSIZED = [MAX_TRIALS + 1, 10**400, np.inf, np.nan]
+TRIALS_BOUND = rf"trials must be an integer in \[1, {MAX_TRIALS}\]"
 
 
 class TestDiscreteScoreDist:
@@ -140,6 +147,11 @@ class TestBinomialDist:
         with pytest.raises(DomainError):
             binomial_dist(0, 0.5)
 
+    @pytest.mark.parametrize("trials", OVERSIZED, ids=OVERSIZED_IDS)
+    def test_rejects_trials_above_bound(self, trials):
+        with pytest.raises(DomainError, match=TRIALS_BOUND):
+            binomial_dist(trials, 0.5)
+
     def test_large_trial_count_stays_finite(self):
         # a float binomial coefficient overflows above ~1,030 trials
         d = binomial_dist(2000, 0.05)
@@ -189,6 +201,20 @@ class TestVasicekMixtureDist:
     def test_rejects_few_nodes(self):
         with pytest.raises(DomainError):
             vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=8)
+
+    @pytest.mark.parametrize("trials", OVERSIZED, ids=OVERSIZED_IDS)
+    def test_rejects_trials_above_bound(self, trials):
+        with pytest.raises(DomainError, match=TRIALS_BOUND):
+            vasicek_mixture_dist(trials, 0.3, 0.3)
+
+    @pytest.mark.parametrize(
+        "nodes", [MAX_QUAD_NODES + 1, 10**400, np.inf, np.nan], ids=OVERSIZED_IDS
+    )
+    def test_rejects_quad_nodes_above_bound(self, nodes):
+        with pytest.raises(
+            DomainError, match=rf"quad_nodes must be an integer in \[16, {MAX_QUAD_NODES}\]"
+        ):
+            vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=nodes)
 
     def test_pmf_normalized(self):
         d = vasicek_mixture_dist(16, 0.3, 0.3)

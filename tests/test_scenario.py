@@ -19,6 +19,7 @@ from recal import (
     write_scenario,
 )
 from recal.scenario import _vector
+from conftest import COUNT_KEYS, example_with_count
 
 TOO_BIG = 10**400  # a JSON integer past the float range
 
@@ -207,6 +208,17 @@ class TestParseScenario:
     def test_oversized_tolerance_integer_named(self):
         obj = minimal_dict(solver={"tol_mean": TOO_BIG})
         with pytest.raises(ScenarioError, match="solver.tol_mean: number is too large"):
+            scenario_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "key, kind, lo, hi", COUNT_KEYS, ids=[f"{k}-{t}" for k, t, _, _ in COUNT_KEYS]
+    )
+    @pytest.mark.parametrize("past", ["bound_plus_1", "400_digits"])
+    def test_oversized_count_named(self, key, kind, lo, hi, past):
+        value = hi + 1 if past == "bound_plus_1" else TOO_BIG
+        obj = example_with_count(key, kind, value)
+        message = rf"^{key}: must be an integer in \[{lo}, {hi}\]$"
+        with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(obj)
 
     def test_tabulated_functional(self):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.special
 from scipy.special import logit
 
+from recal import solvers
 from recal import (
     DiscreteScoreDist,
     DomainError,
@@ -156,6 +158,45 @@ def test_link_pdf_is_derivative_of_link(family):
     # rounding error ~ eps / h and truncation error ~ h**2 / 6 are both
     # about 2e-11 here
     np.testing.assert_allclose(family.link_pdf(z), central, rtol=0.0, atol=1e-10)
+
+
+class TestLinkLookup:
+    """Families bind ``solvers.expit``/``solvers.ndtr`` when they are built,
+    so a wrapper set at those module attributes sees every link call."""
+
+    EDGES = [np.inf, -np.inf, np.nan, 0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1e-300]
+
+    @pytest.mark.parametrize(
+        "build, link",
+        [
+            (platt_family, "expit"),
+            (logistic_cspd_family, "expit"),
+            (normal_cspd_family, "ndtr"),
+            (lambda: rob_logit_family(np.array([0.2, 0.5, 0.8])), "expit"),
+        ],
+    )
+    def test_family_built_after_patch_binds_replacement(self, monkeypatch, build, link):
+        calls = []
+
+        def replacement(z):
+            calls.append(np.size(z))
+            return getattr(scipy.special, link)(z)
+
+        monkeypatch.setattr(solvers, link, replacement)
+        family = build()
+        assert family.link is replacement
+        family.posterior_values(np.array([0.2, 0.5, 0.8]), 1.5, -0.25)
+        assert calls == [3]
+
+    @pytest.mark.parametrize("link", ["expit", "ndtr"])
+    def test_links_equal_scipy_bit_for_bit_on_edges(self, link):
+        ours, theirs = getattr(solvers, link), getattr(scipy.special, link)
+        z = np.array(self.EDGES)
+        assert ours(z).tobytes() == theirs(z).tobytes()
+        for value in self.EDGES:
+            a, b = ours(value), theirs(value)
+            assert type(a) is type(b)
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def _toy_problem(n=5, q=0.08, seed=0):
