@@ -9,6 +9,7 @@ pure given their inputs; distinct methods can run concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -312,9 +313,19 @@ def roc_qmm(
         return _refreshed_f0("roc_qmm", feature, _roc_posterior(q, c, f0))
 
     init = adjusted_cdf(feature)
+    if init[0] <= 0.0 or init[-1] >= 1.0 or np.any(np.diff(init) <= 0.0):
+        raise DomainError(
+            "roc_qmm: initial class-0 CDF (the adjusted CDF of the target features) "
+            "is not strictly increasing inside (0, 1); it stalls in a saturated tail"
+        )
     f0, diag = fixed_point_f0(update, init, settings.tol_fixed_point, settings.max_iter)
     values = _roc_posterior(q, c, f0)
     return _finish(MethodId.ROC_QMM, tgt, values, {"c": c}, diag)
+
+
+# the first slope step of each warm-started inner solve of two_param_qmm, in
+# multiples of the last outer change of log(alpha)
+WARM_STEP_MULTIPLIER = 4.0
 
 
 def two_param_qmm(
@@ -328,12 +339,18 @@ def two_param_qmm(
 
     Each outer step solves (a, b) against the targets (q, source implied AUC)
     at the current class-0 CDF, then refreshes the CDF from the resulting
-    posterior exactly as the ROC-based scheme does. The loop stops when the
-    CDF values and (a, b) are jointly stable to 1e-9. The solver fits
-    sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the reported
-    (a, b) = (-alpha, -beta) and slope bracket are those of the paper's
-    literal form 1 / (1 + exp(b + a * ndtri(F0))), so a is negative for an
-    increasing net effect.
+    posterior exactly as the ROC-based scheme does. From the second step on
+    the inner solve is warm-started from the previous step's (alpha, beta),
+    its first slope step ``WARM_STEP_MULTIPLIER`` times the last outer change
+    of log(alpha); it meets the same tolerances as a cold solve, which keeps
+    the fit within the joint tolerance of the cold alternation's. An inner
+    solve that finds the targets infeasible raises an
+    :class:`InfeasibleError` naming this method and the outer step. The loop
+    stops when the CDF values and (a, b) are jointly stable to 1e-9. The
+    solver fits sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the
+    reported (a, b) = (-alpha, -beta) and slope bracket are those of the
+    paper's literal form 1 / (1 + exp(b + a * ndtri(F0))), so a is negative
+    for an increasing net effect.
     """
     _check_pair(src, tgt)
     q = tgt.prior
@@ -358,13 +375,20 @@ def two_param_qmm(
     alpha = beta = np.nan
     values = None
     inner_diag = None
+    warm_start = None
     iterations = 0
     delta = np.inf
     for _ in range(settings.max_iter):
         fam = rob_logit_family(f0)
-        alpha_new, beta_new, inner_diag = solve_qmm_2d(
-            fam, auc_src, q, tgt, src.posterior, inner_settings
-        )
+        try:
+            alpha_new, beta_new, inner_diag = solve_qmm_2d(
+                fam, auc_src, q, tgt, src.posterior, inner_settings, warm_start=warm_start
+            )
+        except InfeasibleError as exc:
+            raise InfeasibleError(
+                f"two_param_qmm: inner (a, b) solve at outer step {iterations + 1}: {exc}",
+                attainable_auc_range=exc.attainable_auc_range,
+            ) from exc
         values = fam.posterior_values(src.posterior.values, alpha_new, beta_new)
         f0_new = _refreshed_f0("two_param_qmm", feature, values)
         delta = float(np.max(np.abs(f0_new - f0)))
@@ -372,6 +396,13 @@ def two_param_qmm(
             delta = max(delta, abs(alpha_new - alpha), abs(beta_new - beta))
         else:
             delta = np.inf
+        # the next solve starts here, its first slope step a few times the
+        # last outer change of the slope (the cold factor 2 until one exists)
+        if alpha > 0.0 and alpha_new > 0.0:
+            log_step = WARM_STEP_MULTIPLIER * abs(math.log(alpha_new / alpha))
+        else:
+            log_step = math.log(2.0)
+        warm_start = (alpha_new, beta_new, log_step)
         alpha, beta, f0 = alpha_new, beta_new, f0_new
         iterations += 1
         if delta <= joint_tol:

@@ -6,6 +6,7 @@ identical outputs, with no randomness and no global state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,13 @@ from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootEr
 
 MAX_EXPANSIONS = 60
 MAX_BISECT_ITER = 260
+# the slope search of solve_qmm_2d stays within [1 / SLOPE_LIMIT, SLOPE_LIMIT]
+SLOPE_LIMIT = 2.0**MAX_EXPANSIONS
+# a warm-started solve_qmm_2d brackets each intercept search within this
+# half-width (times max(1, |beta|)) of the previous intercept, and its first
+# slope step is no smaller than this in log space
+WARM_BETA_HALF_WIDTH = 0.1
+WARM_MIN_LOG_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -229,6 +237,7 @@ def solve_qmm_2d(
     target: TargetSpec,
     source_curve: PosteriorCurve,
     settings: SolverSettings = DEFAULT_SETTINGS,
+    warm_start: tuple[float, float, float] | None = None,
 ) -> tuple[float, float, SolveDiagnostics]:
     """Fit (a, b) so the transformed curve has mean q and the target AUC.
 
@@ -243,12 +252,34 @@ def solve_qmm_2d(
     silently clamping. Inside the bracket each slope step is an Illinois
     (modified regula falsi) step, or the midpoint when that step would leave
     the bracket.
+
+    ``warm_start = (alpha, beta, log_step)`` hands over where a nearby solve
+    ended, such as the previous outer step of :func:`two_param_qmm`. The
+    first slope probe is then at ``alpha`` (unit slope when ``alpha`` lies
+    outside the slope range or its probe is unhealthy), and the bracket's
+    first expansion factor is exp(``log_step``), at least
+    exp(``WARM_MIN_LOG_STEP``); the factor squares on each further expansion
+    up to the cold factor 2. Every intercept search first brackets within
+    ``WARM_BETA_HALF_WIDTH`` * max(1, |beta|) of the previous intercept,
+    starting from ``beta``, instead of [-2, 2], and widens from there as
+    needed. Without a warm start the search is the cold one described above.
     """
     weights = target.feature_dist.probs
     x = family.x_values(source_curve.values)
     tol_auc = settings.tol_auc
     evals = 0
+    start, factor = 1.0, 2.0  # first slope probe and expansion factor
     beta_start = None  # the previous probe's intercept
+    if warm_start is not None:
+        alpha0, beta_start, log_step = (float(v) for v in warm_start)
+        if not (0.0 <= alpha0 < math.inf and math.isfinite(beta_start) and log_step >= 0.0):
+            raise DomainError(
+                "solve_qmm_2d: warm_start needs a finite alpha >= 0, a finite beta "
+                "and a log_step >= 0"
+            )
+        if 1.0 / SLOPE_LIMIT <= alpha0 <= SLOPE_LIMIT:
+            start = alpha0
+            factor = math.exp(min(max(log_step, WARM_MIN_LOG_STEP), math.log(2.0)))
 
     def probe(alpha: float):
         """Solve the mean equation at a fixed slope.
@@ -261,21 +292,30 @@ def solve_qmm_2d(
         """
         nonlocal evals, beta_start
         evals += 1
+        last_beta = values = None  # the last intercept tried and its link values
 
         def mean_resid(beta: float) -> float:
-            return float(np.dot(weights, family.link(alpha * x + beta))) - q
+            nonlocal last_beta, values
+            last_beta, values = beta, family.link(alpha * x + beta)
+            return float(np.dot(weights, values)) - q
 
         def mean_slope(beta: float) -> float:
             return float(np.dot(weights, family.link_pdf(alpha * x + beta)))
 
+        if warm_start is None:
+            lo, hi = -2.0, 2.0
+        else:
+            half = WARM_BETA_HALF_WIDTH * max(1.0, abs(beta_start))
+            lo, hi = beta_start - half, beta_start + half
         try:
             beta = bisect_root(
-                mean_resid, -2.0, 2.0, settings.tol_mean, fprime=mean_slope, x0=beta_start
+                mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=beta_start
             )
         except NoRootError:
             return np.nan, np.nan, False
         beta_start = beta
-        values = family.link(alpha * x + beta)
+        if beta != last_beta:
+            values = family.link(alpha * x + beta)
         if abs(float(np.dot(weights, values)) - q) > settings.tol_mean:
             return np.nan, beta, False
         try:
@@ -294,24 +334,29 @@ def solve_qmm_2d(
         alpha, bracket = 0.0, (0.0, 0.0)
         auc, beta, _ = probe(alpha)
     else:
-        auc, beta, healthy = probe(1.0)
+        auc, beta, healthy = probe(start)
+        if not healthy and start != 1.0:  # an unusable warm slope
+            start, factor = 1.0, 2.0
+            auc, beta, healthy = probe(start)
         if not healthy:
             raise InfeasibleError(
                 f"{family.name}: mean equation insoluble at unit slope; "
                 "the transform family is numerically exhausted"
             )
-        # bracket the slope around 1 as [slope, auc, beta] at each end,
-        # expanding geometrically on the side where the AUC residual keeps
-        # its sign: downward while the AUC is too high, upward while it is
-        # too low. Upward expansion stops early at the last slope the mean
+        # bracket the slope around the start as [slope, auc, beta] at each
+        # end, expanding geometrically on the side where the AUC residual
+        # keeps its sign: downward while the AUC is too high, upward while it
+        # is too low. Upward expansion stops early at the last slope the mean
         # equation can still be solved for.
-        ends = [[1.0, auc, beta], [1.0, auc, beta]]
+        ends = [[start, auc, beta], [start, auc, beta]]
         down = residual(auc) > 0.0
         sign = 1.0 if down else -1.0
         if sign * residual(auc) > tol_auc:
             end = ends[0] if down else ends[1]
-            for _ in range(MAX_EXPANSIONS):
-                trial = end[0] * (0.5 if down else 2.0)
+            limit = 1.0 / SLOPE_LIMIT if down else SLOPE_LIMIT
+            while end[0] != limit:
+                trial = max(end[0] / factor, limit) if down else min(end[0] * factor, limit)
+                factor = min(factor * factor, 2.0)
                 auc_trial, beta_trial, healthy = probe(trial)
                 if not healthy:
                     break  # numerically attainable edge reached

@@ -104,3 +104,22 @@ def example_with_count(key, kind, value):
 @pytest.fixture(scope="session")
 def example_scenario():
     return worked_example_scenario()
+
+
+# a 256-trial class-conditional source (success 0.4 vs 0.55, prior 0.01)
+# with a 256-trial binomial target (success 0.3, q = 0.05): the target's
+# adjusted CDF stalls just below 1 in the upper tail, and the source AUC lies
+# above what the two-parameter transform attains
+SATURATED_BINOMIAL_SCENARIO = {
+    "source": {
+        "class0": {"trials": 256, "success_prob": 0.4},
+        "class1": {"trials": 256, "success_prob": 0.55},
+        "prior": 0.01,
+    },
+    "target": {
+        "feature": {"type": "binomial", "trials": 256, "success_prob": 0.3},
+        "prior": 0.05,
+    },
+    "methods": "all",
+    "functional": "sqrt",
+}

@@ -5,7 +5,7 @@ import pytest
 
 from recal import example_scenario_path
 from recal.cli import main
-from conftest import COUNT_KEYS, example_with_count
+from conftest import COUNT_KEYS, SATURATED_BINOMIAL_SCENARIO, example_with_count
 
 
 @pytest.fixture()
@@ -263,3 +263,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"recal: error: {key}: must be an integer in [{lo}, {hi}]\n"
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("two_param_qmm", "two_param_qmm: inner (a, b) solve"),
+        ("roc_qmm", "roc_qmm: initial class-0 CDF"),
+    ],
+)
+def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SATURATED_BINOMIAL_SCENARIO), encoding="utf-8")
+    code = run_cli("table", "--scenario", str(path), "--methods", method)
+    assert code in (1, 2)
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out

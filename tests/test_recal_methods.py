@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit, ndtri
 
+from recal import recal_methods
 from recal import (
     DiscreteScoreDist,
     DomainError,
+    InfeasibleError,
     MethodId,
     PosteriorCurve,
     SourceModel,
@@ -17,16 +19,22 @@ from recal import (
     fjs_recalibrate,
     implied_auc,
     label_shift_correct,
+    logistic_cspd_family,
     mean_under,
+    normal_cspd_family,
     parametric_cspd_qmm,
+    platt_family,
     roc_qmm,
     run_method,
+    scenario_from_dict,
+    solve_qmm_2d,
     source_implied_auc,
     two_param_qmm,
 )
 from conftest import (
     CELL_TOL,
     REFERENCE_TABLE,
+    SATURATED_BINOMIAL_SCENARIO,
     mixture_target,
     random_source,
     random_target,
@@ -518,3 +526,96 @@ class TestCrossMethodProperties:
         for method in MethodId:
             with pytest.raises(StructuralError):
                 run_method(method, src, other)
+
+
+class TestWarmStartedAlternation:
+    """``two_param_qmm`` warm-starts each inner solve from the previous outer
+    step; Platt and the CSPDs solve cold."""
+
+    # worked-example fits of the cold solve: family, slope probes, slope
+    # bracket and (a, b)
+    COLD_FITS = {
+        MethodId.PLATT: (
+            platt_family, 13, (1.0, 32.0), 20.266696067344064, -3.925004116155424
+        ),
+        MethodId.LOGISTIC_CSPD: (
+            logistic_cspd_family, 6, (0.5, 1.0), 0.5148023310792054, -0.2982306878321243
+        ),
+        MethodId.NORMAL_CSPD: (
+            normal_cspd_family, 7, (0.5, 1.0), 0.646408505166931, -0.03947023561928745
+        ),
+    }
+
+    @pytest.mark.parametrize("method", list(COLD_FITS), ids=lambda m: m.value)
+    def test_cold_solves_keep_their_path(self, example_scenario, method):
+        src, tgt = example_scenario.source, example_scenario.target
+        build, iterations, bracket, a, b = self.COLD_FITS[method]
+        result = run_method(method, src, tgt)
+        assert result.diagnostics.iterations == iterations
+        assert result.diagnostics.bracket == bracket
+        assert result.params["a"] == pytest.approx(a, rel=1e-12)
+        assert result.params["b"] == pytest.approx(b, rel=1e-12)
+        values = build().posterior_values(
+            src.posterior.values, result.params["a"], result.params["b"]
+        )
+        assert result.posterior.values.tobytes() == values.tobytes()
+
+    def test_two_param_qmm_matches_the_cold_alternation(self, monkeypatch, example_scenario):
+        src, tgt = example_scenario.source, example_scenario.target
+        warm = two_param_qmm(src, tgt)
+        warm_starts = []
+
+        def cold_solve(*args, warm_start=None, **kwargs):
+            warm_starts.append(warm_start)
+            return solve_qmm_2d(*args, **kwargs)
+
+        monkeypatch.setattr(recal_methods, "solve_qmm_2d", cold_solve)
+        cold = two_param_qmm(src, tgt)
+        # every outer step after the first is handed the previous one's fit
+        assert warm_starts[0] is None and None not in warm_starts[1:]
+        assert len(warm_starts) == cold.diagnostics.iterations
+        assert warm.diagnostics.iterations == cold.diagnostics.iterations
+        assert warm.diagnostics.converged and cold.diagnostics.converged
+        np.testing.assert_allclose(warm.posterior.values, cold.posterior.values, rtol=0, atol=1e-9)
+        assert abs(warm.params["a"] - cold.params["a"]) <= 1e-9
+        assert abs(warm.params["b"] - cold.params["b"]) <= 1e-9
+        # the fit of the cold alternation on the worked example
+        assert abs(warm.params["a"] - -1.2148383683789459) <= 1e-9
+        assert abs(warm.params["b"] - 3.6698010433060286) <= 1e-9
+        mean, auc = method_row(warm, tgt)
+        expected = REFERENCE_TABLE["2-param QMM"]
+        assert abs(mean - expected[0]) <= CELL_TOL and abs(auc - expected[1]) <= CELL_TOL
+        assert abs(warm.achieved_mean - tgt.prior) <= 1e-9
+        assert abs(warm.implied_auc - source_implied_auc(src)) <= 1e-6
+
+    def test_later_outer_steps_take_few_probes(self, monkeypatch, example_scenario):
+        probes = []
+
+        def recording_solve(*args, **kwargs):
+            a, b, diag = solve_qmm_2d(*args, **kwargs)
+            probes.append(diag.iterations)
+            return a, b, diag
+
+        monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
+        two_param_qmm(example_scenario.source, example_scenario.target)
+        # a cold solve takes 9 probes at every outer step of the example
+        assert max(probes[-3:]) <= 3
+        assert sum(probes) < 9 * len(probes) * 0.75
+
+
+class TestSaturatedBinomialTail:
+    """Errors on the saturated binomial geometry name the method and stage."""
+
+    @pytest.fixture()
+    def scenario(self):
+        return scenario_from_dict(SATURATED_BINOMIAL_SCENARIO)
+
+    def test_two_param_qmm_inner_infeasibility_names_the_method(self, scenario):
+        with pytest.raises(InfeasibleError, match=r"^two_param_qmm: inner \(a, b\) solve") as err:
+            two_param_qmm(scenario.source, scenario.target)
+        low, high = err.value.attainable_auc_range
+        assert low <= high < source_implied_auc(scenario.source)
+
+    def test_roc_qmm_initial_cdf_names_the_method_and_stage(self, scenario):
+        with pytest.raises(DomainError, match="^roc_qmm: initial class-0 CDF"):
+            roc_qmm(scenario.source, scenario.target)

@@ -339,3 +339,174 @@ class TestSolverSettings:
         assert s.tol_auc == 1e-6
         assert s.tol_fixed_point == 1e-10
         assert s.max_iter == 200
+
+
+# tolerances of two_param_qmm's inner solves, which are the warm-started ones
+WARM_SETTINGS = SolverSettings(tol_mean=1e-12, tol_auc=1e-11)
+
+
+@st.composite
+def _qmm_problems(draw):
+    """A small solve_qmm_2d problem for any family: random target weights,
+    increasing interior source values, q and a target AUC that may lie
+    outside the attainable range."""
+    n = draw(st.integers(2, 8))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    gaps = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1, max_size=n + 1)))
+    w, values = w / w.sum(), 0.03 + 0.94 * gaps[:-1] / gaps[-1]
+    support = np.arange(n, dtype=float)
+    build = draw(
+        st.sampled_from(
+            [platt_family, logistic_cspd_family, normal_cspd_family, rob_logit_family]
+        )
+    )
+    if build is rob_logit_family:
+        family = rob_logit_family(np.cumsum(w) - w / 2.0)  # an adjusted CDF
+    else:
+        family = build()
+    q = draw(st.floats(0.02, 0.5))
+    auc_target = draw(st.floats(0.5, 0.999))
+    target = TargetSpec(DiscreteScoreDist(support, w), q)
+    return family, auc_target, q, target, PosteriorCurve(support, values)
+
+
+def _warm_starts():
+    """(kind, u, v, log_step): near the cold solution (u, v are a relative
+    slope and an absolute intercept offset), far from it (u, v are alpha and
+    beta) or at slope 0 (v is beta)."""
+    log_steps = st.sampled_from([0.0, 1e-9, 1e-3, 0.1, np.log(2.0), 5.0])
+    return st.one_of(
+        st.tuples(st.just("near"), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), log_steps),
+        st.tuples(st.just("far"), st.floats(-3.0, 3.0), st.floats(-20.0, 20.0), log_steps),
+        st.tuples(st.just("zero"), st.just(0.0), st.floats(-20.0, 20.0), log_steps),
+    )
+
+
+def _fitted(family, x, w, q, alpha):
+    """(auc, beta, mean slope in beta, d beta / d alpha) at a fixed slope,
+    from an independent bisection of the mean equation."""
+    beta = bisect_root(
+        lambda b: float(np.dot(w, family.link(alpha * x + b))) - q, -40.0, 40.0, 1e-15
+    )
+    pdf = family.link_pdf(alpha * x + beta)
+    mean_slope = float(np.dot(w, pdf))
+    auc = implied_auc(
+        DiscreteScoreDist(np.arange(x.size, dtype=float), w),
+        PosteriorCurve(np.arange(x.size, dtype=float), family.link(alpha * x + beta)),
+    )
+    return auc, beta, mean_slope, -float(np.dot(w, x * pdf)) / mean_slope
+
+
+class TestSolveQmm2dWarmStart:
+    @settings(max_examples=150, deadline=None)
+    @given(_qmm_problems(), _warm_starts())
+    def test_warm_solve_meets_the_cold_contract(self, problem, start):
+        family, auc_target, q, target, curve = problem
+        kind, u, v, log_step = start
+
+        def warm_solve(a_cold, b_cold):
+            warm = {
+                "near": (a_cold * np.exp(u), b_cold + v, log_step),
+                "far": (10.0**u, v, log_step),
+                "zero": (0.0, v, log_step),
+            }[kind]
+            return solve_qmm_2d(
+                family, auc_target, q, target, curve, WARM_SETTINGS, warm_start=warm
+            )
+
+        try:
+            a_cold, b_cold, cold = solve_qmm_2d(
+                family, auc_target, q, target, curve, WARM_SETTINGS
+            )
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                warm_solve(1.0, 0.0)
+            return
+        a, b, diag = warm_solve(a_cold, b_cold)
+        lo, hi = diag.bracket
+        assert lo <= a <= hi
+        if not cold.converged:
+            return
+        assert diag.converged
+        assert diag.residual_mean <= WARM_SETTINGS.tol_mean
+        assert diag.residual_auc <= WARM_SETTINGS.tol_auc
+        # both AUC residuals within tol_auc bound the slope gap through the
+        # AUC's derivative in the slope; the intercept follows the slope along
+        # the mean equation, up to both mean residuals
+        x, w = family.x_values(curve.values), target.feature_dist.probs
+        _, _, mean_slope, dbeta = _fitted(family, x, w, q, a_cold)
+        gap = abs(a - a_cold)
+        if gap > 0.0:
+            h = 1e-6 * a_cold
+            auc_slope = (
+                _fitted(family, x, w, q, a_cold + h)[0]
+                - _fitted(family, x, w, q, a_cold - h)[0]
+            ) / (2.0 * h)
+            assert gap * abs(auc_slope) <= 4.0 * WARM_SETTINGS.tol_auc + 1e-12 * gap
+        assert abs(b - b_cold) <= (
+            2.0 * abs(dbeta) * gap + 4.0 * WARM_SETTINGS.tol_mean / mean_slope
+        )
+
+    def test_settled_alternation_needs_few_probes(self, example_scenario):
+        """A warm start at the cold solution with a tiny first step finds it
+        again in a few probes; a cold solve takes many more."""
+        src, tgt = example_scenario.source, example_scenario.target
+        fam = rob_logit_family(np.cumsum(tgt.feature_dist.probs) - tgt.feature_dist.probs / 2)
+        auc = source_implied_auc(src)
+        a, b, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, src.posterior, WARM_SETTINGS)
+        _, _, warm = solve_qmm_2d(
+            fam, auc, tgt.prior, tgt, src.posterior, WARM_SETTINGS, warm_start=(a, b, 1e-9)
+        )
+        assert warm.converged
+        assert warm.iterations <= 3 < cold.iterations
+
+    @pytest.mark.parametrize("alpha0", [0.0, 1e10, 2.0**61])
+    def test_unusable_warm_slope_starts_the_slope_search_cold(self, alpha0):
+        """Slope 0, a slope whose mean equation the intercept cannot pin, and a
+        slope past the search range all restart the slope search at 1."""
+        target, curve = _toy_problem()
+        auc = implied_auc(target.feature_dist, curve)
+        a_cold, b_cold, cold = solve_qmm_2d(platt_family(), auc, 0.08, target, curve)
+        a, b, diag = solve_qmm_2d(
+            platt_family(), auc, 0.08, target, curve, warm_start=(alpha0, b_cold, 0.1)
+        )
+        assert diag.converged and diag.bracket == cold.bracket
+        # only the unhealthy warm probe costs one probe more
+        assert diag.iterations - cold.iterations == (alpha0 == 1e10)
+        assert abs(a - a_cold) <= 1e-9 * a_cold and abs(b - b_cold) <= 1e-9 * abs(b_cold)
+
+    @pytest.mark.parametrize(
+        "warm_start",
+        [(np.nan, 0.0, 0.1), (-1.0, 0.0, 0.1), (1.0, np.inf, 0.1), (1.0, 0.0, -0.1)],
+    )
+    def test_malformed_warm_start_rejected(self, warm_start):
+        target, curve = _toy_problem()
+        with pytest.raises(DomainError, match="^solve_qmm_2d: warm_start"):
+            solve_qmm_2d(platt_family(), 0.7, 0.08, target, curve, warm_start=warm_start)
+
+    def test_link_values_at_the_intercept_root_are_reused(self, monkeypatch, example_scenario):
+        """Each probe's link values come from the intercept search's last
+        evaluation whenever the search returns that point: the solve makes
+        fewer link calls than mean evaluations plus one per probe."""
+        link_calls, mean_evals = [0], [0]
+
+        def counting_expit(z):
+            link_calls[0] += 1
+            return scipy.special.expit(z)
+
+        def counting_root(f, *args, **kwargs):
+            def counted(beta):
+                mean_evals[0] += 1
+                return f(beta)
+
+            return bisect_root(counted, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "expit", counting_expit)
+        monkeypatch.setattr(solvers, "bisect_root", counting_root)
+        src, tgt = example_scenario.source, example_scenario.target
+        a, b, diag = solve_qmm_2d(
+            platt_family(), source_implied_auc(src), tgt.prior, tgt, src.posterior
+        )
+        assert diag.converged
+        # the final mean check of the solve is one more link call
+        assert link_calls[0] < mean_evals[0] + diag.iterations + 1
