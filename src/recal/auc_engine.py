@@ -22,8 +22,6 @@ import numpy as np
 from .dist_core import DiscreteScoreDist, PosteriorCurve, _require_shared_support
 from .errors import DegenerateClassError
 
-RECONSTRUCTION_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class ClassConditionals:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import RecalError
@@ -98,14 +98,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 def _diagnostics_payload(scenario: Scenario, results: list[RecalResult]) -> dict:
     methods = {}
     for result in results:
-        diag = result.diagnostics
         methods[result.method.value] = {
-            "iterations": diag.iterations,
-            "converged": diag.converged,
-            "residual_mean": diag.residual_mean,
-            "residual_auc": diag.residual_auc,
-            "residual_fixed_point": diag.residual_fixed_point,
-            "bracket": list(diag.bracket) if diag.bracket is not None else None,
+            **asdict(result.diagnostics),
             "params": result.params,
             "achieved_mean": result.achieved_mean,
             "implied_auc": result.implied_auc,

@@ -35,15 +35,11 @@ _CURVES_CSV_LINE = "{},{:.12g},{:.12g}\n".format
 
 def _check_concave_on_grid(grid: np.ndarray, values: np.ndarray) -> None:
     # chord test at every interior grid point, with float slack
-    for i in range(1, grid.size - 1):
-        left, mid, right = grid[i - 1], grid[i], grid[i + 1]
-        chord = (values[i - 1] * (right - mid) + values[i + 1] * (mid - left)) / (
-            right - left
-        )
-        if values[i] < chord - CONCAVITY_SLACK:
-            raise DomainError(
-                f"functional is not concave on its grid near u={mid!r}"
-            )
+    left, mid, right = grid[:-2], grid[1:-1], grid[2:]
+    chord = (values[:-2] * (right - mid) + values[2:] * (mid - left)) / (right - left)
+    below = np.flatnonzero(values[1:-1] < chord - CONCAVITY_SLACK)
+    if below.size:
+        raise DomainError(f"functional is not concave on its grid near u={mid[below[0]]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +110,23 @@ def functional_bounds(q: float, functional: FunctionalSpec) -> tuple[float, floa
     return (1.0 - q) * c0 + q * c1, float(functional(q))
 
 
+def _checked_in_order(
+    source: SourceModel, target: TargetSpec, results: list[RecalResult]
+) -> list[RecalResult]:
+    """The results in canonical method order; two for one method, or a support
+    not shared by the source, the target and every result, are refused."""
+    _require_shared_support(source.support, target.support, "source and target")
+    by_method = {}
+    for result in results:
+        if result.method in by_method:
+            raise StructuralError(f"duplicate result for method {result.method.value}")
+        _require_shared_support(
+            target.support, result.posterior.support, "target and result posterior"
+        )
+        by_method[result.method] = result
+    return [by_method[method] for method in CANONICAL_ORDER if method in by_method]
+
+
 @dataclass(frozen=True)
 class TableRow:
     label: str
@@ -141,7 +154,7 @@ def build_results_table(
     Method rows are ordered canonically regardless of input order; values are
     stored at full precision and rounded only when rendered.
     """
-    _require_shared_support(source.support, target.support, "source and target")
+    results = _checked_in_order(source, target, results)
     rows = [
         TableRow(
             label="Source",
@@ -152,22 +165,10 @@ def build_results_table(
             ),
         )
     ]
-    seen = set()
     for result in results:
-        if result.method in seen:
-            raise StructuralError(f"duplicate result for method {result.method.value}")
-        seen.add(result.method)
-        _require_shared_support(
-            target.support, result.posterior.support, "target and result posterior"
-        )
-    by_method = {result.method: result for result in results}
-    for method in CANONICAL_ORDER:
-        if method not in by_method:
-            continue
-        result = by_method[method]
         rows.append(
             TableRow(
-                label=DISPLAY_LABELS[method],
+                label=DISPLAY_LABELS[result.method],
                 mean_probs=result.achieved_mean,
                 auc=result.implied_auc,
                 mean_functional=functional_mean(
@@ -205,11 +206,12 @@ def export_curves(
     """Long-format (series, support, value) rows for plotting.
 
     Emits the source and target feature pmfs, the source posterior curve and
-    one posterior series per result, in canonical method order. Posterior
-    series of the non-capped methods stay strictly positive, so consumers can
-    log-scale the value axis.
+    one posterior series per result, in canonical method order; results are
+    refused as in the table (:class:`StructuralError`). Posterior series of
+    the non-capped methods stay strictly positive, so consumers can log-scale
+    the value axis.
     """
-    _require_shared_support(source.support, target.support, "source and target")
+    results = _checked_in_order(source, target, results)
     rows: list[tuple[str, float, float]] = []
 
     def emit(series: str, support: np.ndarray, values: np.ndarray) -> None:
@@ -218,12 +220,9 @@ def export_curves(
     emit("source_pmf", source.support, source.feature_dist.probs)
     emit("target_pmf", target.support, target.feature_dist.probs)
     emit("posterior_source", source.support, source.posterior.values)
-    by_method = {result.method: result for result in results}
-    for method in CANONICAL_ORDER:
-        if method not in by_method:
-            continue
-        result = by_method[method]
-        emit(f"posterior_{method.value}", result.posterior.support, result.posterior.values)
+    for result in results:
+        curve = result.posterior
+        emit(f"posterior_{result.method.value}", curve.support, curve.values)
     return rows
 
 

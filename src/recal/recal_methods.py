@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -88,10 +89,6 @@ class RecalResult:
     diagnostics: SolveDiagnostics
 
 
-def _check_pair(src: SourceModel, tgt: TargetSpec) -> None:
-    _require_shared_support(src.support, tgt.support, "source and target")
-
-
 def _require_interior(src: SourceModel, method: str) -> None:
     if not src.posterior.is_interior():
         raise DomainError(
@@ -122,6 +119,31 @@ def source_implied_auc(src: SourceModel) -> float:
     return implied_auc_values(src.feature_dist.probs, src.posterior.values)
 
 
+def _match_mean(method, tgt, curve_at, lo, hi, param, settings, **expand) -> RecalResult:
+    """Solve mean(curve_at(t)) = q under the target features for the one
+    parameter t, reported as ``param``: a bisection from [lo, hi], widened as
+    the :func:`bisect_root` flags ``expand`` allow, with one diagnostics
+    iteration per mean evaluation."""
+    q = tgt.prior
+    weights = tgt.feature_dist.probs
+    evals = 0
+
+    def mean_resid(t: float) -> float:
+        nonlocal evals
+        evals += 1
+        return float(np.dot(weights, curve_at(t))) - q
+
+    t = bisect_root(mean_resid, lo, hi, settings.tol_mean, **expand)
+    values = curve_at(t)
+    residual = abs(float(np.dot(weights, values)) - q)
+    diag = SolveDiagnostics(
+        iterations=evals,
+        converged=residual <= settings.tol_mean,
+        residual_mean=residual,
+    )
+    return _finish(method, tgt, values, {param: float(t)}, diag)
+
+
 def capped_scaling(
     src: SourceModel, tgt: TargetSpec, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> RecalResult:
@@ -131,53 +153,36 @@ def capped_scaling(
     so a bracketed bisection always finds t; the cap can flatten the curve at
     value 1 but nowhere else.
     """
-    _check_pair(src, tgt)
-    q = tgt.prior
+    _require_shared_support(src.support, tgt.support, "source and target")
     eta = src.posterior.values
-    weights = tgt.feature_dist.probs
-    evals = 0
-
-    def mean_resid(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        return float(np.dot(weights, np.minimum(t * eta, 1.0))) - q
-
-    t = bisect_root(mean_resid, 0.0, 2.0, settings.tol_mean, expand_lo=False)
-    values = np.minimum(t * eta, 1.0)
-    residual = abs(float(np.dot(weights, values)) - q)
-    diag = SolveDiagnostics(
-        iterations=evals,
-        converged=residual <= settings.tol_mean,
-        residual_mean=residual,
+    return _match_mean(
+        MethodId.CAPPED_SCALING, tgt, lambda t: np.minimum(t * eta, 1.0),
+        0.0, 2.0, "t", settings, expand_lo=False,
     )
-    return _finish(MethodId.CAPPED_SCALING, tgt, values, {"t": float(t)}, diag)
+
+
+def _fjs_values(eta: np.ndarray, p: float, q: float, rho: float) -> np.ndarray:
+    # rho = 1 is label shift, bit for bit: (1.0 / 1.0) * c == c
+    num = (q / p) * eta
+    den = num + (1.0 / rho) * ((1.0 - q) / (1.0 - p)) * (1.0 - eta)
+    return num / den
 
 
 def label_shift_correct(
     src: SourceModel, tgt: TargetSpec, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> RecalResult:
     """Posterior correction for a prior moving from p to q with unchanged
-    class-conditional feature distributions.
+    class-conditional feature distributions: FJS with class-0 weight 1.
 
     The achieved mean equals q only when the target feature distribution is
     the corresponding mixture of the source class conditionals; whatever mean
     obtains is recorded, never forced.
     """
-    _check_pair(src, tgt)
+    _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, "label_shift")
-    p, q = src.prior, tgt.prior
-    eta = src.posterior.values
-    num = (q / p) * eta
-    den = num + ((1.0 - q) / (1.0 - p)) * (1.0 - eta)
-    values = num / den
+    values = _fjs_values(src.posterior.values, src.prior, tgt.prior, 1.0)
     diag = SolveDiagnostics(iterations=0, converged=True)
     return _finish(MethodId.LABEL_SHIFT, tgt, values, {}, diag)
-
-
-def _fjs_values(eta: np.ndarray, p: float, q: float, rho: float) -> np.ndarray:
-    num = (q / p) * eta
-    den = num + (1.0 / rho) * ((1.0 - q) / (1.0 - p)) * (1.0 - eta)
-    return num / den
 
 
 def fjs_bounds(src: SourceModel, tgt: TargetSpec) -> tuple[float, float]:
@@ -201,36 +206,21 @@ def fjs_recalibrate(
     closed interval with no expansion, and a missing sign change is surfaced
     as infeasibility rather than hidden.
     """
-    _check_pair(src, tgt)
+    _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, "fjs")
     p, q = src.prior, tgt.prior
     eta = src.posterior.values
-    weights = tgt.feature_dist.probs
     lower, upper = fjs_bounds(src, tgt)
-    evals = 0
-
-    def mean_resid(rho: float) -> float:
-        nonlocal evals
-        evals += 1
-        return float(np.dot(weights, _fjs_values(eta, p, q, rho))) - q
-
     try:
-        rho = bisect_root(
-            mean_resid, lower, upper, settings.tol_mean, expand_lo=False, expand_hi=False
+        return _match_mean(
+            MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
+            lower, upper, "rho", settings, expand_lo=False, expand_hi=False,
         )
     except NoRootError as exc:
         raise InfeasibleError(
             f"fjs: no sign change of the mean equation over the weight bounds "
             f"[{lower!r}, {upper!r}]"
         ) from exc
-    values = _fjs_values(eta, p, q, rho)
-    residual = abs(float(np.dot(weights, values)) - q)
-    diag = SolveDiagnostics(
-        iterations=evals,
-        converged=residual <= settings.tol_mean,
-        residual_mean=residual,
-    )
-    return _finish(MethodId.FJS, tgt, values, {"rho": float(rho)}, diag)
 
 
 _PARAMETRIC_FAMILIES = {
@@ -253,7 +243,7 @@ def parametric_cspd_qmm(
     posterior values (Platt), or an affine map in logit or probit space
     composed with the matching distribution function.
     """
-    _check_pair(src, tgt)
+    _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, family.value)
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
@@ -301,7 +291,7 @@ def roc_qmm(
     again. Achieved mean and AUC are approximate by construction and are
     reported, not forced.
     """
-    _check_pair(src, tgt)
+    _require_shared_support(src.support, tgt.support, "source and target")
     q = tgt.prior
     auc_src = source_implied_auc(src)
     if not (0.0 < auc_src < 1.0):
@@ -352,7 +342,7 @@ def two_param_qmm(
     paper's literal form 1 / (1 + exp(b + a * ndtri(F0))), so a is negative
     for an increasing net effect.
     """
-    _check_pair(src, tgt)
+    _require_shared_support(src.support, tgt.support, "source and target")
     q = tgt.prior
     auc_src = source_implied_auc(src)
     if not (0.0 < auc_src < 1.0):
@@ -425,6 +415,16 @@ def two_param_qmm(
     )
 
 
+_RUNNERS = {
+    MethodId.CAPPED_SCALING: capped_scaling,
+    MethodId.LABEL_SHIFT: label_shift_correct,
+    MethodId.FJS: fjs_recalibrate,
+    MethodId.ROC_QMM: roc_qmm,
+    MethodId.TWO_PARAM_QMM: two_param_qmm,
+    **{m: partial(parametric_cspd_qmm, family=m) for m in _PARAMETRIC_FAMILIES},
+}
+
+
 def run_method(
     method: MethodId,
     src: SourceModel,
@@ -432,16 +432,6 @@ def run_method(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RecalResult:
     """Dispatch a method id to its implementation."""
-    if method in _PARAMETRIC_FAMILIES:
-        return parametric_cspd_qmm(src, tgt, method, settings)
-    if method is MethodId.CAPPED_SCALING:
-        return capped_scaling(src, tgt, settings)
-    if method is MethodId.LABEL_SHIFT:
-        return label_shift_correct(src, tgt, settings)
-    if method is MethodId.FJS:
-        return fjs_recalibrate(src, tgt, settings)
-    if method is MethodId.ROC_QMM:
-        return roc_qmm(src, tgt, settings)
-    if method is MethodId.TWO_PARAM_QMM:
-        return two_param_qmm(src, tgt, settings)
-    raise DomainError(f"unknown method {method!r}")
+    if method not in _RUNNERS:
+        raise DomainError(f"unknown method {method!r}")
+    return _RUNNERS[method](src, tgt, settings=settings)

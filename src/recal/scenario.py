@@ -363,34 +363,14 @@ def example_scenario_path() -> Path:
 
 
 def worked_example_scenario() -> Scenario:
-    """The bundled worked example, built programmatically.
+    """The bundled worked example, parsed from :func:`example_scenario_path`.
 
     Source: class-conditional binomials with 16 trials and success
     probabilities 0.4 (class 0) and 0.55 (class 1), class-1 prior 0.01.
     Target: binomial with 16 trials whose success probability follows a
     one-factor mixing law with mean 0.3 and correlation 0.3, prior 0.05.
     """
-    return scenario_from_dict(
-        {
-            "source": {
-                "class0": {"trials": 16, "success_prob": 0.4},
-                "class1": {"trials": 16, "success_prob": 0.55},
-                "prior": 0.01,
-            },
-            "target": {
-                "feature": {
-                    "type": "vasicek_mixture",
-                    "trials": 16,
-                    "mean": 0.3,
-                    "correlation": 0.3,
-                    "quad_nodes": 128,
-                },
-                "prior": 0.05,
-            },
-            "methods": "all",
-            "functional": "sqrt",
-        }
-    )
+    return parse_scenario(example_scenario_path())
 
 
 def run_methods(scenario: Scenario) -> list[RecalResult]:

@@ -281,23 +281,27 @@ def solve_qmm_2d(
             start = alpha0
             factor = math.exp(min(max(log_step, WARM_MIN_LOG_STEP), math.log(2.0)))
 
-    def probe(alpha: float):
-        """Solve the mean equation at a fixed slope.
+    fits = {}  # slope -> (auc, beta, |mean residual|) of its probe
 
-        Returns (auc, beta, healthy): healthy is False when float exhaustion
-        keeps the intercept from pinning the mean (extreme slopes make the
-        transform a hard step between adjacent representable intercepts), or
-        when the resulting values saturate a whole class. Unhealthy probes
-        mark the numerically attainable edge of the family.
+    def probe(alpha: float) -> bool:
+        """Solve the mean equation at a fixed slope, record the fit in ``fits``
+        and return whether it is healthy.
+
+        An unhealthy fit has a NaN AUC: float exhaustion keeps the intercept
+        from pinning the mean (extreme slopes make the transform a hard step
+        between adjacent representable intercepts), or the resulting values
+        saturate a whole class. Unhealthy probes mark the numerically
+        attainable edge of the family.
         """
         nonlocal evals, beta_start
         evals += 1
-        last_beta = values = None  # the last intercept tried and its link values
+        last = None  # (beta, link values, mean residual) of the last intercept tried
 
         def mean_resid(beta: float) -> float:
-            nonlocal last_beta, values
-            last_beta, values = beta, family.link(alpha * x + beta)
-            return float(np.dot(weights, values)) - q
+            nonlocal last
+            values = family.link(alpha * x + beta)
+            last = beta, values, float(np.dot(weights, values)) - q
+            return last[2]
 
         def mean_slope(beta: float) -> float:
             return float(np.dot(weights, family.link_pdf(alpha * x + beta)))
@@ -307,83 +311,80 @@ def solve_qmm_2d(
         else:
             half = WARM_BETA_HALF_WIDTH * max(1.0, abs(beta_start))
             lo, hi = beta_start - half, beta_start + half
+        fits[alpha] = (np.nan, np.nan, np.nan)
         try:
             beta = bisect_root(
                 mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=beta_start
             )
         except NoRootError:
-            return np.nan, np.nan, False
+            return False
         beta_start = beta
-        if beta != last_beta:
-            values = family.link(alpha * x + beta)
-        if abs(float(np.dot(weights, values)) - q) > settings.tol_mean:
-            return np.nan, beta, False
+        if beta != last[0]:
+            mean_resid(beta)
+        values, resid = last[1], abs(last[2])
+        fits[alpha] = (np.nan, beta, resid)
+        if resid > settings.tol_mean:
+            return False
         try:
-            auc = implied_auc_values(weights, values)
+            fits[alpha] = (implied_auc_values(weights, values), beta, resid)
         except DegenerateClassError:
-            return np.nan, beta, False
-        return auc, beta, True
+            return False
+        return True
 
-    def residual(auc: float) -> float:
-        return auc - source_auc_target
+    def residual(alpha: float) -> float:
+        return fits[alpha][0] - source_auc_target
 
-    if family.slope_may_vanish and abs(residual(0.5)) <= tol_auc:
+    if family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc:
         # a constant transform (slope 0) has AUC exactly 1/2; families that
         # admit it get the exact degenerate solution instead of a search. An
         # unhealthy probe leaves auc NaN, which reads as not converged below.
         alpha, bracket = 0.0, (0.0, 0.0)
-        auc, beta, _ = probe(alpha)
+        probe(alpha)
     else:
-        auc, beta, healthy = probe(start)
+        healthy = probe(start)
         if not healthy and start != 1.0:  # an unusable warm slope
             start, factor = 1.0, 2.0
-            auc, beta, healthy = probe(start)
+            healthy = probe(start)
         if not healthy:
             raise InfeasibleError(
                 f"{family.name}: mean equation insoluble at unit slope; "
                 "the transform family is numerically exhausted"
             )
-        # bracket the slope around the start as [slope, auc, beta] at each
-        # end, expanding geometrically on the side where the AUC residual
-        # keeps its sign: downward while the AUC is too high, upward while it
-        # is too low. Upward expansion stops early at the last slope the mean
-        # equation can still be solved for.
-        ends = [[start, auc, beta], [start, auc, beta]]
-        down = residual(auc) > 0.0
+        # bracket the slope around the start, expanding geometrically on the
+        # side where the AUC residual keeps its sign: downward while the AUC
+        # is too high, upward while it is too low. Upward expansion stops
+        # early at the last slope the mean equation can still be solved for.
+        end = start
+        down = residual(start) > 0.0
         sign = 1.0 if down else -1.0
-        if sign * residual(auc) > tol_auc:
-            end = ends[0] if down else ends[1]
+        if sign * residual(start) > tol_auc:
             limit = 1.0 / SLOPE_LIMIT if down else SLOPE_LIMIT
-            while end[0] != limit:
-                trial = max(end[0] / factor, limit) if down else min(end[0] * factor, limit)
+            while end != limit:
+                trial = max(end / factor, limit) if down else min(end * factor, limit)
                 factor = min(factor * factor, 2.0)
-                auc_trial, beta_trial, healthy = probe(trial)
-                if not healthy:
+                if not probe(trial):
                     break  # numerically attainable edge reached
-                end[:] = trial, auc_trial, beta_trial
-                if sign * residual(auc_trial) <= tol_auc:
+                end = trial
+                if sign * residual(trial) <= tol_auc:
                     break
-            if down and residual(end[1]) > tol_auc and family.slope_may_vanish:
-                auc_trial, beta_trial, healthy = probe(0.0)
-                if healthy:
-                    end[:] = 0.0, auc_trial, beta_trial
-        (lo, auc_lo, beta_lo), (hi, auc_hi, beta_hi) = ends
-        bracket = (lo, hi)
+            if down and residual(end) > tol_auc and family.slope_may_vanish and probe(0.0):
+                end = 0.0
+        lo, hi = bracket = (end, start) if down else (start, end)
 
-        if abs(residual(auc_hi)) <= tol_auc:
-            alpha, beta, auc = hi, beta_hi, auc_hi
-        elif abs(residual(auc_lo)) <= tol_auc:
-            alpha, beta, auc = lo, beta_lo, auc_lo
-        elif residual(auc_lo) * residual(auc_hi) > 0.0:
-            observed = (min(auc_lo, auc_hi), max(auc_lo, auc_hi))
+        r_lo, r_hi = residual(lo), residual(hi)
+        if abs(r_hi) <= tol_auc:
+            alpha = hi
+        elif abs(r_lo) <= tol_auc:
+            alpha = lo
+        elif r_lo * r_hi > 0.0:
+            observed = tuple(sorted((fits[lo][0], fits[hi][0])))
             raise InfeasibleError(
                 f"{family.name}: target AUC {source_auc_target!r} lies outside the AUC "
                 f"range [{observed[0]!r}, {observed[1]!r}] attained over the probed slopes",
                 attainable_auc_range=observed,
             )
         else:
-            alpha, beta, auc = hi, beta_hi, auc_hi
-            r_lo, r_hi = residual(auc_lo), residual(auc_hi)
+            alpha = hi
             kept = 0  # +1 / -1 when the last step kept the lo / hi end
             for _ in range(MAX_BISECT_ITER):
                 mid = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
@@ -391,13 +392,12 @@ def solve_qmm_2d(
                     mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break
-                auc_mid, beta_mid, healthy = probe(mid)
-                if not healthy:
+                if not probe(mid):
                     # hardness grows with the slope; retreat downward
                     hi, r_hi = mid, np.nan
                     continue
-                alpha, beta, auc = mid, beta_mid, auc_mid
-                r_mid = residual(auc_mid)
+                alpha = mid
+                r_mid = residual(mid)
                 if abs(r_mid) <= tol_auc:
                     break
                 # Illinois rule: halve the residual of an end kept twice in a row
@@ -414,8 +414,7 @@ def solve_qmm_2d(
                 if (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
                     break
 
-    mean = float(np.dot(weights, family.link(alpha * x + beta)))
-    residual_mean = abs(mean - q)
+    auc, beta, residual_mean = fits[alpha]
     residual_auc = abs(auc - source_auc_target)
     diag = SolveDiagnostics(
         iterations=evals,

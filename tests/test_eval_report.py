@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,23 @@ class TestResultsTable:
 
 
 class TestExportCurves:
+    def test_duplicate_method_rejected(self, example_scenario, example_results):
+        with pytest.raises(StructuralError, match="duplicate result for method capped_scaling"):
+            export_curves(
+                example_scenario.source,
+                example_scenario.target,
+                [example_results[0], example_results[0]],
+            )
+
+    def test_posterior_off_target_support_rejected(self, example_scenario, example_results):
+        result = example_results[0]
+        curve = result.posterior
+        shifted = replace(
+            result, posterior=PosteriorCurve(curve.support + 0.5, curve.values)
+        )
+        with pytest.raises(StructuralError, match="target and result posterior"):
+            export_curves(example_scenario.source, example_scenario.target, [shifted])
+
     def test_series_inventory_without_results(self, example_scenario):
         rows = export_curves(example_scenario.source, example_scenario.target, [])
         series = {name for name, _, _ in rows}

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.special
 from scipy.special import logit
@@ -294,6 +294,31 @@ class TestSolveQmm2d:
         with pytest.raises(DomainError):
             solve_qmm_2d(logistic_cspd_family(), 0.7, 0.1, target, bad)
 
+    def test_every_link_call_is_an_intercept_mean_evaluation(self, monkeypatch, example_scenario):
+        """The accepted fit's mean residual comes from its probe's intercept
+        search, so a cold solve evaluates the link nowhere else."""
+        calls = {"link": 0, "mean": 0}
+
+        def counting_expit(z):
+            calls["link"] += 1
+            return scipy.special.expit(z)
+
+        def counting_root(f, *args, **kwargs):
+            def counted(beta):
+                calls["mean"] += 1
+                return f(beta)
+
+            return bisect_root(counted, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "expit", counting_expit)
+        monkeypatch.setattr(solvers, "bisect_root", counting_root)
+        src, tgt = example_scenario.source, example_scenario.target
+        _, _, diag = solve_qmm_2d(
+            platt_family(), source_implied_auc(src), tgt.prior, tgt, src.posterior
+        )
+        assert diag.converged and diag.iterations == 13
+        assert calls["link"] == calls["mean"] > 0
+
 
 class TestFixedPointF0:
     def test_identity_converges_immediately(self):
@@ -397,9 +422,29 @@ def _fitted(family, x, w, q, alpha):
     return auc, beta, mean_slope, -float(np.dot(w, x * pdf)) / mean_slope
 
 
+def _near_flat_normal_cspd_problem():
+    """A normal-CSPD draw whose cold fit has slope ~1.5e-11, next to the kink
+    of the implied AUC at slope 0."""
+    w = np.array([
+        0.061925495887760036, 0.014997581035316884, 0.11804547653604257,
+        0.12385099177552007, 0.18577648766328012, 0.12385099177552007,
+        0.12385099177552007, 0.24770198355104014,
+    ])
+    values = np.array([
+        0.19745669651926415, 0.22438440651231165, 0.3320952464845016,
+        0.5475169264288817, 0.6058368758915136, 0.6664242233758705,
+        0.8759554667592714, 0.9567385967384139,
+    ])
+    support = np.arange(8, dtype=float)
+    q = 0.220703125
+    target = TargetSpec(DiscreteScoreDist(support, w), q)
+    return normal_cspd_family(), 0.5, q, target, PosteriorCurve(support, values)
+
+
 class TestSolveQmm2dWarmStart:
     @settings(max_examples=150, deadline=None)
     @given(_qmm_problems(), _warm_starts())
+    @example(_near_flat_normal_cspd_problem(), ("far", 2.5, 0.0, 0.0))
     def test_warm_solve_meets_the_cold_contract(self, problem, start):
         family, auc_target, q, target, curve = problem
         kind, u, v, log_step = start
@@ -437,11 +482,12 @@ class TestSolveQmm2dWarmStart:
         _, _, mean_slope, dbeta = _fitted(family, x, w, q, a_cold)
         gap = abs(a - a_cold)
         if gap > 0.0:
-            h = 1e-6 * a_cold
+            # a forward step, floored so that it stays above the rounding
+            # noise of the intercept solve at a slope near 0
+            h = 1e-6 * max(a_cold, 1e-3)
             auc_slope = (
-                _fitted(family, x, w, q, a_cold + h)[0]
-                - _fitted(family, x, w, q, a_cold - h)[0]
-            ) / (2.0 * h)
+                _fitted(family, x, w, q, a_cold + h)[0] - _fitted(family, x, w, q, a_cold)[0]
+            ) / h
             assert gap * abs(auc_slope) <= 4.0 * WARM_SETTINGS.tol_auc + 1e-12 * gap
         assert abs(b - b_cold) <= (
             2.0 * abs(dbeta) * gap + 4.0 * WARM_SETTINGS.tol_mean / mean_slope
