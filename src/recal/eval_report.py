@@ -8,7 +8,7 @@ to CSV. CSV output is UTF-8 with '.' decimals and LF line endings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import starmap
 
 import numpy as np
 
@@ -30,7 +30,9 @@ TABLE_CSV_HEADER = "method,mean_probs,auc,mean_functional"
 CURVES_CSV_HEADER = "series,support,value"
 # one CSV line per row: the label, then each number at 12 significant digits
 _TABLE_CSV_LINE = "{},{:.12g},{:.12g},{:.12g}\n".format
-_CURVES_CSV_LINE = "{},{:.12g},{:.12g}\n".format
+# the cells after a curve's series name: the support point, and the value
+# left as a %-field, so a series' lines are one template filled in one step
+_CURVE_POINT_CELLS = ",{:.12g},%.12g\n".format
 
 
 def _check_concave_on_grid(grid: np.ndarray, values: np.ndarray) -> None:
@@ -202,30 +204,47 @@ def table_to_csv(table: ResultsTable) -> str:
 
 def export_curves(
     source: SourceModel, target: TargetSpec, results: list[RecalResult]
-) -> list[tuple[str, float, float]]:
-    """Long-format (series, support, value) rows for plotting.
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """One (series, support, values) triple per curve series, for plotting.
 
     Emits the source and target feature pmfs, the source posterior curve and
     one posterior series per result, in canonical method order; results are
-    refused as in the table (:class:`StructuralError`). Posterior series of
-    the non-capped methods stay strictly positive, so consumers can log-scale
-    the value axis.
+    refused as in the table (:class:`StructuralError`). The arrays are the
+    models' own, read-only. Posterior series of the non-capped methods stay
+    strictly positive, so consumers can log-scale the value axis.
     """
     results = _checked_in_order(source, target, results)
-    rows: list[tuple[str, float, float]] = []
-
-    def emit(series: str, support: np.ndarray, values: np.ndarray) -> None:
-        rows.extend(zip(repeat(series), support.tolist(), values.tolist()))
-
-    emit("source_pmf", source.support, source.feature_dist.probs)
-    emit("target_pmf", target.support, target.feature_dist.probs)
-    emit("posterior_source", source.support, source.posterior.values)
-    for result in results:
-        curve = result.posterior
-        emit(f"posterior_{result.method.value}", curve.support, curve.values)
-    return rows
+    return [
+        ("source_pmf", source.support, source.feature_dist.probs),
+        ("target_pmf", target.support, target.feature_dist.probs),
+        ("posterior_source", source.support, source.posterior.values),
+    ] + [
+        (f"posterior_{r.method.value}", r.posterior.support, r.posterior.values)
+        for r in results
+    ]
 
 
-def curves_to_csv(rows: list[tuple[str, float, float]]) -> str:
-    """CSV rendering of curve rows at 12 significant digits."""
-    return CURVES_CSV_HEADER + "\n" + "".join(starmap(_CURVES_CSV_LINE, rows))
+def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
+    """CSV rendering of (series, support, values) triples at 12 significant
+    digits, one line per point; a row (series, s, v) is a one-point series.
+
+    Each distinct support is formatted once, keyed on its bits, so -0.0
+    prints as -0 even beside an otherwise equal support holding 0.0.
+    """
+    point_cells: dict[bytes, list[str]] = {}
+    parts = [CURVES_CSV_HEADER + "\n"]
+    for name, support, values in series:
+        support = np.asarray(support, dtype=float).ravel()
+        values = np.asarray(values, dtype=float).ravel()
+        if support.size != values.size:
+            raise StructuralError(
+                f"curve series {name!r} has {support.size} support points "
+                f"but {values.size} values"
+            )
+        key = support.tobytes()
+        if key not in point_cells:
+            # "" first, so joining on the series name puts it before every point
+            point_cells[key] = ["", *map(_CURVE_POINT_CELLS, support.tolist())]
+        label = f"{name}".replace("%", "%%")
+        parts.append(label.join(point_cells[key]) % tuple(values.tolist()))
+    return "".join(parts)

@@ -212,6 +212,39 @@ class TestCurvesCommand:
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
 
+    def test_sign_of_zero_follows_each_series_support(self, tmp_path, capsys):
+        # source and target supports are equal as values but differ in the
+        # sign of their zero; each series prints the zero of its own support
+        scenario = {
+            "source": {
+                "support": [-2.0, -1.0, -0.0, 1.0, 2.0],
+                "probs": [0.1, 0.2, 0.4, 0.2, 0.1],
+                "posterior": [0.05, 0.1, 0.2, 0.3, 0.4],
+            },
+            "target": {
+                "feature": {
+                    "type": "explicit",
+                    "support": [-2.0, -1.0, 0.0, 1.0, 2.0],
+                    "probs": [0.1, 0.1, 0.3, 0.3, 0.2],
+                },
+                "prior": 0.3,
+            },
+            "methods": "all",
+            "functional": "sqrt",
+        }
+        path = tmp_path / "signed_zero.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("curves", "--scenario", str(path)) == 0
+        zero_lines = {}
+        for line in capsys.readouterr().out.split("\n")[1:-1]:
+            series, support, _ = line.split(",")
+            if float(support) == 0.0:
+                zero_lines[series] = support
+        assert len(zero_lines) == 11
+        for series, support in zero_lines.items():
+            signed = series in ("source_pmf", "posterior_source")
+            assert support == ("-0" if signed else "0"), series
+
 
 class TestUsageErrors:
     def test_missing_subcommand_exits_one(self, capsys):

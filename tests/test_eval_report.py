@@ -46,6 +46,26 @@ EDGE_FLOATS = [
 ]
 EDGE_ROWS = [(f"s{i}", a, b) for i, (a, b) in enumerate(zip(EDGE_FLOATS, EDGE_FLOATS[::-1]))]
 any_float = st.floats(allow_nan=True, allow_infinity=True)
+zero_or_any_float = st.one_of(st.sampled_from([0.0, -0.0]), any_float)
+
+
+@st.composite
+def curve_series(draw):
+    # (name, support, values) series whose names hold '%' and NUL, and whose
+    # supports are a shared base, the base with each zero's sign flipped, or
+    # their own
+    base = draw(st.lists(zero_or_any_float, min_size=2, max_size=8))
+    supports = {"shared": base, "flipped": [-x if x == 0.0 else x for x in base]}
+    series = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["shared", "flipped", "own"]))
+        support = supports.get(kind) or draw(
+            st.lists(zero_or_any_float, min_size=2, max_size=8)
+        )
+        values = draw(st.lists(any_float, min_size=len(support), max_size=len(support)))
+        name = draw(st.text()) + "%s\0" + draw(st.text()) + "%"
+        series.append((name, np.array(support), np.array(values)))
+    return series
 
 
 class TestFunctionalSpec:
@@ -287,45 +307,39 @@ class TestExportCurves:
             export_curves(example_scenario.source, example_scenario.target, [shifted])
 
     def test_series_inventory_without_results(self, example_scenario):
-        rows = export_curves(example_scenario.source, example_scenario.target, [])
-        series = {name for name, _, _ in rows}
-        assert series == {"source_pmf", "target_pmf", "posterior_source"}
-        assert len(rows) == 3 * 17
+        series = export_curves(example_scenario.source, example_scenario.target, [])
+        assert {name for name, _, _ in series} == {"source_pmf", "target_pmf", "posterior_source"}
+        assert len(series) == 3
+        assert all(support.size == values.size == 17 for _, support, values in series)
 
     def test_full_run_series_count(self, example_scenario, example_results):
-        rows = export_curves(example_scenario.source, example_scenario.target, example_results)
-        series = [name for name, _, _ in rows]
-        unique = sorted(set(series))
-        assert len(unique) == 11
-        assert len(rows) == 11 * 17
+        series = export_curves(example_scenario.source, example_scenario.target, example_results)
+        assert len({name for name, _, _ in series}) == len(series) == 11
+        assert all(support.size == values.size == 17 for _, support, values in series)
 
     def test_posterior_series_positive_for_log_scale(self, example_scenario, example_results):
-        rows = export_curves(example_scenario.source, example_scenario.target, example_results)
-        for name, _, value in rows:
+        series = export_curves(example_scenario.source, example_scenario.target, example_results)
+        for name, _, values in series:
             if name.startswith("posterior_"):
-                assert value > 0.0
+                assert np.all(values > 0.0), name
 
     def test_rows_match_elementwise_reference(self, example_scenario, example_results):
         src, tgt = example_scenario.source, example_scenario.target
-        series = [
+        expected = [
             ("source_pmf", src.support, src.feature_dist.probs),
             ("target_pmf", tgt.support, tgt.feature_dist.probs),
             ("posterior_source", src.support, src.posterior.values),
         ]
         by_method = {r.method: r for r in example_results}
-        series += [
+        expected += [
             (f"posterior_{m.value}", by_method[m].posterior.support, by_method[m].posterior.values)
             for m in CANONICAL_ORDER
         ]
-        expected = [
-            (name, float(s), float(v)) for name, xs, vs in series for s, v in zip(xs, vs)
-        ]
-        rows = export_curves(src, tgt, list(reversed(example_results)))
-        assert rows == expected
-        assert all(
-            type(row) is tuple and type(row[1]) is float and type(row[2]) is float
-            for row in rows
-        )
+        series = export_curves(src, tgt, list(reversed(example_results)))
+        assert [name for name, _, _ in series] == [name for name, _, _ in expected]
+        for (_, support, values), (_, want_support, want_values) in zip(series, expected):
+            assert support.tobytes() == want_support.tobytes()
+            assert values.tobytes() == want_values.tobytes()
 
     @pytest.mark.parametrize(
         "make_row",
@@ -344,10 +358,24 @@ class TestExportCurves:
     def test_csv_matches_reference(self, rows):
         assert curves_to_csv(rows) == reference_csv("series,support,value", rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(curve_series())
+    def test_csv_of_series_matches_reference_on_rows(self, series):
+        rows = [
+            (name, s, v)
+            for name, support, values in series
+            for s, v in zip(support.tolist(), values.tolist())
+        ]
+        assert curves_to_csv(series) == reference_csv("series,support,value", rows)
+
+    def test_series_length_mismatch_names_the_series(self):
+        with pytest.raises(StructuralError, match="posterior_fjs"):
+            curves_to_csv([("posterior_fjs", np.arange(3.0), np.ones(2))])
+
     def test_csv_rendering(self, example_scenario, example_results):
-        rows = export_curves(example_scenario.source, example_scenario.target, example_results)
-        text = curves_to_csv(rows)
+        series = export_curves(example_scenario.source, example_scenario.target, example_results)
+        text = curves_to_csv(series)
         lines = text.split("\n")
         assert lines[0] == "series,support,value"
-        assert len(lines) == 1 + len(rows) + 1
+        assert len(lines) == 1 + sum(values.size for _, _, values in series) + 1
         assert lines[1].startswith("source_pmf,0,")
