@@ -7,7 +7,8 @@ Two independent AUC routes are kept side by side on purpose:
   over all support pairs.
 * ``implied_auc`` treats the posterior value itself as the score of an
   auto-calibrated classifier and evaluates a closed-form sum over the
-  distribution of those values.
+  distribution of those values. That distribution comes from one merge,
+  which sorts only values that are not already strictly increasing.
 
 For monotone posterior curves the two agree to float precision; the test
 suite leans on that equivalence.
@@ -81,6 +82,8 @@ def merged_value_dist(dist: DiscreteScoreDist, curve: PosteriorCurve) -> Discret
 
     This is the score law of the auto-calibrated classifier whose output is
     the curve value; its posterior given its own output equals that output.
+    The merge is :func:`_merge_by_value`'s, so a strictly increasing curve
+    is not sorted.
     """
     _require_shared_support(dist.support, curve.support, "dist and curve")
     values, probs = _merge_by_value(curve.values, dist.probs)
@@ -88,14 +91,27 @@ def merged_value_dist(dist: DiscreteScoreDist, curve: PosteriorCurve) -> Discret
 
 
 def _merge_by_value(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` in ascending order, each with its summed mass.
+
+    Strictly increasing ``values`` (one comparison pass) are already merged
+    and come back as given, with ``probs + 0.0`` as their mass. Anything
+    else is sorted by ``np.unique`` and the mass of tied values is summed in
+    input order starting from 0.0, so both paths give the same bits: the
+    ``+ 0.0`` turns a -0.0 mass into 0.0 exactly as that sum does.
+    """
+    if np.all(values[1:] > values[:-1]):
+        return values, probs + 0.0
     distinct, inverse = np.unique(values, return_inverse=True)
-    merged = np.zeros(distinct.size)
-    np.add.at(merged, inverse, probs)
-    return distinct, merged
+    return distinct, np.bincount(inverse, weights=probs, minlength=distinct.size)
 
 
 def implied_auc_values(probs: np.ndarray, values: np.ndarray) -> float:
-    """Array fast path of :func:`implied_auc`; no validation, same result."""
+    """Array fast path of :func:`implied_auc`; no validation, same result.
+
+    Called once per slope probe of the QMM solves, whose link values are
+    usually strictly increasing already; those skip the sort (see
+    :func:`_merge_by_value`).
+    """
     v, p = _merge_by_value(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
     pbar = float(np.dot(p, v))
     if not (0.0 < pbar < 1.0):
@@ -115,7 +131,9 @@ def implied_auc(dist: DiscreteScoreDist, curve: PosteriorCurve) -> float:
     """AUC implied by using the posterior value itself as the score.
 
     The curve values are sorted ascending with probabilities carried along
-    and equal values merged, then the closed-form tie-aware sum is applied.
+    and equal values merged (input that is already strictly increasing is
+    not sorted; tied mass is summed in input order), then the closed-form
+    tie-aware sum is applied.
     The result equals the Mann-Whitney route on the merged value
     distribution to float precision.
     """

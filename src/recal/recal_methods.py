@@ -16,15 +16,18 @@ from functools import partial
 import numpy as np
 
 from . import _special as sp
-from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values
+# class_conditionals is not called here; it stays importable under this
+# module's name because perfbench/layers.py wraps it there
+from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values  # noqa: F401
 from .dist_core import (
+    PROB_SUM_TOL,
     DiscreteScoreDist,
     PosteriorCurve,
     SourceModel,
     TargetSpec,
     _require_shared_support,
 )
-from .errors import DomainError, InfeasibleError, NoRootError
+from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootError
 from .solvers import (
     DEFAULT_SETTINGS,
     SolveDiagnostics,
@@ -259,16 +262,27 @@ def _refreshed_f0(
 ) -> np.ndarray:
     """Adjusted class-0 CDF implied by a posterior over the target features.
 
-    Both class-0 CDF refinements feed these values to a probit, so a value
-    that rounds to 0 or 1 in a saturated tail raises a :class:`DomainError`
-    naming the method and the stage instead of a non-finite probit.
+    The bits of ``adjusted_cdf(class_conditionals(feature, curve).dist0)``,
+    computed from the arrays with the checks of that path: the posterior
+    mean must leave both classes non-empty (:class:`DegenerateClassError`)
+    and the class-0 mass must sum to 1 within ``PROB_SUM_TOL``
+    (:class:`DomainError`). Both class-0 CDF refinements feed the result to
+    a probit, so a value that rounds to 0 or 1 in a saturated tail raises a
+    :class:`DomainError`. Each error names the method and the stage.
     """
-    cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
-    f0 = adjusted_cdf(cc.dist0)
+    stage = f"{method}: class-0 CDF refresh"
+    probs = feature.probs
+    pbar = float(np.dot(probs, values))
+    if not (0.0 < pbar < 1.0):
+        raise DegenerateClassError(f"{stage}: posterior mean {pbar!r} leaves one class empty")
+    d0 = probs * (1.0 - values) / (1.0 - pbar)
+    mass = float(d0.sum())
+    if abs(mass - 1.0) > PROB_SUM_TOL:
+        raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
+    f0 = np.cumsum(d0) - d0 / 2.0  # adjusted_cdf of the class-0 law
     if not (np.all(f0 > 0.0) and np.all(f0 < 1.0)):
         raise DomainError(
-            f"{method}: class-0 CDF refresh left values outside (0, 1), "
-            "where their probit is not finite"
+            f"{stage} left values outside (0, 1), where their probit is not finite"
         )
     return f0
 

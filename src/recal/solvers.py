@@ -295,16 +295,21 @@ def solve_qmm_2d(
         """
         nonlocal evals, beta_start
         evals += 1
-        last = None  # (beta, link values, mean residual) of the last intercept tried
+        ax = alpha * x
+        # (beta, link argument, link values, mean residual) of the last
+        # intercept tried; the Newton step's derivative reuses its argument
+        last = None
 
         def mean_resid(beta: float) -> float:
             nonlocal last
-            values = family.link(alpha * x + beta)
-            last = beta, values, float(np.dot(weights, values)) - q
-            return last[2]
+            z = ax + beta
+            values = family.link(z)
+            last = beta, z, values, float(np.dot(weights, values)) - q
+            return last[3]
 
         def mean_slope(beta: float) -> float:
-            return float(np.dot(weights, family.link_pdf(alpha * x + beta)))
+            z = last[1] if beta == last[0] else ax + beta
+            return float(np.dot(weights, family.link_pdf(z)))
 
         if warm_start is None:
             lo, hi = -2.0, 2.0
@@ -321,7 +326,7 @@ def solve_qmm_2d(
         beta_start = beta
         if beta != last[0]:
             mean_resid(beta)
-        values, resid = last[1], abs(last[2])
+        values, resid = last[2], abs(last[3])
         fits[alpha] = (np.nan, beta, resid)
         if resid > settings.tol_mean:
             return False

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recal import auc_engine
 from recal import (
     ClassConditionals,
     DegenerateClassError,
@@ -13,6 +18,7 @@ from recal import (
     mean_under,
     merged_value_dist,
 )
+from recal.auc_engine import _merge_by_value, implied_auc_values
 from conftest import random_dist, random_increasing_values, random_values
 
 
@@ -225,3 +231,82 @@ def test_mean_under_consistency_with_conditional_prior():
         curve = PosteriorCurve(d.support, random_values(rng, n))
         cc = class_conditionals(d, curve)
         assert abs(cc.prior - mean_under(d, curve)) <= 1e-15
+
+
+def reference_merge(values, probs):
+    """Sort and merge every input, summing tied mass with ``np.add.at``."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    merged = np.zeros(distinct.size)
+    np.add.at(merged, inverse, probs)
+    return distinct, merged
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# posterior-like values, signed zeros and exact 1 included
+unit_values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+masses = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def merge_inputs(draw):
+    """(values, probs) that are strictly increasing, sorted with ties, or
+    unsorted; probs normalised, with zero (also -0.0) masses; one point or
+    more; all-0 or all-1 values make the mean degenerate."""
+    kind = draw(st.sampled_from(["increasing", "ties", "unsorted", "degenerate"]))
+    raw = draw(st.lists(unit_values, min_size=1, max_size=30))
+    if kind == "increasing":
+        values = np.unique(raw)
+    elif kind == "ties":
+        values = np.sort(raw + raw[: draw(st.integers(1, len(raw)))])
+    elif kind == "unsorted":
+        values = np.array(draw(st.permutations(raw)))
+    else:
+        values = np.full(len(raw), draw(st.sampled_from([0.0, -0.0, 1.0])))
+    weights = np.array(draw(st.lists(masses, min_size=values.size, max_size=values.size)))
+    if not weights.sum() > 0.0:
+        weights[draw(st.integers(0, values.size - 1))] = 1.0
+    return values, weights / weights.sum()
+
+
+class TestMergeByValue:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_inputs())
+    def test_matches_sort_and_scatter_reference_bit_for_bit(self, inputs):
+        values, probs = inputs
+        got_v, got_p = _merge_by_value(values, probs)
+        ref_v, ref_p = reference_merge(values, probs)
+        assert same_bits(got_v, ref_v) and same_bits(got_p, ref_p)
+
+        with mock.patch.object(auc_engine, "_merge_by_value", reference_merge):
+            try:
+                expected = implied_auc_values(probs, values)
+            except DegenerateClassError:
+                expected = DegenerateClassError
+        if expected is DegenerateClassError:
+            with pytest.raises(DegenerateClassError):
+                implied_auc_values(probs, values)
+        else:
+            assert same_bits(implied_auc_values(probs, values), expected)
+
+        d = DiscreteScoreDist(np.arange(values.size, dtype=float), probs)
+        merged = merged_value_dist(d, PosteriorCurve(d.support, values))
+        assert same_bits(merged.support, ref_v) and same_bits(merged.probs, ref_p)
+
+    def test_strictly_increasing_input_is_not_sorted(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique reached")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        d = DiscreteScoreDist([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
+        curve = PosteriorCurve(d.support, [-0.0, 0.3, 0.7])
+        values, probs = _merge_by_value(curve.values, d.probs)
+        assert values is curve.values and same_bits(probs, d.probs)
+        implied_auc_values(d.probs, curve.values)
+        merged_value_dist(d, curve)
+        # the guard is live: input with a tie does reach np.unique
+        with pytest.raises(AssertionError, match="np.unique reached"):
+            _merge_by_value(np.array([0.3, 0.3, 0.7]), d.probs)

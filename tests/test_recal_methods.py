@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit, ndtri
 
 from recal import recal_methods
 from recal import (
+    DegenerateClassError,
     DiscreteScoreDist,
     DomainError,
     InfeasibleError,
@@ -82,6 +85,57 @@ def test_saturated_class0_cdf_refresh_names_method_and_stage(method):
     src, tgt = saturated_tail_scenario()
     with pytest.raises(DomainError, match=f"^{method.value}: class-0 CDF refresh"):
         run_method(method, src, tgt)
+
+
+@pytest.mark.parametrize("method", ["roc_qmm", "two_param_qmm"])
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_degenerate_class0_cdf_refresh_names_method_and_stage(method, fill):
+    feature = DiscreteScoreDist([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
+    with pytest.raises(
+        DegenerateClassError,
+        match=f"^{method}: class-0 CDF refresh: posterior mean {fill!r} leaves one class empty",
+    ):
+        recal_methods._refreshed_f0(method, feature, np.full(3, fill))
+
+
+@st.composite
+def refresh_inputs(draw):
+    """A feature law, in some draws with zero masses, and an interior
+    posterior over it in any order, in some draws crowding 1."""
+    n = draw(st.integers(1, 40))
+    masses = st.floats(1e-6, 1.0)
+    if draw(st.booleans()):
+        masses = st.one_of(masses, st.just(0.0))
+    weights = np.array(draw(st.lists(masses, min_size=n, max_size=n)))
+    if not weights.sum() > 0.0:
+        weights[-1] = 1.0
+    interior = st.floats(1e-12, 1.0, exclude_max=True)
+    if draw(st.booleans()):
+        interior = st.floats(1.0 - 1e-9, 1.0, exclude_max=True)
+    values = np.array(draw(st.lists(interior, min_size=n, max_size=n)))
+    return DiscreteScoreDist(np.arange(n, dtype=float), weights / weights.sum()), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(refresh_inputs())
+def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
+    """The array refresh gives the bits of the validated object route, or
+    the error it would meet: a degenerate mean, a class-0 mass off 1, or
+    values outside (0, 1) that the probit downstream cannot take."""
+    feature, values = inputs
+    try:
+        cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
+        expected = adjusted_cdf(cc.dist0)
+    except (DegenerateClassError, DomainError) as exc:
+        with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
+            recal_methods._refreshed_f0("two_param_qmm", feature, values)
+        return
+    if np.all(expected > 0.0) and np.all(expected < 1.0):
+        got = recal_methods._refreshed_f0("two_param_qmm", feature, values)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(DomainError, match="class-0 CDF refresh left values outside"):
+            recal_methods._refreshed_f0("two_param_qmm", feature, values)
 
 
 class TestCappedScaling:
