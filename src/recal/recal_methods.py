@@ -32,7 +32,6 @@ from .solvers import (
     DEFAULT_SETTINGS,
     SolveDiagnostics,
     SolverSettings,
-    TransformFamily,
     bisect_root,
     fixed_point_f0,
     logistic_cspd_family,
@@ -250,11 +249,17 @@ def parametric_cspd_qmm(
     _require_interior(src, family.value)
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
-    fam = _PARAMETRIC_FAMILIES[family]()
+    fam = _PARAMETRIC_FAMILIES[family](src.posterior.values)
     auc_target = source_implied_auc(src)
-    a, b, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt, src.posterior, settings)
-    values = fam.posterior_values(src.posterior.values, a, b)
+    a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt, settings)
     return _finish(family, tgt, values, {"a": float(a), "b": float(b)}, diag)
+
+
+def _require_inside_unit(values, message: str) -> None:
+    """Raise a :class:`DomainError` with ``message`` unless every value lies
+    strictly inside (0, 1), where its probit is finite."""
+    if not (np.all(values > 0.0) and np.all(values < 1.0)):
+        raise DomainError(message)
 
 
 def _refreshed_f0(
@@ -280,10 +285,9 @@ def _refreshed_f0(
     if abs(mass - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
     f0 = np.cumsum(d0) - d0 / 2.0  # adjusted_cdf of the class-0 law
-    if not (np.all(f0 > 0.0) and np.all(f0 < 1.0)):
-        raise DomainError(
-            f"{stage} left values outside (0, 1), where their probit is not finite"
-        )
+    _require_inside_unit(
+        f0, f"{stage} left values outside (0, 1), where their probit is not finite"
+    )
     return f0
 
 
@@ -308,8 +312,7 @@ def roc_qmm(
     _require_shared_support(src.support, tgt.support, "source and target")
     q = tgt.prior
     auc_src = source_implied_auc(src)
-    if not (0.0 < auc_src < 1.0):
-        raise DomainError("roc_qmm: source implied AUC must lie strictly inside (0, 1)")
+    _require_inside_unit(auc_src, "roc_qmm: source implied AUC must lie strictly inside (0, 1)")
     c = float(np.sqrt(2.0) * sp.ndtri(auc_src))
     feature = tgt.feature_dist
 
@@ -359,14 +362,18 @@ def two_param_qmm(
     _require_shared_support(src.support, tgt.support, "source and target")
     q = tgt.prior
     auc_src = source_implied_auc(src)
-    if not (0.0 < auc_src < 1.0):
-        raise DomainError(
-            "two_param_qmm: source implied AUC must lie strictly inside (0, 1)"
-        )
+    _require_inside_unit(
+        auc_src, "two_param_qmm: source implied AUC must lie strictly inside (0, 1)"
+    )
     if settings.max_iter < 1:
         raise DomainError("two_param_qmm: max_iter must be at least 1")
     feature = tgt.feature_dist
     f0 = adjusted_cdf(feature) if f0_init is None else np.array(f0_init, dtype=float)
+    _require_inside_unit(
+        f0,
+        "two_param_qmm: initial class-0 CDF has values outside (0, 1), where their probit "
+        "is not finite (a zero target mass at an end of the support puts one there)",
+    )
     joint_tol = 1e-9
     # the inner solves must be pinned well below the joint stability
     # tolerance, otherwise (a, b) jitter at the solver's own stopping
@@ -377,29 +384,24 @@ def two_param_qmm(
         tol_auc=min(settings.tol_auc, 1e-11),
     )
     alpha = beta = np.nan
-    values = None
-    inner_diag = None
     warm_start = None
     iterations = 0
-    delta = np.inf
     for _ in range(settings.max_iter):
-        fam = rob_logit_family(f0)
         try:
-            alpha_new, beta_new, inner_diag = solve_qmm_2d(
-                fam, auc_src, q, tgt, src.posterior, inner_settings, warm_start=warm_start
+            alpha_new, beta_new, values, inner_diag = solve_qmm_2d(
+                rob_logit_family(f0), auc_src, q, tgt, inner_settings, warm_start=warm_start
             )
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"two_param_qmm: inner (a, b) solve at outer step {iterations + 1}: {exc}",
                 attainable_auc_range=exc.attainable_auc_range,
             ) from exc
-        values = fam.posterior_values(src.posterior.values, alpha_new, beta_new)
         f0_new = _refreshed_f0("two_param_qmm", feature, values)
         delta = float(np.max(np.abs(f0_new - f0)))
         if np.isfinite(alpha):
             delta = max(delta, abs(alpha_new - alpha), abs(beta_new - beta))
         else:
-            delta = np.inf
+            delta = np.inf  # no joint change is measured at the first outer step
         # the next solve starts here, its first slope step a few times the
         # last outer change of the slope (the cold factor 2 until one exists)
         if alpha > 0.0 and alpha_new > 0.0:
@@ -421,7 +423,7 @@ def two_param_qmm(
         converged=converged,
         residual_mean=inner_diag.residual_mean,
         residual_auc=inner_diag.residual_auc,
-        residual_fixed_point=delta,
+        residual_fixed_point=delta if iterations > 1 else None,
         bracket=(-inner_diag.bracket[1], -inner_diag.bracket[0]),
     )
     return _finish(

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _special as sp
 from .auc_engine import implied_auc_values
-from .dist_core import PosteriorCurve, TargetSpec
+from .dist_core import TargetSpec
 from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootError
 
 MAX_EXPANSIONS = 60
@@ -145,34 +145,30 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformFamily:
-    """A one-link parametric transform eta = link(a * x + b).
+    """A one-link parametric transform eta = link(a * x + b) over a fixed
+    per-point regressor x.
 
     ``link_pdf`` is the derivative of ``link``, which the solver's Newton
-    intercept step uses. ``make_x`` maps the source posterior values to the
-    per-point regressor x (it may ignore them when x is attached to the
-    support instead, as in the two-parameter scheme). Every family is
-    non-decreasing in x for a >= 0, the slope range the solver searches.
+    intercept step uses. ``x`` is copied to float64 and made read-only; a
+    regressor that is not finite everywhere raises a :class:`DomainError`
+    naming the family. Every family is non-decreasing in x for a >= 0, the
+    slope range the solver searches.
     """
 
     name: str
     link: Callable[[np.ndarray], np.ndarray]
     link_pdf: Callable[[np.ndarray], np.ndarray]
-    make_x: Callable[[np.ndarray], np.ndarray]
+    x: np.ndarray
     slope_may_vanish: bool
 
-    def x_values(self, source_values: np.ndarray) -> np.ndarray:
-        x = np.asarray(self.make_x(source_values), dtype=float)
+    def __post_init__(self):
+        x = np.array(self.x, dtype=float, copy=True)
         if not np.all(np.isfinite(x)):
-            raise DomainError(
-                f"{self.name}: transform regressor is not finite; "
-                "source posterior values must lie strictly inside (0, 1)"
-            )
-        return x
-
-    def posterior_values(self, source_values: np.ndarray, a: float, b: float) -> np.ndarray:
-        return np.asarray(self.link(a * self.x_values(source_values) + b), dtype=float)
+            raise DomainError(f"{self.name}: transform regressor is not finite")
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
 
 
 def expit(z):
@@ -196,25 +192,21 @@ def _normal_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(z)) / np.sqrt(2.0 * np.pi)
 
 
-def platt_family() -> TransformFamily:
-    """eta = sigmoid(a * u + b) on the raw posterior values; a >= 0."""
-    return TransformFamily(
-        "platt", expit, _logistic_pdf, lambda u: u, slope_may_vanish=True
-    )
+def platt_family(u) -> TransformFamily:
+    """eta = sigmoid(a * u + b) on the raw posterior values u; a >= 0."""
+    return TransformFamily("platt", expit, _logistic_pdf, u, slope_may_vanish=True)
 
 
-def logistic_cspd_family() -> TransformFamily:
+def logistic_cspd_family(u) -> TransformFamily:
     """eta = sigmoid(a * logit(u) + b); strictly increasing needs a > 0."""
-    return TransformFamily(
-        "logistic_cspd", expit, _logistic_pdf, lambda u: sp.logit(u), slope_may_vanish=False
-    )
+    x = sp.logit(np.asarray(u, dtype=float))
+    return TransformFamily("logistic_cspd", expit, _logistic_pdf, x, slope_may_vanish=False)
 
 
-def normal_cspd_family() -> TransformFamily:
+def normal_cspd_family(u) -> TransformFamily:
     """eta = ndtr(a * ndtri(u) + b); strictly increasing needs a > 0."""
-    return TransformFamily(
-        "normal_cspd", ndtr, _normal_pdf, lambda u: sp.ndtri(u), slope_may_vanish=False
-    )
+    x = sp.ndtri(np.asarray(u, dtype=float))
+    return TransformFamily("normal_cspd", ndtr, _normal_pdf, x, slope_may_vanish=False)
 
 
 def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
@@ -224,10 +216,8 @@ def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
     decreasing in the probit of the class-0 CDF for a' > 0; it is the same
     family with (a', b') = (-a, -b), the form ``two_param_qmm`` reports.
     """
-    z = sp.ndtri(np.asarray(f0_values, dtype=float))
-    return TransformFamily(
-        "rob_logit", expit, _logistic_pdf, lambda _u: z, slope_may_vanish=True
-    )
+    x = sp.ndtri(np.asarray(f0_values, dtype=float))
+    return TransformFamily("rob_logit", expit, _logistic_pdf, x, slope_may_vanish=True)
 
 
 def solve_qmm_2d(
@@ -235,11 +225,11 @@ def solve_qmm_2d(
     source_auc_target: float,
     q: float,
     target: TargetSpec,
-    source_curve: PosteriorCurve,
     settings: SolverSettings = DEFAULT_SETTINGS,
     warm_start: tuple[float, float, float] | None = None,
-) -> tuple[float, float, SolveDiagnostics]:
-    """Fit (a, b) so the transformed curve has mean q and the target AUC.
+) -> tuple[float, float, np.ndarray, SolveDiagnostics]:
+    """Fit (a, b) so the transformed curve has mean q and the target AUC;
+    return them with the fitted curve link(a * x + b) and the diagnostics.
 
     Nested solve: for fixed slope the intercept is found by a safeguarded
     Newton search (:func:`bisect_root` with the link's pdf as derivative,
@@ -263,9 +253,12 @@ def solve_qmm_2d(
     ``WARM_BETA_HALF_WIDTH`` * max(1, |beta|) of the previous intercept,
     starting from ``beta``, instead of [-2, 2], and widens from there as
     needed. Without a warm start the search is the cold one described above.
+
+    The returned curve holds the link values that the accepted slope's probe
+    computed at its intercept; the link is not evaluated again.
     """
     weights = target.feature_dist.probs
-    x = family.x_values(source_curve.values)
+    x = family.x
     tol_auc = settings.tol_auc
     evals = 0
     start, factor = 1.0, 2.0  # first slope probe and expansion factor
@@ -281,7 +274,7 @@ def solve_qmm_2d(
             start = alpha0
             factor = math.exp(min(max(log_step, WARM_MIN_LOG_STEP), math.log(2.0)))
 
-    fits = {}  # slope -> (auc, beta, |mean residual|) of its probe
+    fits = {}  # slope -> (auc, beta, |mean residual|, link values) of its probe
 
     def probe(alpha: float) -> bool:
         """Solve the mean equation at a fixed slope, record the fit in ``fits``
@@ -316,7 +309,7 @@ def solve_qmm_2d(
         else:
             half = WARM_BETA_HALF_WIDTH * max(1.0, abs(beta_start))
             lo, hi = beta_start - half, beta_start + half
-        fits[alpha] = (np.nan, np.nan, np.nan)
+        fits[alpha] = (np.nan, np.nan, np.nan, None)
         try:
             beta = bisect_root(
                 mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=beta_start
@@ -327,11 +320,11 @@ def solve_qmm_2d(
         if beta != last[0]:
             mean_resid(beta)
         values, resid = last[2], abs(last[3])
-        fits[alpha] = (np.nan, beta, resid)
+        fits[alpha] = (np.nan, beta, resid, values)
         if resid > settings.tol_mean:
             return False
         try:
-            fits[alpha] = (implied_auc_values(weights, values), beta, resid)
+            fits[alpha] = (implied_auc_values(weights, values), beta, resid, values)
         except DegenerateClassError:
             return False
         return True
@@ -342,9 +335,12 @@ def solve_qmm_2d(
     if family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc:
         # a constant transform (slope 0) has AUC exactly 1/2; families that
         # admit it get the exact degenerate solution instead of a search. An
-        # unhealthy probe leaves auc NaN, which reads as not converged below.
+        # unhealthy probe leaves auc NaN, which reads as not converged below;
+        # one without an intercept root has no curve to return.
         alpha, bracket = 0.0, (0.0, 0.0)
         probe(alpha)
+        if fits[alpha][3] is None:
+            raise InfeasibleError(f"{family.name}: mean equation insoluble at slope 0")
     else:
         healthy = probe(start)
         if not healthy and start != 1.0:  # an unusable warm slope
@@ -419,7 +415,7 @@ def solve_qmm_2d(
                 if (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
                     break
 
-    auc, beta, residual_mean = fits[alpha]
+    auc, beta, residual_mean, values = fits[alpha]
     residual_auc = abs(auc - source_auc_target)
     diag = SolveDiagnostics(
         iterations=evals,
@@ -428,7 +424,7 @@ def solve_qmm_2d(
         residual_auc=residual_auc,
         bracket=bracket,
     )
-    return alpha, beta, diag
+    return alpha, beta, values, diag
 
 
 def fixed_point_f0(

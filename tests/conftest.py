@@ -123,3 +123,25 @@ SATURATED_BINOMIAL_SCENARIO = {
     "methods": "all",
     "functional": "sqrt",
 }
+
+
+# a 5-point explicit source and a target whose first feature point has zero
+# mass: the target's adjusted CDF is exactly 0 there, where its probit is
+# not finite
+ZERO_END_MASS_SCENARIO = {
+    "source": {
+        "support": [0.0, 1.0, 2.0, 3.0, 4.0],
+        "probs": [0.2, 0.2, 0.2, 0.2, 0.2],
+        "posterior": [0.05, 0.1, 0.2, 0.3, 0.4],
+    },
+    "target": {
+        "feature": {
+            "type": "explicit",
+            "support": [0.0, 1.0, 2.0, 3.0, 4.0],
+            "probs": [0.0, 0.25, 0.25, 0.25, 0.25],
+        },
+        "prior": 0.2,
+    },
+    "methods": "all",
+    "functional": "sqrt",
+}

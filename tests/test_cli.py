@@ -5,7 +5,12 @@ import pytest
 
 from recal import example_scenario_path
 from recal.cli import main
-from conftest import COUNT_KEYS, SATURATED_BINOMIAL_SCENARIO, example_with_count
+from conftest import (
+    COUNT_KEYS,
+    SATURATED_BINOMIAL_SCENARIO,
+    ZERO_END_MASS_SCENARIO,
+    example_with_count,
+)
 
 
 @pytest.fixture()
@@ -143,6 +148,22 @@ class TestRunCommand:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["all_converged"] is False
         assert diag["methods"]["roc_qmm"]["converged"] is False
+
+    def test_single_outer_step_writes_strict_json(self, tmp_path, fixture_path, capsys):
+        """One outer step of two_param_qmm measures no joint change; its
+        residual is written as null, which every RFC 8259 parser reads."""
+        code = run_cli(
+            "run", "--scenario", fixture_path, "--max-iter", "1", "--out", str(tmp_path)
+        )
+        assert code == 2
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "diagnostics.json").read_text()
+        diag = json.loads(text, parse_constant=refuse)
+        assert diag["methods"]["two_param_qmm"]["residual_fixed_point"] is None
+        assert diag["methods"]["two_param_qmm"]["converged"] is False
 
     def test_unknown_method_exits_one(self, tmp_path, fixture_path, capsys):
         code = run_cli(
@@ -313,3 +334,14 @@ def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(ZERO_END_MASS_SCENARIO), encoding="utf-8")
+    code = run_cli("table", "--scenario", str(path), "--methods", "two_param_qmm")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recal: error: two_param_qmm: initial class-0 CDF has values")
+    assert "Traceback" not in captured.err

@@ -12,6 +12,7 @@ from recal import (
     InfeasibleError,
     MethodId,
     PosteriorCurve,
+    SolverSettings,
     SourceModel,
     TargetSpec,
     adjusted_cdf,
@@ -38,6 +39,7 @@ from conftest import (
     CELL_TOL,
     REFERENCE_TABLE,
     SATURATED_BINOMIAL_SCENARIO,
+    ZERO_END_MASS_SCENARIO,
     mixture_target,
     random_source,
     random_target,
@@ -484,6 +486,30 @@ class TestTwoParamQmm:
         assert abs(default_run.params["a"] - alt_run.params["a"]) <= 1e-6
         assert abs(default_run.params["b"] - alt_run.params["b"]) <= 1e-6
 
+    def test_zero_end_mass_initial_cdf_names_the_method_and_stage(self):
+        scenario = scenario_from_dict(ZERO_END_MASS_SCENARIO)
+        with pytest.raises(DomainError, match="^two_param_qmm: initial class-0 CDF has values"):
+            two_param_qmm(scenario.source, scenario.target)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_f0_init_at_zero_or_one_names_the_method_and_stage(self, example_scenario, end):
+        src, tgt = example_scenario.source, example_scenario.target
+        f0_init = adjusted_cdf(tgt.feature_dist).copy()
+        f0_init[end] = float(end == -1)
+        with pytest.raises(DomainError, match="^two_param_qmm: initial class-0 CDF has values"):
+            two_param_qmm(src, tgt, f0_init=f0_init)
+
+    def test_single_outer_step_reports_no_joint_change(self, example_scenario):
+        """One outer step measures no joint change: the residual is None,
+        not infinity, and the run is not converged."""
+        settings = SolverSettings(max_iter=1)
+        result = two_param_qmm(example_scenario.source, example_scenario.target, settings)
+        assert result.diagnostics.iterations == 1
+        assert result.diagnostics.residual_fixed_point is None
+        assert not result.diagnostics.converged
+        full = two_param_qmm(example_scenario.source, example_scenario.target)
+        assert 0.0 <= full.diagnostics.residual_fixed_point <= 1e-9
+
 
 class TestCrossMethodProperties:
     def test_mean_matching_methods(self):
@@ -609,9 +635,8 @@ class TestWarmStartedAlternation:
         assert result.diagnostics.bracket == bracket
         assert result.params["a"] == pytest.approx(a, rel=1e-12)
         assert result.params["b"] == pytest.approx(b, rel=1e-12)
-        values = build().posterior_values(
-            src.posterior.values, result.params["a"], result.params["b"]
-        )
+        family = build(src.posterior.values)
+        values = family.link(result.params["a"] * family.x + result.params["b"])
         assert result.posterior.values.tobytes() == values.tobytes()
 
     def test_two_param_qmm_matches_the_cold_alternation(self, monkeypatch, example_scenario):
@@ -646,9 +671,9 @@ class TestWarmStartedAlternation:
         probes = []
 
         def recording_solve(*args, **kwargs):
-            a, b, diag = solve_qmm_2d(*args, **kwargs)
+            a, b, values, diag = solve_qmm_2d(*args, **kwargs)
             probes.append(diag.iterations)
-            return a, b, diag
+            return a, b, values, diag
 
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         two_param_qmm(example_scenario.source, example_scenario.target)

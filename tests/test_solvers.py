@@ -88,7 +88,7 @@ def _meets_contract(f, root, tol):
 def _mean_equations(draw):
     """A mean equation sum_i w_i link(alpha * x_i + beta) = q in beta, as the
     QMM probe poses it, with shallow and steep (saturating) slopes."""
-    family = draw(st.sampled_from([platt_family(), normal_cspd_family()]))
+    family = draw(st.sampled_from([platt_family([0.5]), normal_cspd_family([0.5])]))
     n = draw(st.integers(1, 12))
     x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
@@ -144,9 +144,9 @@ class TestBisectRootNewton:
 @pytest.mark.parametrize(
     "family",
     [
-        platt_family(),
-        logistic_cspd_family(),
-        normal_cspd_family(),
+        platt_family(np.array([0.2, 0.5, 0.8])),
+        logistic_cspd_family(np.array([0.2, 0.5, 0.8])),
+        normal_cspd_family(np.array([0.2, 0.5, 0.8])),
         rob_logit_family(np.array([0.2, 0.5, 0.8])),
     ],
     ids=lambda fam: fam.name,
@@ -172,7 +172,7 @@ class TestLinkLookup:
             (platt_family, "expit"),
             (logistic_cspd_family, "expit"),
             (normal_cspd_family, "ndtr"),
-            (lambda: rob_logit_family(np.array([0.2, 0.5, 0.8])), "expit"),
+            (lambda f0: rob_logit_family(f0), "expit"),
         ],
     )
     def test_family_built_after_patch_binds_replacement(self, monkeypatch, build, link):
@@ -183,9 +183,9 @@ class TestLinkLookup:
             return getattr(scipy.special, link)(z)
 
         monkeypatch.setattr(solvers, link, replacement)
-        family = build()
+        family = build(np.array([0.2, 0.5, 0.8]))
         assert family.link is replacement
-        family.posterior_values(np.array([0.2, 0.5, 0.8]), 1.5, -0.25)
+        family.link(1.5 * family.x + -0.25)
         assert calls == [3]
 
     @pytest.mark.parametrize("link", ["expit", "ndtr"])
@@ -217,31 +217,30 @@ class TestSolveQmm2d:
         src = example_scenario.source
         target = TargetSpec(src.feature_dist, src.prior)
         auc = source_implied_auc(src)
-        a, b, diag = solve_qmm_2d(logistic_cspd_family(), auc, src.prior, target, src.posterior)
+        a, b, values, diag = solve_qmm_2d(
+            logistic_cspd_family(src.posterior.values), auc, src.prior, target
+        )
         assert diag.converged
         assert abs(a - 1.0) <= 1e-3
         assert abs(b) <= 1e-2
-        values = logistic_cspd_family().posterior_values(src.posterior.values, a, b)
         np.testing.assert_allclose(values, src.posterior.values, atol=1e-4)
 
     def test_platt_with_half_auc_target_collapses(self):
         """Target AUC 1/2 is met exactly by a constant transform: zero slope
         and intercept at the log-odds of the target prior."""
         target, curve = _toy_problem(q=0.07)
-        a, b, diag = solve_qmm_2d(platt_family(), 0.5, 0.07, target, curve)
+        a, b, values, diag = solve_qmm_2d(platt_family(curve.values), 0.5, 0.07, target)
         assert diag.converged
         assert a == 0.0
         assert abs(b - logit(0.07)) <= 1e-6
-        values = platt_family().posterior_values(curve.values, a, b)
         np.testing.assert_allclose(values, 0.07, atol=1e-9)
 
     def test_example_logistic_cspd_row(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         auc_target = source_implied_auc(src)
-        fam = logistic_cspd_family()
-        a, b, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt, src.posterior)
+        fam = logistic_cspd_family(src.posterior.values)
+        a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt)
         assert diag.converged
-        values = fam.posterior_values(src.posterior.values, a, b)
         curve = PosteriorCurve(tgt.support, values)
         assert abs(mean_under(tgt.feature_dist, curve) - 0.050) <= 1.5e-3
         assert abs(implied_auc(tgt.feature_dist, curve) - 0.803) <= 1.5e-3
@@ -255,7 +254,9 @@ class TestSolveQmm2d:
             # a self-consistent reachable AUC target: the curve's own implied
             # AUC under the target features
             auc_target = implied_auc(target.feature_dist, curve)
-            a, b, diag = solve_qmm_2d(platt_family(), auc_target, target.prior, target, curve)
+            a, b, _, diag = solve_qmm_2d(
+                platt_family(curve.values), auc_target, target.prior, target
+            )
             assert diag.converged
             assert diag.residual_mean <= 1e-9
             assert diag.residual_auc <= 1e-6
@@ -263,19 +264,19 @@ class TestSolveQmm2d:
     def test_infeasible_target_reports_attainable_range(self):
         target, curve = _toy_problem(n=2, q=0.3, seed=3)
         with pytest.raises(InfeasibleError) as err:
-            solve_qmm_2d(platt_family(), 0.9999, 0.3, target, curve)
+            solve_qmm_2d(platt_family(curve.values), 0.9999, 0.3, target)
         low, high = err.value.attainable_auc_range
         assert 0.5 <= low <= high < 0.9999
 
     def test_below_half_target_is_infeasible(self):
         target, curve = _toy_problem(q=0.1)
         with pytest.raises(InfeasibleError):
-            solve_qmm_2d(platt_family(), 0.3, 0.1, target, curve)
+            solve_qmm_2d(platt_family(curve.values), 0.3, 0.1, target)
 
     def test_bracket_recorded(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
-        a, b, diag = solve_qmm_2d(
-            logistic_cspd_family(), source_implied_auc(src), tgt.prior, tgt, src.posterior
+        a, b, _, diag = solve_qmm_2d(
+            logistic_cspd_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
         )
         assert diag.bracket is not None
         lo, hi = diag.bracket
@@ -284,15 +285,32 @@ class TestSolveQmm2d:
     def test_deterministic(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         auc = source_implied_auc(src)
-        first = solve_qmm_2d(platt_family(), auc, tgt.prior, tgt, src.posterior)
-        second = solve_qmm_2d(platt_family(), auc, tgt.prior, tgt, src.posterior)
+        first = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt.prior, tgt)
+        second = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt.prior, tgt)
         assert first[0] == second[0] and first[1] == second[1]
 
     def test_interior_source_required(self):
+        """A family whose regressor is not finite everywhere is refused when
+        it is built, naming the family."""
         target, _ = _toy_problem()
         bad = PosteriorCurve(target.support, [0.0, 0.2, 0.4, 0.6, 0.8])
-        with pytest.raises(DomainError):
-            solve_qmm_2d(logistic_cspd_family(), 0.7, 0.1, target, bad)
+        with pytest.raises(DomainError, match="^logistic_cspd: transform regressor"):
+            logistic_cspd_family(bad.values)
+        with pytest.raises(DomainError, match="^normal_cspd: transform regressor"):
+            normal_cspd_family(1.0 - bad.values)
+        with pytest.raises(DomainError, match="^rob_logit: transform regressor"):
+            rob_logit_family(bad.values)
+        with pytest.raises(DomainError, match="^platt: transform regressor"):
+            platt_family(np.where(bad.values > 0.0, bad.values, np.nan))
+
+    def test_insoluble_mean_at_slope_zero_is_infeasible(self):
+        """Target weights summing to 1 - 5e-13 cannot average a constant
+        curve up to q = 1 - 1e-15; the solve has no curve to return."""
+        w = np.full(5, 0.2)
+        w[-1] -= 5e-13
+        target = TargetSpec(DiscreteScoreDist(np.arange(5.0), w), 1.0 - 1e-15)
+        with pytest.raises(InfeasibleError, match="^platt: mean equation insoluble at slope 0"):
+            solve_qmm_2d(platt_family([0.1, 0.2, 0.3, 0.4, 0.5]), 0.5, target.prior, target)
 
     def test_every_link_call_is_an_intercept_mean_evaluation(self, monkeypatch, example_scenario):
         """The accepted fit's mean residual comes from its probe's intercept
@@ -313,8 +331,8 @@ class TestSolveQmm2d:
         monkeypatch.setattr(solvers, "expit", counting_expit)
         monkeypatch.setattr(solvers, "bisect_root", counting_root)
         src, tgt = example_scenario.source, example_scenario.target
-        _, _, diag = solve_qmm_2d(
-            platt_family(), source_implied_auc(src), tgt.prior, tgt, src.posterior
+        _, _, _, diag = solve_qmm_2d(
+            platt_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
         )
         assert diag.converged and diag.iterations == 13
         assert calls["link"] == calls["mean"] > 0
@@ -373,8 +391,8 @@ WARM_SETTINGS = SolverSettings(tol_mean=1e-12, tol_auc=1e-11)
 @st.composite
 def _qmm_problems(draw):
     """A small solve_qmm_2d problem for any family: random target weights,
-    increasing interior source values, q and a target AUC that may lie
-    outside the attainable range."""
+    a family built on increasing interior source values, q and a target AUC
+    that may lie outside the attainable range."""
     n = draw(st.integers(2, 8))
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     gaps = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1, max_size=n + 1)))
@@ -388,11 +406,11 @@ def _qmm_problems(draw):
     if build is rob_logit_family:
         family = rob_logit_family(np.cumsum(w) - w / 2.0)  # an adjusted CDF
     else:
-        family = build()
+        family = build(values)
     q = draw(st.floats(0.02, 0.5))
     auc_target = draw(st.floats(0.5, 0.999))
     target = TargetSpec(DiscreteScoreDist(support, w), q)
-    return family, auc_target, q, target, PosteriorCurve(support, values)
+    return family, auc_target, q, target
 
 
 def _warm_starts():
@@ -438,7 +456,7 @@ def _near_flat_normal_cspd_problem():
     support = np.arange(8, dtype=float)
     q = 0.220703125
     target = TargetSpec(DiscreteScoreDist(support, w), q)
-    return normal_cspd_family(), 0.5, q, target, PosteriorCurve(support, values)
+    return normal_cspd_family(values), 0.5, q, target
 
 
 class TestSolveQmm2dWarmStart:
@@ -446,7 +464,7 @@ class TestSolveQmm2dWarmStart:
     @given(_qmm_problems(), _warm_starts())
     @example(_near_flat_normal_cspd_problem(), ("far", 2.5, 0.0, 0.0))
     def test_warm_solve_meets_the_cold_contract(self, problem, start):
-        family, auc_target, q, target, curve = problem
+        family, auc_target, q, target = problem
         kind, u, v, log_step = start
 
         def warm_solve(a_cold, b_cold):
@@ -455,19 +473,22 @@ class TestSolveQmm2dWarmStart:
                 "far": (10.0**u, v, log_step),
                 "zero": (0.0, v, log_step),
             }[kind]
-            return solve_qmm_2d(
-                family, auc_target, q, target, curve, WARM_SETTINGS, warm_start=warm
-            )
+            return solve_qmm_2d(family, auc_target, q, target, WARM_SETTINGS, warm_start=warm)
 
+        # the regressor is fixed when the family is built
+        assert not family.x.flags.writeable
         try:
-            a_cold, b_cold, cold = solve_qmm_2d(
-                family, auc_target, q, target, curve, WARM_SETTINGS
+            a_cold, b_cold, values_cold, cold = solve_qmm_2d(
+                family, auc_target, q, target, WARM_SETTINGS
             )
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 warm_solve(1.0, 0.0)
             return
-        a, b, diag = warm_solve(a_cold, b_cold)
+        a, b, values, diag = warm_solve(a_cold, b_cold)
+        # each returned curve holds the bits of the link at the fit
+        assert values_cold.tobytes() == family.link(a_cold * family.x + b_cold).tobytes()
+        assert values.tobytes() == family.link(a * family.x + b).tobytes()
         lo, hi = diag.bracket
         assert lo <= a <= hi
         if not cold.converged:
@@ -478,7 +499,7 @@ class TestSolveQmm2dWarmStart:
         # both AUC residuals within tol_auc bound the slope gap through the
         # AUC's derivative in the slope; the intercept follows the slope along
         # the mean equation, up to both mean residuals
-        x, w = family.x_values(curve.values), target.feature_dist.probs
+        x, w = family.x, target.feature_dist.probs
         _, _, mean_slope, dbeta = _fitted(family, x, w, q, a_cold)
         gap = abs(a - a_cold)
         if gap > 0.0:
@@ -499,9 +520,9 @@ class TestSolveQmm2dWarmStart:
         src, tgt = example_scenario.source, example_scenario.target
         fam = rob_logit_family(np.cumsum(tgt.feature_dist.probs) - tgt.feature_dist.probs / 2)
         auc = source_implied_auc(src)
-        a, b, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, src.posterior, WARM_SETTINGS)
-        _, _, warm = solve_qmm_2d(
-            fam, auc, tgt.prior, tgt, src.posterior, WARM_SETTINGS, warm_start=(a, b, 1e-9)
+        a, b, _, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, WARM_SETTINGS)
+        _, _, _, warm = solve_qmm_2d(
+            fam, auc, tgt.prior, tgt, WARM_SETTINGS, warm_start=(a, b, 1e-9)
         )
         assert warm.converged
         assert warm.iterations <= 3 < cold.iterations
@@ -512,9 +533,9 @@ class TestSolveQmm2dWarmStart:
         slope past the search range all restart the slope search at 1."""
         target, curve = _toy_problem()
         auc = implied_auc(target.feature_dist, curve)
-        a_cold, b_cold, cold = solve_qmm_2d(platt_family(), auc, 0.08, target, curve)
-        a, b, diag = solve_qmm_2d(
-            platt_family(), auc, 0.08, target, curve, warm_start=(alpha0, b_cold, 0.1)
+        a_cold, b_cold, _, cold = solve_qmm_2d(platt_family(curve.values), auc, 0.08, target)
+        a, b, _, diag = solve_qmm_2d(
+            platt_family(curve.values), auc, 0.08, target, warm_start=(alpha0, b_cold, 0.1)
         )
         assert diag.converged and diag.bracket == cold.bracket
         # only the unhealthy warm probe costs one probe more
@@ -528,7 +549,7 @@ class TestSolveQmm2dWarmStart:
     def test_malformed_warm_start_rejected(self, warm_start):
         target, curve = _toy_problem()
         with pytest.raises(DomainError, match="^solve_qmm_2d: warm_start"):
-            solve_qmm_2d(platt_family(), 0.7, 0.08, target, curve, warm_start=warm_start)
+            solve_qmm_2d(platt_family(curve.values), 0.7, 0.08, target, warm_start=warm_start)
 
     def test_link_values_at_the_intercept_root_are_reused(self, monkeypatch, example_scenario):
         """Each probe's link values come from the intercept search's last
@@ -550,8 +571,8 @@ class TestSolveQmm2dWarmStart:
         monkeypatch.setattr(solvers, "expit", counting_expit)
         monkeypatch.setattr(solvers, "bisect_root", counting_root)
         src, tgt = example_scenario.source, example_scenario.target
-        a, b, diag = solve_qmm_2d(
-            platt_family(), source_implied_auc(src), tgt.prior, tgt, src.posterior
+        a, b, _, diag = solve_qmm_2d(
+            platt_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
         )
         assert diag.converged
         # the final mean check of the solve is one more link call
