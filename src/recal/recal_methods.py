@@ -33,7 +33,6 @@ from .solvers import (
     SolveDiagnostics,
     SolverSettings,
     bisect_root,
-    fixed_point_f0,
     logistic_cspd_family,
     normal_cspd_family,
     platt_family,
@@ -291,10 +290,46 @@ def _refreshed_f0(
     return f0
 
 
-def _roc_posterior(q: float, c: float, f0: np.ndarray) -> np.ndarray:
-    # equal-variance normal ROC shape: posterior is a logistic function of
-    # the probit of the class-0 CDF
-    return sp.expit(sp.logit(q) - c * c / 2.0 + c * sp.ndtri(f0))
+def fixed_point_f0(method, feature, f0, alpha, beta, tol, max_iter, fit):
+    """Alternate ``fit(f0) -> (alpha, beta, values, diag)`` with the refresh
+    of ``f0`` from ``values`` until the sup-norm change over ``f0`` and
+    (alpha, beta) is at most ``tol``, or for ``max_iter`` steps; the one loop
+    of :func:`roc_qmm` and :func:`two_param_qmm`.
+
+    Step 1 compares against the given (alpha, beta); NaN measures no change,
+    and ``residual_fixed_point`` is None until a change is measured. Returns
+    the refreshed CDF, the diagnostics and the last fit. ``max_iter`` below 1
+    or a starting CDF at 0 or 1 raises a :class:`DomainError` naming
+    ``method``.
+    """
+    if max_iter < 1:
+        raise DomainError(f"{method}: max_iter must be at least 1")
+    _require_inside_unit(
+        f0,
+        f"{method}: initial class-0 CDF has values outside (0, 1), where their probit "
+        "is not finite (a zero target mass at an end of the support puts one there)",
+    )
+    delta = None
+    for step in range(1, max_iter + 1):
+        fitted = fit(f0)
+        f0_new = _refreshed_f0(method, feature, fitted[2])
+        if np.isfinite(alpha):
+            delta = float(np.max(np.abs(f0_new - f0)))
+            delta = max(delta, abs(fitted[0] - alpha), abs(fitted[1] - beta))
+        alpha, beta, f0 = fitted[0], fitted[1], f0_new
+        converged = delta is not None and delta <= tol
+        if converged:
+            break
+    diag = SolveDiagnostics(iterations=step, converged=converged, residual_fixed_point=delta)
+    return f0, diag, fitted
+
+
+def _source_auc(method: str, src: SourceModel, tgt: TargetSpec) -> float:
+    """The source implied AUC, strictly inside (0, 1), on the target's support."""
+    _require_shared_support(src.support, tgt.support, "source and target")
+    auc_src = source_implied_auc(src)
+    _require_inside_unit(auc_src, f"{method}: source implied AUC must lie strictly inside (0, 1)")
+    return auc_src
 
 
 def roc_qmm(
@@ -303,31 +338,27 @@ def roc_qmm(
     """Recalibrate through a one-parameter ROC shape matched to the source AUC.
 
     The shape parameter is c = sqrt(2) * ndtri(source implied AUC). The
-    unknown class-0 CDF starts from the adjusted CDF of the unconditional
-    target features and is refined by fixed-point iteration: posterior from
-    the ROC shape, class-0 conditional from that posterior, adjusted CDF
-    again. Achieved mean and AUC are approximate by construction and are
-    reported, not forced.
+    posterior is sigmoid(c * ndtri(F0) + logit(q) - c**2 / 2), the
+    two-parameter transform of :func:`two_param_qmm` held at the constants of
+    the equal-variance binormal ROC. The unknown class-0 CDF F0 starts from
+    the adjusted CDF of the unconditional target features and is refined by
+    :func:`fixed_point_f0`: posterior from the ROC shape, class-0 conditional
+    from that posterior, adjusted CDF again. Achieved mean and AUC are
+    approximate by construction and are reported, not forced.
     """
-    _require_shared_support(src.support, tgt.support, "source and target")
-    q = tgt.prior
-    auc_src = source_implied_auc(src)
-    _require_inside_unit(auc_src, "roc_qmm: source implied AUC must lie strictly inside (0, 1)")
+    auc_src = _source_auc("roc_qmm", src, tgt)
     c = float(np.sqrt(2.0) * sp.ndtri(auc_src))
-    feature = tgt.feature_dist
+    b = sp.logit(tgt.prior) - c * c / 2.0
 
-    def update(f0: np.ndarray) -> np.ndarray:
-        return _refreshed_f0("roc_qmm", feature, _roc_posterior(q, c, f0))
+    def fit(f0: np.ndarray):
+        fam = rob_logit_family(f0)
+        return c, b, fam.link(c * fam.x + b), None
 
-    init = adjusted_cdf(feature)
-    if init[0] <= 0.0 or init[-1] >= 1.0 or np.any(np.diff(init) <= 0.0):
-        raise DomainError(
-            "roc_qmm: initial class-0 CDF (the adjusted CDF of the target features) "
-            "is not strictly increasing inside (0, 1); it stalls in a saturated tail"
-        )
-    f0, diag = fixed_point_f0(update, init, settings.tol_fixed_point, settings.max_iter)
-    values = _roc_posterior(q, c, f0)
-    return _finish(MethodId.ROC_QMM, tgt, values, {"c": c}, diag)
+    f0, diag, _ = fixed_point_f0(
+        "roc_qmm", tgt.feature_dist, adjusted_cdf(tgt.feature_dist), c, b,
+        settings.tol_fixed_point, settings.max_iter, fit,
+    )
+    return _finish(MethodId.ROC_QMM, tgt, fit(f0)[2], {"c": c}, diag)
 
 
 # the first slope step of each warm-started inner solve of two_param_qmm, in
@@ -344,14 +375,14 @@ def two_param_qmm(
     """Two-parameter logistic transform of the probit class-0 CDF, alternated
     with refinement of that CDF.
 
-    Each outer step solves (a, b) against the targets (q, source implied AUC)
-    at the current class-0 CDF, then refreshes the CDF from the resulting
-    posterior exactly as the ROC-based scheme does. From the second step on
-    the inner solve is warm-started from the previous step's (alpha, beta),
-    its first slope step ``WARM_STEP_MULTIPLIER`` times the last outer change
-    of log(alpha); it meets the same tolerances as a cold solve, which keeps
-    the fit within the joint tolerance of the cold alternation's. An inner
-    solve that finds the targets infeasible raises an
+    Each outer step of :func:`fixed_point_f0` solves (a, b) against the
+    targets (q, source implied AUC) at the current class-0 CDF, then refreshes
+    the CDF from the resulting posterior exactly as the ROC-based scheme does.
+    From the second step on the inner solve is warm-started from the previous
+    step's (alpha, beta), its first slope step ``WARM_STEP_MULTIPLIER`` times
+    the last outer change of log(alpha); it meets the same tolerances as a
+    cold solve, which keeps the fit within the joint tolerance of the cold
+    alternation's. An inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
     stops when the CDF values and (a, b) are jointly stable to 1e-9. The
     solver fits sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the
@@ -359,72 +390,50 @@ def two_param_qmm(
     paper's literal form 1 / (1 + exp(b + a * ndtri(F0))), so a is negative
     for an increasing net effect.
     """
-    _require_shared_support(src.support, tgt.support, "source and target")
-    q = tgt.prior
-    auc_src = source_implied_auc(src)
-    _require_inside_unit(
-        auc_src, "two_param_qmm: source implied AUC must lie strictly inside (0, 1)"
-    )
-    if settings.max_iter < 1:
-        raise DomainError("two_param_qmm: max_iter must be at least 1")
-    feature = tgt.feature_dist
-    f0 = adjusted_cdf(feature) if f0_init is None else np.array(f0_init, dtype=float)
-    _require_inside_unit(
-        f0,
-        "two_param_qmm: initial class-0 CDF has values outside (0, 1), where their probit "
-        "is not finite (a zero target mass at an end of the support puts one there)",
-    )
-    joint_tol = 1e-9
+    auc_src = _source_auc("two_param_qmm", src, tgt)
+    f0 = adjusted_cdf(tgt.feature_dist) if f0_init is None else np.array(f0_init, dtype=float)
     # the inner solves must be pinned well below the joint stability
     # tolerance, otherwise (a, b) jitter at the solver's own stopping
     # granularity and the alternation cycles instead of settling
     inner_settings = replace(
-        settings,
-        tol_mean=min(settings.tol_mean, 1e-12),
-        tol_auc=min(settings.tol_auc, 1e-11),
+        settings, tol_mean=min(settings.tol_mean, 1e-12), tol_auc=min(settings.tol_auc, 1e-11)
     )
-    alpha = beta = np.nan
     warm_start = None
-    iterations = 0
-    for _ in range(settings.max_iter):
+    steps = 0
+
+    def fit(f0: np.ndarray):
+        nonlocal warm_start, steps
+        steps += 1
         try:
-            alpha_new, beta_new, values, inner_diag = solve_qmm_2d(
-                rob_logit_family(f0), auc_src, q, tgt, inner_settings, warm_start=warm_start
+            alpha, beta, values, inner = solve_qmm_2d(
+                rob_logit_family(f0), auc_src, tgt.prior, tgt, inner_settings,
+                warm_start=warm_start,
             )
         except InfeasibleError as exc:
             raise InfeasibleError(
-                f"two_param_qmm: inner (a, b) solve at outer step {iterations + 1}: {exc}",
+                f"two_param_qmm: inner (a, b) solve at outer step {steps}: {exc}",
                 attainable_auc_range=exc.attainable_auc_range,
             ) from exc
-        f0_new = _refreshed_f0("two_param_qmm", feature, values)
-        delta = float(np.max(np.abs(f0_new - f0)))
-        if np.isfinite(alpha):
-            delta = max(delta, abs(alpha_new - alpha), abs(beta_new - beta))
-        else:
-            delta = np.inf  # no joint change is measured at the first outer step
         # the next solve starts here, its first slope step a few times the
         # last outer change of the slope (the cold factor 2 until one exists)
-        if alpha > 0.0 and alpha_new > 0.0:
-            log_step = WARM_STEP_MULTIPLIER * abs(math.log(alpha_new / alpha))
+        if warm_start is not None and warm_start[0] > 0.0 and alpha > 0.0:
+            log_step = WARM_STEP_MULTIPLIER * abs(math.log(alpha / warm_start[0]))
         else:
             log_step = math.log(2.0)
-        warm_start = (alpha_new, beta_new, log_step)
-        alpha, beta, f0 = alpha_new, beta_new, f0_new
-        iterations += 1
-        if delta <= joint_tol:
-            break
-    converged = (
-        delta <= joint_tol
-        and inner_diag.residual_mean <= settings.tol_mean
-        and inner_diag.residual_auc <= settings.tol_auc
+        warm_start = (alpha, beta, log_step)
+        return alpha, beta, values, inner
+
+    _, diag, (alpha, beta, values, inner) = fixed_point_f0(
+        "two_param_qmm", tgt.feature_dist, f0, np.nan, np.nan, 1e-9, settings.max_iter, fit
     )
-    diag = SolveDiagnostics(
-        iterations=iterations,
-        converged=converged,
-        residual_mean=inner_diag.residual_mean,
-        residual_auc=inner_diag.residual_auc,
-        residual_fixed_point=delta if iterations > 1 else None,
-        bracket=(-inner_diag.bracket[1], -inner_diag.bracket[0]),
+    converged = (
+        diag.converged
+        and inner.residual_mean <= settings.tol_mean
+        and inner.residual_auc <= settings.tol_auc
+    )
+    diag = replace(
+        diag, converged=converged, residual_mean=inner.residual_mean,
+        residual_auc=inner.residual_auc, bracket=(-inner.bracket[1], -inner.bracket[0]),
     )
     return _finish(
         MethodId.TWO_PARAM_QMM, tgt, values, {"a": -float(alpha), "b": -float(beta)}, diag

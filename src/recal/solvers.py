@@ -15,7 +15,9 @@ import numpy as np
 from . import _special as sp
 from .auc_engine import implied_auc_values
 from .dist_core import TargetSpec
-from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootError
+from .errors import (
+    DegenerateClassError, DomainError, InfeasibleError, NoRootError, StructuralError,
+)
 
 MAX_EXPANSIONS = 60
 MAX_BISECT_ITER = 260
@@ -259,6 +261,10 @@ def solve_qmm_2d(
     """
     weights = target.feature_dist.probs
     x = family.x
+    if x.shape != weights.shape:
+        raise StructuralError(
+            f"{family.name}: regressor has {x.size} points, the target support {weights.size}"
+        )
     tol_auc = settings.tol_auc
     evals = 0
     start, factor = 1.0, 2.0  # first slope probe and expansion factor
@@ -425,41 +431,3 @@ def solve_qmm_2d(
         bracket=bracket,
     )
     return alpha, beta, values, diag
-
-
-def fixed_point_f0(
-    update: Callable[[np.ndarray], np.ndarray],
-    init,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Iterate a map on class-0 CDF values until the sup-norm change is small.
-
-    Stops when the largest absolute change across support points is <= tol or
-    after ``max_iter`` iterations; the diagnostics record which. On
-    non-convergence the last iterate is returned with converged=False, left
-    for the caller to judge.
-    """
-    current = np.array(init, dtype=float, copy=True)
-    if current.ndim != 1 or current.size == 0:
-        raise DomainError("init must be a non-empty vector")
-    if np.any(current <= 0.0) or np.any(current >= 1.0):
-        raise DomainError("init values must lie strictly inside (0, 1)")
-    if current.size > 1 and np.any(np.diff(current) <= 0.0):
-        raise DomainError("init values must be strictly increasing")
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1")
-    delta = np.inf
-    iterations = 0
-    for _ in range(max_iter):
-        new = np.asarray(update(current), dtype=float)
-        delta = float(np.max(np.abs(new - current)))
-        current = new
-        iterations += 1
-        if delta <= tol:
-            break
-    converged = delta <= tol
-    diag = SolveDiagnostics(
-        iterations=iterations, converged=converged, residual_fixed_point=delta
-    )
-    return current, diag

@@ -323,7 +323,7 @@ class TestUsageErrors:
     "method, message",
     [
         ("two_param_qmm", "two_param_qmm: inner (a, b) solve"),
-        ("roc_qmm", "roc_qmm: initial class-0 CDF"),
+        ("roc_qmm", "roc_qmm: class-0 CDF refresh left values outside (0, 1)"),
     ],
 )
 def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method, message):
@@ -344,4 +344,17 @@ def test_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recal: error: two_param_qmm: initial class-0 CDF has values")
+    assert "Traceback" not in captured.err
+
+
+def test_roc_qmm_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(ZERO_END_MASS_SCENARIO), encoding="utf-8")
+    code = run_cli("table", "--scenario", str(path), "--methods", "roc_qmm")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "recal: error: roc_qmm: initial class-0 CDF has values outside (0, 1)"
+    )
     assert "Traceback" not in captured.err

@@ -431,6 +431,31 @@ class TestRocQmm:
         result = roc_qmm(example_scenario.source, example_scenario.target, settings)
         assert not result.diagnostics.converged
 
+    def test_zero_end_mass_initial_cdf_names_the_method_and_stage(self):
+        scenario = scenario_from_dict(ZERO_END_MASS_SCENARIO)
+        with pytest.raises(
+            DomainError, match=r"^roc_qmm: initial class-0 CDF has values outside \(0, 1\)"
+        ):
+            roc_qmm(scenario.source, scenario.target)
+
+    @pytest.mark.parametrize("seed", [None, 3, 11])
+    def test_default_curve_within_1e9_of_tight_reference(self, example_scenario, seed):
+        """The default stop on the CDF change lands within 1e-9 of a run
+        converged to 1e-14, on the worked example (seed None) and on two
+        explicit supports."""
+        if seed is None:
+            src, tgt = example_scenario.source, example_scenario.target
+        else:
+            rng = np.random.default_rng(seed)
+            src = random_source(rng, 60)
+            tgt = random_target(rng, src)
+        default = roc_qmm(src, tgt)
+        tight = roc_qmm(src, tgt, SolverSettings(tol_fixed_point=1e-14, max_iter=2000))
+        assert default.diagnostics.converged and tight.diagnostics.converged
+        np.testing.assert_allclose(
+            default.posterior.values, tight.posterior.values, rtol=0, atol=1e-9
+        )
+
 
 class TestTwoParamQmm:
     def test_reference_row(self, example_scenario):
@@ -696,5 +721,9 @@ class TestSaturatedBinomialTail:
         assert low <= high < source_implied_auc(scenario.source)
 
     def test_roc_qmm_initial_cdf_names_the_method_and_stage(self, scenario):
-        with pytest.raises(DomainError, match="^roc_qmm: initial class-0 CDF"):
+        # the starting CDF stalls just below 1, which the alternation accepts;
+        # the first refresh then rounds to 1 in the upper tail
+        with pytest.raises(
+            DomainError, match=r"^roc_qmm: class-0 CDF refresh left values outside \(0, 1\)"
+        ):
             roc_qmm(scenario.source, scenario.target)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import scipy.special
 from scipy.special import logit
 
-from recal import solvers
+from recal import recal_methods, solvers
 from recal import (
     DiscreteScoreDist,
     DomainError,
@@ -13,7 +13,9 @@ from recal import (
     NoRootError,
     PosteriorCurve,
     SolverSettings,
+    StructuralError,
     TargetSpec,
+    adjusted_cdf,
     bisect_root,
     fixed_point_f0,
     implied_auc,
@@ -312,6 +314,13 @@ class TestSolveQmm2d:
         with pytest.raises(InfeasibleError, match="^platt: mean equation insoluble at slope 0"):
             solve_qmm_2d(platt_family([0.1, 0.2, 0.3, 0.4, 0.5]), 0.5, target.prior, target)
 
+    def test_regressor_length_mismatch_names_the_family(self):
+        target = TargetSpec(DiscreteScoreDist(np.arange(5.0), np.full(5, 0.2)), 0.1)
+        with pytest.raises(
+            StructuralError, match="^platt: regressor has 3 points, the target support 5$"
+        ):
+            solve_qmm_2d(platt_family([0.1, 0.2, 0.3]), 0.7, target.prior, target)
+
     def test_every_link_call_is_an_intercept_mean_evaluation(self, monkeypatch, example_scenario):
         """The accepted fit's mean residual comes from its probe's intercept
         search, so a cold solve evaluates the link nowhere else."""
@@ -339,40 +348,63 @@ class TestSolveQmm2d:
 
 
 class TestFixedPointF0:
-    def test_identity_converges_immediately(self):
-        init = np.array([0.2, 0.5, 0.8])
-        out, diag = fixed_point_f0(lambda x: x, init)
-        assert diag.converged and diag.iterations == 1
-        np.testing.assert_allclose(out, init, atol=0)
+    """The class-0 CDF alternation of roc_qmm and two_param_qmm: fit, refresh
+    the CDF, stop on the joint change over the CDF and (alpha, beta)."""
 
-    def test_affine_contraction_reaches_closed_form(self):
-        out, diag = fixed_point_f0(lambda x: x / 2.0 + 0.25, np.array([0.2, 0.4, 0.6]))
-        assert diag.converged
-        np.testing.assert_allclose(out, 0.5, atol=1e-9)
+    FEATURE = DiscreteScoreDist([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4])
+    CURVE = np.array([0.05, 0.1, 0.2, 0.4])
+
+    def fixed(self, f0):
+        """A fit that returns the same (alpha, beta) and curve at every CDF."""
+        return 1.0, 0.5, self.CURVE, None
+
+    def test_identity_converges_immediately(self):
+        """Started at its own fixed point with the (alpha, beta) its fit
+        returns, the alternation measures no change at step 1."""
+        f0 = recal_methods._refreshed_f0("m", self.FEATURE, self.CURVE)
+        out, diag, fitted = fixed_point_f0("m", self.FEATURE, f0, 1.0, 0.5, 1e-12, 200, self.fixed)
+        assert diag.converged and diag.iterations == 1
+        assert diag.residual_fixed_point == 0.0
+        np.testing.assert_array_equal(out, f0)
+        assert fitted[:2] == (1.0, 0.5) and fitted[2] is self.CURVE
+
+    def test_nan_parameters_measure_no_change_at_step_one(self):
+        f0 = adjusted_cdf(self.FEATURE)
+        _, diag, _ = fixed_point_f0("m", self.FEATURE, f0, np.nan, np.nan, 1e-12, 1, self.fixed)
+        assert diag.iterations == 1 and not diag.converged
+        assert diag.residual_fixed_point is None
+        # step 2 compares against step 1's fit and refreshed CDF
+        _, diag, _ = fixed_point_f0("m", self.FEATURE, f0, np.nan, np.nan, 1e-12, 200, self.fixed)
+        assert diag.converged and diag.iterations == 2
+        assert diag.residual_fixed_point == 0.0
 
     def test_non_convergence_flagged_not_raised(self):
-        slow = lambda x: 0.5 + 0.999 * (x - 0.5)
-        out, diag = fixed_point_f0(slow, np.array([0.2, 0.4, 0.6]), tol=1e-12, max_iter=5)
+        steps = []
+
+        def drifting(f0):  # alpha moves by 1 every step
+            steps.append(f0)
+            return float(len(steps)), 0.5, self.CURVE, None
+
+        f0 = adjusted_cdf(self.FEATURE)
+        out, diag, fitted = fixed_point_f0("m", self.FEATURE, f0, 0.0, 0.5, 1e-12, 5, drifting)
         assert not diag.converged
-        assert diag.iterations == 5
-        assert diag.residual_fixed_point > 1e-12
-        assert out.shape == (3,)
+        assert diag.iterations == len(steps) == 5
+        assert diag.residual_fixed_point == 1.0
+        assert fitted[0] == 5.0 and out.shape == (4,)
 
     def test_init_validation(self):
-        with pytest.raises(DomainError):
-            fixed_point_f0(lambda x: x, np.array([0.5, 0.4]))
-        with pytest.raises(DomainError):
-            fixed_point_f0(lambda x: x, np.array([0.0, 0.5]))
-        with pytest.raises(DomainError):
-            fixed_point_f0(lambda x: x, np.array([0.2, 1.0]))
-
-    def test_order_preserving_update_keeps_order(self):
-        rng = np.random.default_rng(22)
-        init = np.sort(rng.uniform(0.05, 0.95, 6))
-        out, diag = fixed_point_f0(lambda x: 0.6 * x + 0.2, init)
-        assert diag.converged
-        assert np.all(np.diff(out) >= 0.0)
-        assert np.all(out > 0.0) and np.all(out < 1.0)
+        """A starting value at 0 or 1 and max_iter below 1 are refused with
+        the method named; a CDF that only stalls inside (0, 1) is accepted."""
+        initial = r"^m: initial class-0 CDF has values outside \(0, 1\)"
+        for bad in ([0.0, 0.2, 0.5, 0.8], [0.05, 0.2, 0.5, 1.0]):
+            with pytest.raises(DomainError, match=initial):
+                fixed_point_f0("m", self.FEATURE, np.array(bad), 1.0, 0.5, 1e-12, 200, self.fixed)
+        f0 = adjusted_cdf(self.FEATURE)
+        with pytest.raises(DomainError, match="^m: max_iter must be at least 1$"):
+            fixed_point_f0("m", self.FEATURE, f0, 1.0, 0.5, 1e-12, 0, self.fixed)
+        stalled = np.array([0.2, 0.2, 0.5, 0.8])
+        _, diag, _ = fixed_point_f0("m", self.FEATURE, stalled, 1.0, 0.5, 1e-12, 200, self.fixed)
+        assert diag.converged and diag.iterations == 2
 
 
 class TestSolverSettings:
