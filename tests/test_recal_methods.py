@@ -457,6 +457,40 @@ class TestRocQmm:
         )
 
 
+# the two-parameter QMM fits and the curve bound against a tight run: the
+# inner tolerances of two_param_qmm are 1e-12 / 1e-11 and its joint stop
+# 1e-9; the parametric families stop at the default tol_auc
+TIGHT_SETTINGS = SolverSettings(
+    tol_mean=1e-14, tol_auc=1e-13, tol_fixed_point=1e-14, max_iter=2000
+)
+QMM_2D_BOUNDS = {
+    MethodId.PLATT: 1e-6,
+    MethodId.LOGISTIC_CSPD: 1e-6,
+    MethodId.NORMAL_CSPD: 1e-6,
+    MethodId.TWO_PARAM_QMM: 1e-9,
+}
+
+
+@pytest.mark.parametrize("method", list(QMM_2D_BOUNDS), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", [None, 3, 11])
+def test_qmm_2d_curve_within_bound_of_tight_reference(example_scenario, seed, method):
+    """Each solve_qmm_2d user lands within its bound of a run at 1e-13 AUC
+    and 1e-14 mean tolerance, on the worked example (seed None) and on two
+    explicit supports."""
+    if seed is None:
+        src, tgt = example_scenario.source, example_scenario.target
+    else:
+        rng = np.random.default_rng(seed)
+        src = random_source(rng, 60)
+        tgt = random_target(rng, src)
+    default = run_method(method, src, tgt)
+    tight = run_method(method, src, tgt, TIGHT_SETTINGS)
+    assert default.diagnostics.converged and tight.diagnostics.converged
+    np.testing.assert_allclose(
+        default.posterior.values, tight.posterior.values, rtol=0, atol=QMM_2D_BOUNDS[method]
+    )
+
+
 class TestTwoParamQmm:
     def test_reference_row(self, example_scenario):
         result = two_param_qmm(example_scenario.source, example_scenario.target)
