@@ -2,11 +2,14 @@
 class-1 prior under distribution-shift assumptions, with implied-AUC and
 concave-functional evaluation."""
 
+import types
+
 from .auc_engine import (
     ClassConditionals,
     adjusted_cdf,
     class_conditionals,
     implied_auc,
+    implied_auc_gradient,
     implied_auc_values,
     mann_whitney_auc,
     merged_value_dist,
@@ -82,68 +85,8 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CANONICAL_ORDER",
-    "DEFAULT_SETTINGS",
-    "DISPLAY_LABELS",
-    "ClassConditionals",
-    "DegenerateClassError",
-    "DiscreteScoreDist",
-    "DomainError",
-    "FunctionalSpec",
-    "InfeasibleError",
-    "MethodId",
-    "NoRootError",
-    "PosteriorCurve",
-    "RecalError",
-    "RecalResult",
-    "ResultsTable",
-    "Scenario",
-    "ScenarioError",
-    "SolveDiagnostics",
-    "SolverSettings",
-    "SourceModel",
-    "StructuralError",
-    "TableRow",
-    "TargetSpec",
-    "TransformFamily",
-    "adjusted_cdf",
-    "binomial_dist",
-    "bisect_root",
-    "build_results_table",
-    "capped_scaling",
-    "class_conditionals",
-    "curves_to_csv",
-    "example_scenario_path",
-    "export_curves",
-    "fixed_point_f0",
-    "fjs_bounds",
-    "fjs_recalibrate",
-    "format_table",
-    "functional_bounds",
-    "functional_mean",
-    "implied_auc",
-    "implied_auc_values",
-    "label_shift_correct",
-    "logistic_cspd_family",
-    "mann_whitney_auc",
-    "mean_under",
-    "merged_value_dist",
-    "normal_cspd_family",
-    "worked_example_scenario",
-    "parametric_cspd_qmm",
-    "parse_scenario",
-    "platt_family",
-    "rob_logit_family",
-    "roc_qmm",
-    "run_method",
-    "run_methods",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "solve_qmm_2d",
-    "source_implied_auc",
-    "table_to_csv",
-    "two_param_qmm",
-    "vasicek_mixture_dist",
-    "write_scenario",
-]
+# every name imported above, and nothing else, is the public API
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

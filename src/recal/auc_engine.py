@@ -105,6 +105,24 @@ def _merge_by_value(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, 
     return distinct, np.bincount(inverse, weights=probs, minlength=distinct.size)
 
 
+def _auc_terms(probs, values):
+    """Merged values u, pbar, h = p * u, m = p * (1 - u), B (the exclusive
+    prefix sum of m) and the implied AUC, over the merged distribution."""
+    u, p = _merge_by_value(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
+    pbar = float(np.dot(p, u))
+    if not (0.0 < pbar < 1.0):
+        raise DegenerateClassError(
+            f"posterior mean {pbar!r} leaves one class empty; AUC undefined"
+        )
+    hit = p * u
+    miss = p * (1.0 - u)
+    below = np.concatenate(([0.0], np.cumsum(miss)[:-1]))
+    # self-tie term hit_i * miss_i / 2 included for every i, the lowest
+    # value as well, so one-point (uninformative) inputs yield exactly 1/2
+    num = float(np.sum(hit * (0.5 * miss + below)))
+    return u, pbar, hit, miss, below, num / (pbar * (1.0 - pbar))
+
+
 def implied_auc_values(probs: np.ndarray, values: np.ndarray) -> float:
     """Array fast path of :func:`implied_auc`; no validation, same result.
 
@@ -112,19 +130,27 @@ def implied_auc_values(probs: np.ndarray, values: np.ndarray) -> float:
     usually strictly increasing already; those skip the sort (see
     :func:`_merge_by_value`).
     """
-    v, p = _merge_by_value(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
-    pbar = float(np.dot(p, v))
-    if not (0.0 < pbar < 1.0):
-        raise DegenerateClassError(
-            f"posterior mean {pbar!r} leaves one class empty; AUC undefined"
-        )
-    hit = p * v
-    miss = p * (1.0 - v)
-    below = np.concatenate(([0.0], np.cumsum(miss)[:-1]))
-    # self-tie term hit_i * miss_i / 2 included for every i, the lowest
-    # value as well, so one-point (uninformative) inputs yield exactly 1/2
-    num = float(np.sum(hit * (0.5 * miss + below)))
-    return num / (pbar * (1.0 - pbar))
+    return _auc_terms(probs, values)[-1]
+
+
+def implied_auc_gradient(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`implied_auc_values` A in each of ``values``.
+
+    For strictly increasing v, with H the exclusive suffix sum of h,
+    dA/dv_k = p_k (m_k / 2 + B_k - h_k / 2 - H_k - A (1 - 2 pbar)) /
+    (pbar (1 - pbar)) in the terms of :func:`_auc_terms`. Tied values get
+    their share, by mass, of the derivative of the merged value, which is
+    exact where they move together.
+    """
+    v = np.asarray(values, dtype=float)
+    u, pbar, hit, miss, below, auc = _auc_terms(probs, v)
+    above = pbar - np.cumsum(hit)
+    per_mass = (0.5 * (miss - hit) + below - above - auc * (1.0 - 2.0 * pbar)) / (
+        pbar * (1.0 - pbar)
+    )
+    if u is not v:
+        per_mass = per_mass[np.searchsorted(u, v)]
+    return np.asarray(probs, dtype=float) * per_mass
 
 
 def implied_auc(dist: DiscreteScoreDist, curve: PosteriorCurve) -> float:

@@ -9,7 +9,6 @@ pure given their inputs; distinct methods can run concurrently.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -105,11 +104,13 @@ def _finish(
     diagnostics: SolveDiagnostics,
 ) -> RecalResult:
     curve = PosteriorCurve(tgt.support, values)
+    auc = diagnostics.implied_auc
     return RecalResult(
         method=method,
         posterior=curve,
         achieved_mean=float(np.dot(tgt.feature_dist.probs, curve.values)),
-        implied_auc=implied_auc_values(tgt.feature_dist.probs, curve.values),
+        implied_auc=implied_auc_values(tgt.feature_dist.probs, curve.values)
+        if auc is None else auc,
         params=params,
         diagnostics=diagnostics,
     )
@@ -361,11 +362,6 @@ def roc_qmm(
     return _finish(MethodId.ROC_QMM, tgt, fit(f0)[2], {"c": c}, diag)
 
 
-# the first slope step of each warm-started inner solve of two_param_qmm, in
-# multiples of the last outer change of log(alpha)
-WARM_STEP_MULTIPLIER = 4.0
-
-
 def two_param_qmm(
     src: SourceModel,
     tgt: TargetSpec,
@@ -379,10 +375,8 @@ def two_param_qmm(
     targets (q, source implied AUC) at the current class-0 CDF, then refreshes
     the CDF from the resulting posterior exactly as the ROC-based scheme does.
     From the second step on the inner solve is warm-started from the previous
-    step's (alpha, beta), its first slope step ``WARM_STEP_MULTIPLIER`` times
-    the last outer change of log(alpha); it meets the same tolerances as a
-    cold solve, which keeps the fit within the joint tolerance of the cold
-    alternation's. An inner solve that finds the targets infeasible raises an
+    step's (alpha, beta); it meets the same tolerances as a cold solve, which
+    keeps the fit within the joint tolerance of the cold alternation's. An inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
     stops when the CDF values and (a, b) are jointly stable to 1e-9. The
     solver fits sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the
@@ -414,13 +408,7 @@ def two_param_qmm(
                 f"two_param_qmm: inner (a, b) solve at outer step {steps}: {exc}",
                 attainable_auc_range=exc.attainable_auc_range,
             ) from exc
-        # the next solve starts here, its first slope step a few times the
-        # last outer change of the slope (the cold factor 2 until one exists)
-        if warm_start is not None and warm_start[0] > 0.0 and alpha > 0.0:
-            log_step = WARM_STEP_MULTIPLIER * abs(math.log(alpha / warm_start[0]))
-        else:
-            log_step = math.log(2.0)
-        warm_start = (alpha, beta, log_step)
+        warm_start = (alpha, beta)  # the next solve starts here
         return alpha, beta, values, inner
 
     _, diag, (alpha, beta, values, inner) = fixed_point_f0(
@@ -434,6 +422,7 @@ def two_param_qmm(
     diag = replace(
         diag, converged=converged, residual_mean=inner.residual_mean,
         residual_auc=inner.residual_auc, bracket=(-inner.bracket[1], -inner.bracket[0]),
+        implied_auc=inner.implied_auc,
     )
     return _finish(
         MethodId.TWO_PARAM_QMM, tgt, values, {"a": -float(alpha), "b": -float(beta)}, diag

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import _special as sp
-from .auc_engine import implied_auc_values
+from .auc_engine import implied_auc_gradient, implied_auc_values
 from .dist_core import TargetSpec
 from .errors import (
     DegenerateClassError, DomainError, InfeasibleError, NoRootError, StructuralError,
@@ -23,11 +23,9 @@ MAX_EXPANSIONS = 60
 MAX_BISECT_ITER = 260
 # the slope search of solve_qmm_2d stays within [1 / SLOPE_LIMIT, SLOPE_LIMIT]
 SLOPE_LIMIT = 2.0**MAX_EXPANSIONS
-# a warm-started solve_qmm_2d brackets each intercept search within this
-# half-width (times max(1, |beta|)) of the previous intercept, and its first
-# slope step is no smaller than this in log space
-WARM_BETA_HALF_WIDTH = 0.1
-WARM_MIN_LOG_STEP = 1e-12
+# the slope search of solve_qmm_2d stops at this fraction of tol_auc, since
+# the curve moves up to several times the AUC residual
+SLOPE_TOL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,10 @@ class SolveDiagnostics:
 
     ``converged`` being True implies every applicable residual met its
     tolerance; residuals that do not apply to a method are ``None``.
-    ``bracket`` records the sign-change interval used by the outer search of
-    the two-parameter solve so multiple-solution situations stay detectable.
+    ``bracket`` records the sign-change interval that the slope search of
+    the two-parameter solve saw, so multiple-solution situations stay
+    detectable. ``implied_auc`` is the AUC of the returned curve when the
+    solver computed it, so the methods need not compute it again.
     """
 
     iterations: int
@@ -63,6 +63,7 @@ class SolveDiagnostics:
     residual_auc: float | None = None
     residual_fixed_point: float | None = None
     bracket: tuple[float, float] | None = None
+    implied_auc: float | None = None
 
 
 def bisect_root(
@@ -77,73 +78,128 @@ def bisect_root(
     expand_hi: bool = True,
     max_expansions: int = MAX_EXPANSIONS,
 ) -> float:
-    """Bracketed root search for a monotone scalar function.
+    """Root search for a monotone scalar function: returns x with
+    |f(x)| <= tol or bracket width <= tol * max(1, |x|).
 
-    Returns x with |f(x)| <= tol or bracket width <= tol * max(1, |x|). When
-    f(lo) and f(hi) do not differ in sign, the bracket is widened
-    geometrically on the permitted sides (each round extends by the current
-    width) up to ``max_expansions`` rounds; failure to find a sign change
-    raises :class:`NoRootError` carrying the probed interval.
+    Without ``fprime``, f(lo) and f(hi) come first; while they share a sign
+    the bracket widens on the permitted sides by its width, up to
+    ``max_expansions`` rounds, else :class:`NoRootError` carries the probed
+    interval. The bracket is then bisected, first at ``x0`` if inside.
 
-    The first point tried inside the bracket is ``x0`` when it lies there,
-    else the midpoint. Without ``fprime`` the bracket is then bisected. With
-    the derivative ``fprime`` of an increasing f, each further step is a
-    Newton step from the last point; the midpoint is taken instead whenever
-    the Newton step would leave the current sign-change bracket, the
-    derivative is not positive, or the step fails to halve the one before it
-    (``rtsafe`` in *Numerical Recipes*).
+    With the derivative ``fprime`` of an increasing f, Newton steps run from
+    ``x0`` (else the midpoint), each at most half as long as [lo, hi], while
+    the derivative is positive and |f| shrinks. A point where f is not
+    finite is overshoot, moved halfway back toward the nearest probe until f
+    is finite there. The first sign change seen is the bracket; until one
+    is seen the search widens from the probes toward the root's side, to
+    that end of [lo, hi] and then by a width that doubles each round. A side
+    that may not widen, ``max_expansions`` rounds or widening after an
+    overshoot raise :class:`NoRootError`. In the bracket each step is Newton
+    from the last point, or the midpoint where that would leave the bracket,
+    the derivative is not positive or the step fails to halve the one before
+    (``rtsafe`` in *Numerical Recipes*); overshoot replaces the upper end. A
+    width stop returns the end with the smaller |f|.
     """
     if not np.isfinite(lo) or not np.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if lo == hi:
-        if abs(flo) <= tol:
-            return lo
-        raise NoRootError(
-            "degenerate interval does not satisfy the tolerance", probed_interval=(lo, hi)
-        )
     expansions = 0
-    while flo * fhi > 0.0:
-        if expansions >= max_expansions or not (expand_lo or expand_hi):
+    if fprime is None:
+        flo = float(f(lo))
+        fhi = float(f(hi))
+        if lo == hi:
+            if abs(flo) <= tol:
+                return lo
             raise NoRootError(
-                f"no sign change over [{lo!r}, {hi!r}] after {expansions} expansions",
-                probed_interval=(lo, hi),
+                "degenerate interval does not satisfy the tolerance", probed_interval=(lo, hi)
             )
-        width = hi - lo
-        if expand_lo:
-            lo = lo - width
-            flo = float(f(lo))
-        if expand_hi:
-            hi = hi + width
-            fhi = float(f(hi))
-        expansions += 1
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    mid = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+        while flo * fhi > 0.0:
+            if expansions >= max_expansions or not (expand_lo or expand_hi):
+                raise NoRootError(
+                    f"no sign change over [{lo!r}, {hi!r}] after {expansions} expansions",
+                    probed_interval=(lo, hi),
+                )
+            width = hi - lo
+            if expand_lo:
+                lo = lo - width
+                flo = float(f(lo))
+            if expand_hi:
+                hi = hi + width
+                fhi = float(f(hi))
+            expansions += 1
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+    else:
+        width, cap = hi - lo, 0.5 * (hi - lo)
+        if x0 is None or (x0 < lo and not expand_lo) or (x0 > hi and not expand_hi):
+            x0 = 0.5 * (lo + hi)
+        x, fx = x0, float(f(x0))
+        neg = pos = None  # (x, f(x)) of the probes nearest the root with f < 0 / f > 0
+        newton, edge = bool(np.isfinite(fx)), False
+        for _ in range(MAX_BISECT_ITER):
+            if abs(fx) <= tol:
+                return x
+            if fx < 0.0 and (neg is None or x > neg[0]):
+                neg = (x, fx)
+            elif fx > 0.0 and (pos is None or x < pos[0]):
+                pos = (x, fx)
+            if neg and pos:
+                break
+            up = pos is None
+            near = neg if up else pos  # None only when f is not finite at x0
+            slope = float(fprime(x)) if newton else math.nan
+            trial = x - min(max(fx / slope, -cap), cap) if slope > 0.0 else None
+            if trial is None or (trial < lo and not expand_lo) or (trial > hi and not expand_hi):
+                newton, trial = False, hi if up else lo
+                if near is not None and (trial <= near[0] if up else trial >= near[0]):
+                    if edge or expansions >= max_expansions or not (
+                        expand_hi if up else expand_lo
+                    ):
+                        raise NoRootError(
+                            f"no sign change over [{lo!r}, {hi!r}] after {expansions} "
+                            "expansions", probed_interval=(lo, hi),
+                        )
+                    trial = near[0] + width if up else near[0] - width
+                    width, expansions = 2.0 * width, expansions + 1
+            ft = float(f(trial))
+            while not np.isfinite(ft) and near is not None and trial != near[0]:
+                edge, trial = True, 0.5 * (near[0] + trial)
+                ft = float(f(trial))
+            if not np.isfinite(ft):
+                raise NoRootError(f"f is not finite at {trial!r}", probed_interval=(lo, hi))
+            newton = newton and abs(ft) < abs(fx)
+            lo, hi, x, fx = min(lo, trial), max(hi, trial), trial, ft
+        else:
+            raise NoRootError("no sign change found", probed_interval=(lo, hi))
+        (lo, flo), (hi, fhi) = neg, pos
     step_before = hi - lo
     for _ in range(MAX_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        if fprime is None:
+            if x0 is not None and lo < x0 < hi:  # the first point
+                mid = x0
+            x0 = None
+        else:
+            slope = float(fprime(x)) if np.isfinite(fx) else math.nan
+            if slope > 0.0:
+                step = fx / slope
+                if lo < x - step < hi and 2.0 * abs(step) <= step_before:
+                    mid = x - step
+            step_before = abs(x - mid)
         if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
             break
-        fmid = float(f(mid))
-        if abs(fmid) <= tol:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        if (hi - lo) <= tol * max(1.0, abs(mid)):
+        x, fx = mid, float(f(mid))
+        if abs(fx) <= tol:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+        else:  # with fprime also where f is not finite
+            hi, fhi = x, fx
+        if (hi - lo) <= tol * max(1.0, abs(x)):
             break
-        last, mid = mid, 0.5 * (lo + hi)
-        if fprime is not None:
-            slope = float(fprime(last))
-            if slope > 0.0:
-                step = fmid / slope
-                if lo < last - step < hi and 2.0 * abs(step) <= step_before:
-                    mid = last - step
-            step_before = abs(last - mid)
+    if fprime is not None:
+        return hi if abs(fhi) < abs(flo) else lo
     return 0.5 * (lo + hi)
 
 
@@ -228,36 +284,30 @@ def solve_qmm_2d(
     q: float,
     target: TargetSpec,
     settings: SolverSettings = DEFAULT_SETTINGS,
-    warm_start: tuple[float, float, float] | None = None,
+    warm_start: tuple[float, float] | None = None,
 ) -> tuple[float, float, np.ndarray, SolveDiagnostics]:
     """Fit (a, b) so the transformed curve has mean q and the target AUC;
-    return them with the fitted curve link(a * x + b) and the diagnostics.
+    return them with the fitted curve link(a * x + b), which the accepted
+    probe computed, and the diagnostics.
 
-    Nested solve: for fixed slope the intercept is found by a safeguarded
-    Newton search (:func:`bisect_root` with the link's pdf as derivative,
-    started from the previous probe's intercept) on the mean equation, which
-    is strictly monotone because the link is a strictly increasing
-    distribution function; the slope is then found by a bracketed search on
-    the AUC residual. The slope bracket starts at 1 and expands
-    geometrically, capped at 2**60 on either side; if no sign change exists
-    an :class:`InfeasibleError` reports the attainable AUC range instead of
-    silently clamping. Inside the bracket each slope step is an Illinois
-    (modified regula falsi) step, or the midpoint when that step would leave
-    the bracket.
+    Both levels are :func:`bisect_root` with a derivative. At a fixed slope
+    (a probe) the intercept solves the strictly monotone mean equation,
+    derivative the link's pdf, starting where the last slope derivative
+    predicts it, else at the last intercept. The slope solves the AUC
+    residual in log(alpha) from unit slope, Newton steps capped at 2, with
+    derivative dA/dalpha = sum_k dA/dv_k pdf_k (x_k + dbeta/dalpha) along
+    the mean equation, dbeta/dalpha = -sum(w pdf x) / sum(w pdf) and dA/dv
+    from :func:`implied_auc_gradient`. A probe whose intercept cannot pin
+    the mean or whose values saturate a class is unhealthy, as is a slope
+    outside [2**-60, 2**60]; the search treats it as overshoot. If no slope
+    matches, an :class:`InfeasibleError` reports the AUC range attained over
+    the probed slopes.
 
-    ``warm_start = (alpha, beta, log_step)`` hands over where a nearby solve
-    ended, such as the previous outer step of :func:`two_param_qmm`. The
-    first slope probe is then at ``alpha`` (unit slope when ``alpha`` lies
-    outside the slope range or its probe is unhealthy), and the bracket's
-    first expansion factor is exp(``log_step``), at least
-    exp(``WARM_MIN_LOG_STEP``); the factor squares on each further expansion
-    up to the cold factor 2. Every intercept search first brackets within
-    ``WARM_BETA_HALF_WIDTH`` * max(1, |beta|) of the previous intercept,
-    starting from ``beta``, instead of [-2, 2], and widens from there as
-    needed. Without a warm start the search is the cold one described above.
-
-    The returned curve holds the link values that the accepted slope's probe
-    computed at its intercept; the link is not evaluated again.
+    ``iterations`` counts probes. ``bracket`` is the tightest sign change of
+    the AUC residual over the probed slopes, widened to hold alpha, or
+    (alpha, alpha) if the search converged without one. ``warm_start =
+    (alpha, beta)`` starts both searches there; an ``alpha`` outside the
+    slope range or with an unhealthy probe gives the cold solve.
     """
     weights = target.feature_dist.probs
     x = family.x
@@ -266,34 +316,31 @@ def solve_qmm_2d(
             f"{family.name}: regressor has {x.size} points, the target support {weights.size}"
         )
     tol_auc = settings.tol_auc
+    wx = weights * x
     evals = 0
-    start, factor = 1.0, 2.0  # first slope probe and expansion factor
-    beta_start = None  # the previous probe's intercept
+    start, beta_start = 0.0, None  # first log slope probed; the last probe's intercept
     if warm_start is not None:
-        alpha0, beta_start, log_step = (float(v) for v in warm_start)
-        if not (0.0 <= alpha0 < math.inf and math.isfinite(beta_start) and log_step >= 0.0):
+        alpha0, beta0 = (float(v) for v in warm_start)
+        if not (0.0 <= alpha0 < math.inf and math.isfinite(beta0)):
             raise DomainError(
-                "solve_qmm_2d: warm_start needs a finite alpha >= 0, a finite beta "
-                "and a log_step >= 0"
+                "solve_qmm_2d: warm_start needs a finite alpha >= 0 and a finite beta"
             )
         if 1.0 / SLOPE_LIMIT <= alpha0 <= SLOPE_LIMIT:
-            start = alpha0
-            factor = math.exp(min(max(log_step, WARM_MIN_LOG_STEP), math.log(2.0)))
+            start, beta_start = math.log(alpha0), beta0
 
-    fits = {}  # slope -> (auc, beta, |mean residual|, link values) of its probe
+    # log slope -> (alpha, auc, beta, |mean residual|, link values, link argument)
+    fits = {}
+    tangent = None
 
-    def probe(alpha: float) -> bool:
-        """Solve the mean equation at a fixed slope, record the fit in ``fits``
-        and return whether it is healthy.
-
-        An unhealthy fit has a NaN AUC: float exhaustion keeps the intercept
-        from pinning the mean (extreme slopes make the transform a hard step
-        between adjacent representable intercepts), or the resulting values
-        saturate a whole class. Unhealthy probes mark the numerically
-        attainable edge of the family.
-        """
+    def probe(t: float) -> bool:
+        """Solve the mean equation at slope exp(t), record the fit in ``fits``
+        and return whether it is healthy: unhealthy fits (NaN AUC) mark the
+        numerically attainable edge of the family, where float exhaustion
+        keeps the intercept from pinning the mean or the values saturate a
+        class."""
         nonlocal evals, beta_start
         evals += 1
+        alpha = math.exp(t)
         ax = alpha * x
         # (beta, link argument, link values, mean residual) of the last
         # intercept tried; the Newton step's derivative reuses its argument
@@ -310,12 +357,10 @@ def solve_qmm_2d(
             z = last[1] if beta == last[0] else ax + beta
             return float(np.dot(weights, family.link_pdf(z)))
 
-        if warm_start is None:
-            lo, hi = -2.0, 2.0
-        else:
-            half = WARM_BETA_HALF_WIDTH * max(1.0, abs(beta_start))
-            lo, hi = beta_start - half, beta_start + half
-        fits[alpha] = (np.nan, np.nan, np.nan, None)
+        if tangent is not None:  # the intercept that the last slope derivative predicts
+            beta_start = tangent[1] + tangent[2] * (alpha - tangent[0])
+        lo, hi = (-2.0, 2.0) if beta_start is None else (beta_start - 2.0, beta_start + 2.0)
+        fits[t] = (alpha, np.nan, np.nan, np.nan, None, None)
         try:
             beta = bisect_root(
                 mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=beta_start
@@ -325,103 +370,72 @@ def solve_qmm_2d(
         beta_start = beta
         if beta != last[0]:
             mean_resid(beta)
-        values, resid = last[2], abs(last[3])
-        fits[alpha] = (np.nan, beta, resid, values)
+        _, z, values, resid = last
+        resid = abs(resid)
+        fits[t] = (alpha, np.nan, beta, resid, values, z)
         if resid > settings.tol_mean:
             return False
         try:
-            fits[alpha] = (implied_auc_values(weights, values), beta, resid, values)
+            fits[t] = (alpha, implied_auc_values(weights, values), beta, resid, values, z)
         except DegenerateClassError:
             return False
         return True
 
-    def residual(alpha: float) -> float:
-        return fits[alpha][0] - source_auc_target
+    def residual(t: float) -> float:
+        if t not in fits:
+            if not 1.0 / SLOPE_LIMIT <= math.exp(t) <= SLOPE_LIMIT:
+                return math.nan
+            probe(t)
+        return fits[t][1] - source_auc_target
+
+    def auc_slope(t: float) -> float:
+        """Derivative of the AUC residual in log(alpha) at the probe of t."""
+        nonlocal tangent
+        alpha, auc, beta, _, values, z = fits[t]
+        if not np.isfinite(auc):
+            return math.nan
+        pdf = family.link_pdf(z)
+        dbeta = -float(np.dot(wx, pdf)) / float(np.dot(weights, pdf))
+        tangent = alpha, beta, dbeta
+        moved = implied_auc_gradient(weights, values) * pdf
+        return alpha * (float(np.dot(moved, x)) + dbeta * float(moved.sum()))
 
     if family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc:
         # a constant transform (slope 0) has AUC exactly 1/2; families that
-        # admit it get the exact degenerate solution instead of a search. An
-        # unhealthy probe leaves auc NaN, which reads as not converged below;
-        # one without an intercept root has no curve to return.
-        alpha, bracket = 0.0, (0.0, 0.0)
-        probe(alpha)
-        if fits[alpha][3] is None:
+        # admit it get that exact solution. An unhealthy probe reads as not
+        # converged; without an intercept root, or when the constant would
+        # need q / sum(weights) outside (0, 1), there is no curve to return.
+        t, bracket = -math.inf, (0.0, 0.0)
+        if not 0.0 < q < float(weights.sum()) or not probe(t) and fits[t][4] is None:
             raise InfeasibleError(f"{family.name}: mean equation insoluble at slope 0")
     else:
-        healthy = probe(start)
-        if not healthy and start != 1.0:  # an unusable warm slope
-            start, factor = 1.0, 2.0
-            healthy = probe(start)
-        if not healthy:
+        if not probe(start) and start != 0.0:  # an unusable warm slope
+            start, beta_start = 0.0, None
+            probe(start)
+        if not np.isfinite(fits[start][1]):
             raise InfeasibleError(
                 f"{family.name}: mean equation insoluble at unit slope; "
                 "the transform family is numerically exhausted"
             )
-        # bracket the slope around the start, expanding geometrically on the
-        # side where the AUC residual keeps its sign: downward while the AUC
-        # is too high, upward while it is too low. Upward expansion stops
-        # early at the last slope the mean equation can still be solved for.
-        end = start
-        down = residual(start) > 0.0
-        sign = 1.0 if down else -1.0
-        if sign * residual(start) > tol_auc:
-            limit = 1.0 / SLOPE_LIMIT if down else SLOPE_LIMIT
-            while end != limit:
-                trial = max(end / factor, limit) if down else min(end * factor, limit)
-                factor = min(factor * factor, 2.0)
-                if not probe(trial):
-                    break  # numerically attainable edge reached
-                end = trial
-                if sign * residual(trial) <= tol_auc:
-                    break
-            if down and residual(end) > tol_auc and family.slope_may_vanish and probe(0.0):
-                end = 0.0
-        lo, hi = bracket = (end, start) if down else (start, end)
-
-        r_lo, r_hi = residual(lo), residual(hi)
-        if abs(r_hi) <= tol_auc:
-            alpha = hi
-        elif abs(r_lo) <= tol_auc:
-            alpha = lo
-        elif r_lo * r_hi > 0.0:
-            observed = tuple(sorted((fits[lo][0], fits[hi][0])))
+        try:
+            t = bisect_root(
+                residual, start - 2.0, start + 2.0, SLOPE_TOL_FRACTION * tol_auc,
+                fprime=auc_slope, x0=start,
+            )
+        except NoRootError:
+            aucs = [fit[1] for fit in fits.values() if np.isfinite(fit[1])]
             raise InfeasibleError(
                 f"{family.name}: target AUC {source_auc_target!r} lies outside the AUC "
-                f"range [{observed[0]!r}, {observed[1]!r}] attained over the probed slopes",
-                attainable_auc_range=observed,
-            )
-        else:
-            alpha = hi
-            kept = 0  # +1 / -1 when the last step kept the lo / hi end
-            for _ in range(MAX_BISECT_ITER):
-                mid = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
-                if not lo < mid < hi:  # also when r_hi is unknown (nan)
-                    mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                if not probe(mid):
-                    # hardness grows with the slope; retreat downward
-                    hi, r_hi = mid, np.nan
-                    continue
-                alpha = mid
-                r_mid = residual(mid)
-                if abs(r_mid) <= tol_auc:
-                    break
-                # Illinois rule: halve the residual of an end kept twice in a row
-                if r_mid > 0.0:
-                    hi, r_hi = mid, r_mid
-                    if kept == 1:
-                        r_lo *= 0.5
-                    kept = 1
-                else:
-                    lo, r_lo = mid, r_mid
-                    if kept == -1:
-                        r_hi *= 0.5
-                    kept = -1
-                if (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
-                    break
+                f"range [{min(aucs)!r}, {max(aucs)!r}] attained over the probed slopes",
+                attainable_auc_range=(min(aucs), max(aucs)),
+            ) from None
+        alpha = fits[t][0]
+        below = [fit[0] for fit in fits.values() if fit[1] < source_auc_target]
+        above = [fit[0] for fit in fits.values() if fit[1] > source_auc_target]
+        bracket = (min(max(below), alpha), max(min(above), alpha)) if below and above else (
+            alpha, alpha)
 
-    auc, beta, residual_mean, values = fits[alpha]
+    alpha, auc, beta, residual_mean, values, _ = fits[t]
     residual_auc = abs(auc - source_auc_target)
     diag = SolveDiagnostics(
         iterations=evals,
@@ -429,5 +443,6 @@ def solve_qmm_2d(
         residual_mean=residual_mean,
         residual_auc=residual_auc,
         bracket=bracket,
+        implied_auc=auc if np.isfinite(auc) else None,
     )
     return alpha, beta, values, diag

@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from recal import (
     DiscreteScoreDist,
@@ -14,6 +16,13 @@ from recal import (
     worked_example_scenario,
 )
 from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS
+
+# with CI set (as CI services do), Hypothesis draws the same examples on every
+# run and prints a reproduction blob for each failure, so a failure seen in CI
+# reproduces locally with CI=1
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # reference results for the bundled worked example:
 # label -> (mean_probs, auc, mean_functional), reported at 3 decimals

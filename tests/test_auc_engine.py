@@ -18,7 +18,7 @@ from recal import (
     mean_under,
     merged_value_dist,
 )
-from recal.auc_engine import _merge_by_value, implied_auc_values
+from recal.auc_engine import _merge_by_value, implied_auc_gradient, implied_auc_values
 from conftest import random_dist, random_increasing_values, random_values
 
 
@@ -194,6 +194,50 @@ class TestImpliedAuc:
         d = DiscreteScoreDist([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(DegenerateClassError):
             implied_auc(d, PosteriorCurve([0.0, 1.0], [0.0, 0.0]))
+
+
+@st.composite
+def _increasing_curves(draw):
+    """Target weights and strictly increasing values inside (0.02, 0.98),
+    consecutive values at least 2e-4 apart."""
+    n = draw(st.integers(1, 40))
+    gaps = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1, max_size=n + 1)))
+    probs = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return probs / probs.sum(), 0.02 + 0.96 * gaps[:-1] / gaps[-1]
+
+
+def _central_difference(probs, values, direction, h=1e-6):
+    return (
+        implied_auc_values(probs, values + h * direction)
+        - implied_auc_values(probs, values - h * direction)
+    ) / (2.0 * h)
+
+
+class TestImpliedAucGradient:
+    @settings(max_examples=200, deadline=None)
+    @given(_increasing_curves())
+    def test_matches_a_central_difference(self, curve):
+        probs, values = curve
+        grad = implied_auc_gradient(probs, values)
+        for k, unit in enumerate(np.eye(values.size)):
+            # truncation ~ h**2 and rounding ~ eps / h are both below 1e-9
+            assert abs(grad[k] - _central_difference(probs, values, unit)) <= 1e-8
+
+    def test_unsorted_and_tied_values(self):
+        """A permutation permutes the gradient; tied values share the
+        derivative of moving them together, by mass."""
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        values = np.array([0.1, 0.3, 0.3, 0.5])
+        grad = implied_auc_gradient(probs, values)
+        together = np.array([0.0, 1.0, 1.0, 0.0])
+        assert abs(grad @ together - _central_difference(probs, values, together)) <= 1e-8
+        assert grad[2] / grad[1] == pytest.approx(1.5, rel=1e-12)
+        order = np.array([3, 0, 2, 1])
+        assert np.array_equal(implied_auc_gradient(probs[order], values[order]), grad[order])
+
+    def test_degenerate_mean_rejected(self):
+        with pytest.raises(DegenerateClassError):
+            implied_auc_gradient(np.array([0.5, 0.5]), np.array([0.0, 0.0]))
 
 
 class TestAdjustedCdf:

@@ -672,16 +672,19 @@ class TestWarmStartedAlternation:
     step; Platt and the CSPDs solve cold."""
 
     # worked-example fits of the cold solve: family, slope probes, slope
-    # bracket and (a, b)
+    # bracket (the tightest sign change of the AUC residual seen) and (a, b)
     COLD_FITS = {
         MethodId.PLATT: (
-            platt_family, 13, (1.0, 32.0), 20.266696067344064, -3.925004116155424
+            platt_family, 6, (20.266696067219836, 20.266757277223466),
+            20.266696067219836, -3.925004116054388,
         ),
         MethodId.LOGISTIC_CSPD: (
-            logistic_cspd_family, 6, (0.5, 1.0), 0.5148023310792054, -0.2982306878321243
+            logistic_cspd_family, 5, (0.5148023140946375, 0.5226705591465005),
+            0.5148023140946375, -0.2982307523684262,
         ),
         MethodId.NORMAL_CSPD: (
-            normal_cspd_family, 7, (0.5, 1.0), 0.646408505166931, -0.03947023561928745
+            normal_cspd_family, 4, (0.597997723220634, 0.6464085074767381),
+            0.6464085074767381, -0.03947023086350311,
         ),
     }
 
@@ -691,7 +694,7 @@ class TestWarmStartedAlternation:
         build, iterations, bracket, a, b = self.COLD_FITS[method]
         result = run_method(method, src, tgt)
         assert result.diagnostics.iterations == iterations
-        assert result.diagnostics.bracket == bracket
+        assert result.diagnostics.bracket == pytest.approx(bracket, rel=1e-12)
         assert result.params["a"] == pytest.approx(a, rel=1e-12)
         assert result.params["b"] == pytest.approx(b, rel=1e-12)
         family = build(src.posterior.values)
@@ -736,9 +739,8 @@ class TestWarmStartedAlternation:
 
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         two_param_qmm(example_scenario.source, example_scenario.target)
-        # a cold solve takes 9 probes at every outer step of the example
-        assert max(probes[-3:]) <= 3
-        assert sum(probes) < 9 * len(probes) * 0.75
+        # a cold solve takes 4 probes at every outer step of the example
+        assert probes == [4, 4, 3, 3, 2, 2, 2, 2, 2]
 
 
 class TestSaturatedBinomialTail:

@@ -12,6 +12,7 @@ from recal import (
     InfeasibleError,
     NoRootError,
     PosteriorCurve,
+    RecalError,
     SolverSettings,
     StructuralError,
     TargetSpec,
@@ -19,6 +20,7 @@ from recal import (
     bisect_root,
     fixed_point_f0,
     implied_auc,
+    implied_auc_values,
     logistic_cspd_family,
     mean_under,
     normal_cspd_family,
@@ -323,7 +325,9 @@ class TestSolveQmm2d:
 
     def test_every_link_call_is_an_intercept_mean_evaluation(self, monkeypatch, example_scenario):
         """The accepted fit's mean residual comes from its probe's intercept
-        search, so a cold solve evaluates the link nowhere else."""
+        search, so a cold solve evaluates the link nowhere else. The other
+        root-search evaluations are the slope search's, one per probe: the
+        first probe is made before that search starts, which then reads it."""
         calls = {"link": 0, "mean": 0}
 
         def counting_expit(z):
@@ -343,8 +347,62 @@ class TestSolveQmm2d:
         _, _, _, diag = solve_qmm_2d(
             platt_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
         )
-        assert diag.converged and diag.iterations == 13
-        assert calls["link"] == calls["mean"] > 0
+        assert diag.converged and diag.iterations == 6
+        assert calls["link"] == calls["mean"] - diag.iterations == 21
+
+
+    def test_newton_converged_solve_reports_a_point_bracket(self):
+        """Newton steps that reach the AUC from one side see no sign change:
+        the bracket is the fitted slope itself."""
+        target, curve = _toy_problem(seed=0)
+        auc = implied_auc(target.feature_dist, curve)
+        a, _, _, diag = solve_qmm_2d(logistic_cspd_family(curve.values), auc, 0.08, target)
+        assert diag.converged and diag.iterations == 3
+        assert diag.bracket == (a, a)
+
+
+@st.composite
+def _explicit_problems(draw):
+    """A solve_qmm_2d problem on an explicit support of 2 to 300 points:
+    posteriors spread up to logit +-35 (so values at or next to 0 and 1), q
+    near 0, inside or near 1, and a target AUC that may be unattainable."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1.0, n) ** draw(st.sampled_from([1.0, 4.0])) + 1e-9
+    w /= w.sum()
+    spread = draw(st.sampled_from([1.0, 5.0, 20.0, 35.0]))
+    values = np.sort(scipy.special.expit(rng.uniform(-spread, spread, n)))
+    q = draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 0.999), st.floats(0.999, 1 - 1e-9)))
+    build = draw(
+        st.sampled_from([platt_family, logistic_cspd_family, normal_cspd_family, rob_logit_family])
+    )
+    settings_ = draw(st.sampled_from([SolverSettings(), WARM_SETTINGS]))
+    target = TargetSpec(DiscreteScoreDist(np.arange(n, dtype=float), w), q)
+    regressor = np.cumsum(w) - w / 2.0 if build is rob_logit_family else values
+    return build, regressor, draw(st.floats(0.5, 0.9999)), q, target, settings_
+
+
+class TestSolveQmm2dExplicitProblems:
+    @settings(max_examples=200, deadline=None)
+    @given(_explicit_problems())
+    def test_meets_the_residual_contract_or_names_the_family(self, problem):
+        """Every solve returns a fit inside its bracket whose converged flag
+        is honest, or raises a RecalError that names the family."""
+        build, regressor, auc, q, target, settings_ = problem
+        try:
+            family = build(regressor)
+            a, b, values, diag = solve_qmm_2d(family, auc, q, target, settings_)
+        except RecalError as exc:
+            assert str(exc).startswith(build.__name__.removesuffix("_family") + ": ")
+            return
+        lo, hi = diag.bracket
+        assert lo <= a <= hi
+        assert diag.converged == (
+            diag.residual_mean <= settings_.tol_mean and diag.residual_auc <= settings_.tol_auc
+        )
+        assert values.tobytes() == family.link(a * family.x + b).tobytes()
+        if diag.implied_auc is not None:
+            assert diag.implied_auc == implied_auc_values(target.feature_dist.probs, values)
 
 
 class TestFixedPointF0:
@@ -446,14 +504,13 @@ def _qmm_problems(draw):
 
 
 def _warm_starts():
-    """(kind, u, v, log_step): near the cold solution (u, v are a relative
-    slope and an absolute intercept offset), far from it (u, v are alpha and
-    beta) or at slope 0 (v is beta)."""
-    log_steps = st.sampled_from([0.0, 1e-9, 1e-3, 0.1, np.log(2.0), 5.0])
+    """(kind, u, v): near the cold solution (u, v are a relative slope and an
+    absolute intercept offset), far from it (u, v are alpha and beta) or at
+    slope 0 (v is beta)."""
     return st.one_of(
-        st.tuples(st.just("near"), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), log_steps),
-        st.tuples(st.just("far"), st.floats(-3.0, 3.0), st.floats(-20.0, 20.0), log_steps),
-        st.tuples(st.just("zero"), st.just(0.0), st.floats(-20.0, 20.0), log_steps),
+        st.tuples(st.just("near"), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        st.tuples(st.just("far"), st.floats(-3.0, 3.0), st.floats(-20.0, 20.0)),
+        st.tuples(st.just("zero"), st.just(0.0), st.floats(-20.0, 20.0)),
     )
 
 
@@ -494,16 +551,16 @@ def _near_flat_normal_cspd_problem():
 class TestSolveQmm2dWarmStart:
     @settings(max_examples=150, deadline=None)
     @given(_qmm_problems(), _warm_starts())
-    @example(_near_flat_normal_cspd_problem(), ("far", 2.5, 0.0, 0.0))
+    @example(_near_flat_normal_cspd_problem(), ("far", 2.5, 0.0))
     def test_warm_solve_meets_the_cold_contract(self, problem, start):
         family, auc_target, q, target = problem
-        kind, u, v, log_step = start
+        kind, u, v = start
 
         def warm_solve(a_cold, b_cold):
             warm = {
-                "near": (a_cold * np.exp(u), b_cold + v, log_step),
-                "far": (10.0**u, v, log_step),
-                "zero": (0.0, v, log_step),
+                "near": (a_cold * np.exp(u), b_cold + v),
+                "far": (10.0**u, v),
+                "zero": (0.0, v),
             }[kind]
             return solve_qmm_2d(family, auc_target, q, target, WARM_SETTINGS, warm_start=warm)
 
@@ -547,17 +604,21 @@ class TestSolveQmm2dWarmStart:
         )
 
     def test_settled_alternation_needs_few_probes(self, example_scenario):
-        """A warm start at the cold solution with a tiny first step finds it
-        again in a few probes; a cold solve takes many more."""
+        """A warm start at the cold solution finds it again at its first
+        probe, with no sign change seen; a cold solve takes more."""
         src, tgt = example_scenario.source, example_scenario.target
         fam = rob_logit_family(np.cumsum(tgt.feature_dist.probs) - tgt.feature_dist.probs / 2)
         auc = source_implied_auc(src)
         a, b, _, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, WARM_SETTINGS)
-        _, _, _, warm = solve_qmm_2d(
-            fam, auc, tgt.prior, tgt, WARM_SETTINGS, warm_start=(a, b, 1e-9)
+        a_warm, _, _, warm = solve_qmm_2d(
+            fam, auc, tgt.prior, tgt, WARM_SETTINGS, warm_start=(a, b)
         )
-        assert warm.converged
-        assert warm.iterations <= 3 < cold.iterations
+        assert warm.converged and cold.converged
+        assert warm.iterations == 1 and cold.iterations == 4
+        assert a_warm == pytest.approx(a, rel=1e-15) and warm.bracket == (a_warm, a_warm)
+        assert cold.bracket == (
+            pytest.approx(1.272211272545272, rel=1e-12), pytest.approx(1.2811122386400855, rel=1e-12)
+        )
 
     @pytest.mark.parametrize("alpha0", [0.0, 1e10, 2.0**61])
     def test_unusable_warm_slope_starts_the_slope_search_cold(self, alpha0):
@@ -567,7 +628,7 @@ class TestSolveQmm2dWarmStart:
         auc = implied_auc(target.feature_dist, curve)
         a_cold, b_cold, _, cold = solve_qmm_2d(platt_family(curve.values), auc, 0.08, target)
         a, b, _, diag = solve_qmm_2d(
-            platt_family(curve.values), auc, 0.08, target, warm_start=(alpha0, b_cold, 0.1)
+            platt_family(curve.values), auc, 0.08, target, warm_start=(alpha0, b_cold)
         )
         assert diag.converged and diag.bracket == cold.bracket
         # only the unhealthy warm probe costs one probe more
@@ -576,7 +637,7 @@ class TestSolveQmm2dWarmStart:
 
     @pytest.mark.parametrize(
         "warm_start",
-        [(np.nan, 0.0, 0.1), (-1.0, 0.0, 0.1), (1.0, np.inf, 0.1), (1.0, 0.0, -0.1)],
+        [(np.nan, 0.0), (-1.0, 0.0), (1.0, np.inf), (np.inf, 0.0)],
     )
     def test_malformed_warm_start_rejected(self, warm_start):
         target, curve = _toy_problem()
