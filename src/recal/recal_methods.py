@@ -104,13 +104,14 @@ def _finish(
     diagnostics: SolveDiagnostics,
 ) -> RecalResult:
     curve = PosteriorCurve(tgt.support, values)
-    auc = diagnostics.implied_auc
+    auc = diagnostics.implied_auc  # the AUC a QMM solve's accepted probe computed
+    if auc is None:
+        auc = implied_auc_values(tgt.feature_dist.probs, curve.values)
     return RecalResult(
         method=method,
         posterior=curve,
         achieved_mean=float(np.dot(tgt.feature_dist.probs, curve.values)),
-        implied_auc=implied_auc_values(tgt.feature_dist.probs, curve.values)
-        if auc is None else auc,
+        implied_auc=auc,
         params=params,
         diagnostics=diagnostics,
     )
@@ -376,7 +377,8 @@ def two_param_qmm(
     the CDF from the resulting posterior exactly as the ROC-based scheme does.
     From the second step on the inner solve is warm-started from the previous
     step's (alpha, beta); it meets the same tolerances as a cold solve, which
-    keeps the fit within the joint tolerance of the cold alternation's. An inner solve that finds the targets infeasible raises an
+    keeps the fit within the joint tolerance of the cold alternation's. An
+    inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
     stops when the CDF values and (a, b) are jointly stable to 1e-9. The
     solver fits sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the

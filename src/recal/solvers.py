@@ -358,7 +358,8 @@ def solve_qmm_2d(
             return float(np.dot(weights, family.link_pdf(z)))
 
         if tangent is not None:  # the intercept that the last slope derivative predicts
-            beta_start = tangent[1] + tangent[2] * (alpha - tangent[0])
+            predicted = tangent[1] + tangent[2] * (alpha - tangent[0])
+            beta_start = predicted if math.isfinite(predicted) else beta_start
         lo, hi = (-2.0, 2.0) if beta_start is None else (beta_start - 2.0, beta_start + 2.0)
         fits[t] = (alpha, np.nan, np.nan, np.nan, None, None)
         try:
@@ -395,7 +396,10 @@ def solve_qmm_2d(
         if not np.isfinite(auc):
             return math.nan
         pdf = family.link_pdf(z)
-        dbeta = -float(np.dot(wx, pdf)) / float(np.dot(weights, pdf))
+        mass = float(np.dot(weights, pdf))
+        if not mass > 0.0:  # the link is flat at every point
+            return math.nan
+        dbeta = -float(np.dot(wx, pdf)) / mass
         tangent = alpha, beta, dbeta
         moved = implied_auc_gradient(weights, values) * pdf
         return alpha * (float(np.dot(moved, x)) + dbeta * float(moved.sum()))
