@@ -105,22 +105,16 @@ def _merge_by_value(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, 
     return distinct, np.bincount(inverse, weights=probs, minlength=distinct.size)
 
 
-def _auc_terms(probs, values):
-    """Merged values u, pbar, h = p * u, m = p * (1 - u), B (the exclusive
-    prefix sum of m) and the implied AUC, over the merged distribution."""
+def _merged(probs, values) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_merge_by_value` of the arrays and the posterior mean pbar,
+    which must leave both classes non-empty."""
     u, p = _merge_by_value(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
     pbar = float(np.dot(p, u))
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(
             f"posterior mean {pbar!r} leaves one class empty; AUC undefined"
         )
-    hit = p * u
-    miss = p * (1.0 - u)
-    below = np.concatenate(([0.0], np.cumsum(miss)[:-1]))
-    # self-tie term hit_i * miss_i / 2 included for every i, the lowest
-    # value as well, so one-point (uninformative) inputs yield exactly 1/2
-    num = float(np.sum(hit * (0.5 * miss + below)))
-    return u, pbar, hit, miss, below, num / (pbar * (1.0 - pbar))
+    return u, p, pbar
 
 
 def implied_auc_values(probs: np.ndarray, values: np.ndarray) -> float:
@@ -130,24 +124,35 @@ def implied_auc_values(probs: np.ndarray, values: np.ndarray) -> float:
     usually strictly increasing already; those skip the sort (see
     :func:`_merge_by_value`).
     """
-    return _auc_terms(probs, values)[-1]
+    v, p, pbar = _merged(probs, values)
+    hit = p * v
+    miss = p * (1.0 - v)
+    below = np.concatenate(([0.0], np.cumsum(miss)[:-1]))
+    # self-tie term hit_i * miss_i / 2 included for every i, the lowest
+    # value as well, so one-point (uninformative) inputs yield exactly 1/2
+    num = float(np.sum(hit * (0.5 * miss + below)))
+    return num / (pbar * (1.0 - pbar))
 
 
 def implied_auc_gradient(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`implied_auc_values` A in each of ``values``.
+    """Gradient of the implied AUC A = N / (pbar (1 - pbar)) of
+    :func:`implied_auc_values` in each of ``values``.
 
-    For strictly increasing v, with H the exclusive suffix sum of h,
+    For strictly increasing v, with h = p v, m = p (1 - v), B the exclusive
+    prefix sum of m and H the exclusive suffix sum of h,
     dA/dv_k = p_k (m_k / 2 + B_k - h_k / 2 - H_k - A (1 - 2 pbar)) /
-    (pbar (1 - pbar)) in the terms of :func:`_auc_terms`. Tied values get
-    their share, by mass, of the derivative of the merged value, which is
-    exact where they move together.
+    (pbar (1 - pbar)). As B_k - H_k = P_k + h_k - pbar, with P the exclusive
+    prefix sum of p, the bracket is F_k - pbar - A (1 - 2 pbar), where
+    F = P + p / 2 is the mid-CDF; likewise N = sum(h F) - pbar**2 / 2. So
+    one cumsum gives both. Tied values get their share, by mass, of the
+    derivative of the merged value, which is exact where they move together.
     """
     v = np.asarray(values, dtype=float)
-    u, pbar, hit, miss, below, auc = _auc_terms(probs, v)
-    above = pbar - np.cumsum(hit)
-    per_mass = (0.5 * (miss - hit) + below - above - auc * (1.0 - 2.0 * pbar)) / (
-        pbar * (1.0 - pbar)
-    )
+    u, w, pbar = _merged(probs, v)
+    mid_cdf = np.cumsum(w) - 0.5 * w
+    var = pbar * (1.0 - pbar)
+    auc = (float(np.dot(w * u, mid_cdf)) - 0.5 * pbar * pbar) / var
+    per_mass = (mid_cdf - (pbar + auc * (1.0 - 2.0 * pbar))) / var
     if u is not v:
         per_mass = per_mass[np.searchsorted(u, v)]
     return np.asarray(probs, dtype=float) * per_mass

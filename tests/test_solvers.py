@@ -616,9 +616,7 @@ class TestSolveQmm2dWarmStart:
         assert warm.converged and cold.converged
         assert warm.iterations == 1 and cold.iterations == 4
         assert a_warm == pytest.approx(a, rel=1e-15) and warm.bracket == (a_warm, a_warm)
-        assert cold.bracket == (
-            pytest.approx(1.272211272545272, rel=1e-12), pytest.approx(1.2811122386400855, rel=1e-12)
-        )
+        assert cold.bracket == pytest.approx((1.272211272545272, 1.2811122386400855), rel=1e-12)
 
     @pytest.mark.parametrize("alpha0", [0.0, 1e10, 2.0**61])
     def test_unusable_warm_slope_starts_the_slope_search_cold(self, alpha0):
