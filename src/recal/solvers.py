@@ -436,8 +436,9 @@ def solve_qmm_2d(
         alpha = fits[t][0]
         below = [fit[0] for fit in fits.values() if fit[1] < source_auc_target]
         above = [fit[0] for fit in fits.values() if fit[1] > source_auc_target]
-        bracket = (min(max(below), alpha), max(min(above), alpha)) if below and above else (
-            alpha, alpha)
+        bracket = (alpha, alpha)
+        if below and above:
+            bracket = (min(max(below), alpha), max(min(above), alpha))
 
     alpha, auc, beta, residual_mean, values, _ = fits[t]
     residual_auc = abs(auc - source_auc_target)
