@@ -8,7 +8,11 @@ Two independent AUC routes are kept side by side on purpose:
 * ``implied_auc`` treats the posterior value itself as the score of an
   auto-calibrated classifier and evaluates a closed-form sum over the
   distribution of those values. That distribution comes from one merge,
-  which sorts only values that are not already strictly increasing.
+  which sorts only values that are not already strictly increasing. The
+  sum is N = sum(p v F) - pbar**2 / 2 over the merged masses p, with F
+  their mid-CDF, so the AUC N / (pbar (1 - pbar)) is two dot products once
+  F is known. F depends on the masses only; a QMM solve computes it once
+  per target with :func:`mid_cdf` and passes it to every probe.
 
 For monotone posterior curves the two agree to float precision; the test
 suite leans on that equivalence.
@@ -105,36 +109,46 @@ def _merge_by_value(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, 
     return distinct, np.bincount(inverse, weights=probs, minlength=distinct.size)
 
 
-def _merged(probs, values) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_merge_by_value` of the arrays and the posterior mean pbar,
-    which must leave both classes non-empty."""
-    u, p = _merge_by_value(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
+def mid_cdf(probs: np.ndarray) -> np.ndarray:
+    """The mid-CDF cumsum(p) - p / 2 of masses ``p`` in their given order."""
+    return np.cumsum(probs) - 0.5 * probs
+
+
+def _merged(probs, values, cached_mid_cdf=None):
+    """:func:`_merge_by_value` of the arrays, the posterior mean pbar, which
+    must leave both classes non-empty, and the mid-CDF of the merged masses:
+    ``cached_mid_cdf`` (that of ``probs``) where the values needed no merge,
+    else computed."""
+    v = np.asarray(values, dtype=float)
+    u, p = _merge_by_value(v, np.asarray(probs, dtype=float))
     pbar = float(np.dot(p, u))
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(
             f"posterior mean {pbar!r} leaves one class empty; AUC undefined"
         )
-    return u, p, pbar
+    f = cached_mid_cdf if u is v and cached_mid_cdf is not None else mid_cdf(p)
+    return u, p, pbar, f
 
 
-def implied_auc_values(probs: np.ndarray, values: np.ndarray) -> float:
+def implied_auc_values(
+    probs: np.ndarray, values: np.ndarray, cached_mid_cdf: np.ndarray | None = None
+) -> float:
     """Array fast path of :func:`implied_auc`; no validation, same result.
 
     Called once per slope probe of the QMM solves, whose link values are
     usually strictly increasing already; those skip the sort (see
-    :func:`_merge_by_value`).
+    :func:`_merge_by_value`) and, given ``cached_mid_cdf = mid_cdf(probs)``,
+    the prefix sum. The result has the same bits with or without it.
     """
-    v, p, pbar = _merged(probs, values)
-    hit = p * v
-    miss = p * (1.0 - v)
-    below = np.concatenate(([0.0], np.cumsum(miss)[:-1]))
-    # self-tie term hit_i * miss_i / 2 included for every i, the lowest
-    # value as well, so one-point (uninformative) inputs yield exactly 1/2
-    num = float(np.sum(hit * (0.5 * miss + below)))
-    return num / (pbar * (1.0 - pbar))
+    u, p, pbar, f = _merged(probs, values, cached_mid_cdf)
+    # the p / 2 in F carries the self-tie terms, so one-point (uninformative)
+    # inputs give 1/2 up to rounding
+    return (float(np.dot(p * u, f)) - 0.5 * pbar * pbar) / (pbar * (1.0 - pbar))
 
 
-def implied_auc_gradient(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+def implied_auc_gradient(
+    probs: np.ndarray, values: np.ndarray, cached_mid_cdf=None, auc: float | None = None
+) -> np.ndarray:
     """Gradient of the implied AUC A = N / (pbar (1 - pbar)) of
     :func:`implied_auc_values` in each of ``values``.
 
@@ -143,16 +157,18 @@ def implied_auc_gradient(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     dA/dv_k = p_k (m_k / 2 + B_k - h_k / 2 - H_k - A (1 - 2 pbar)) /
     (pbar (1 - pbar)). As B_k - H_k = P_k + h_k - pbar, with P the exclusive
     prefix sum of p, the bracket is F_k - pbar - A (1 - 2 pbar), where
-    F = P + p / 2 is the mid-CDF; likewise N = sum(h F) - pbar**2 / 2. So
-    one cumsum gives both. Tied values get their share, by mass, of the
-    derivative of the merged value, which is exact where they move together.
+    F = P + p / 2 is the mid-CDF that A itself is computed from. Tied values
+    get their share, by mass, of the derivative of the merged value, which
+    is exact where they move together. ``cached_mid_cdf`` is as for
+    :func:`implied_auc_values`, and ``auc``, if given, is its result on the
+    same arrays, which is then not computed again.
     """
     v = np.asarray(values, dtype=float)
-    u, w, pbar = _merged(probs, v)
-    mid_cdf = np.cumsum(w) - 0.5 * w
+    u, w, pbar, f = _merged(probs, v, cached_mid_cdf)
     var = pbar * (1.0 - pbar)
-    auc = (float(np.dot(w * u, mid_cdf)) - 0.5 * pbar * pbar) / var
-    per_mass = (mid_cdf - (pbar + auc * (1.0 - 2.0 * pbar))) / var
+    if auc is None:
+        auc = implied_auc_values(probs, v, cached_mid_cdf)
+    per_mass = (f - (pbar + auc * (1.0 - 2.0 * pbar))) / var
     if u is not v:
         per_mass = per_mass[np.searchsorted(u, v)]
     return np.asarray(probs, dtype=float) * per_mass
@@ -179,4 +195,4 @@ def adjusted_cdf(dist: DiscreteScoreDist) -> np.ndarray:
     positive every value lies strictly inside (0, 1), keeping probit
     transforms finite everywhere.
     """
-    return np.cumsum(dist.probs) - dist.probs / 2.0
+    return mid_cdf(dist.probs)

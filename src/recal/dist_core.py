@@ -9,6 +9,7 @@ imports scipy.special under the interpreter's import lock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,14 @@ class SourceModel:
     @property
     def support(self) -> np.ndarray:
         return self.feature_dist.support
+
+    @cached_property
+    def implied_auc(self) -> float:
+        """Implied AUC of the posterior under the feature distribution,
+        computed on first use and kept, since the model is immutable."""
+        from .auc_engine import implied_auc_values  # auc_engine imports this module
+
+        return implied_auc_values(self.feature_dist.probs, self.posterior.values)
 
 
 @dataclass(frozen=True, eq=False)

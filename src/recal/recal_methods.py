@@ -17,7 +17,7 @@ import numpy as np
 from . import _special as sp
 # class_conditionals is not called here; it stays importable under this
 # module's name because perfbench/layers.py wraps it there
-from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values  # noqa: F401
+from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf  # noqa: F401
 from .dist_core import (
     PROB_SUM_TOL,
     DiscreteScoreDist,
@@ -118,8 +118,9 @@ def _finish(
 
 
 def source_implied_auc(src: SourceModel) -> float:
-    """Implied AUC of the source posterior under the source features."""
-    return implied_auc_values(src.feature_dist.probs, src.posterior.values)
+    """Implied AUC of the source posterior under the source features,
+    computed once per source model (:attr:`SourceModel.implied_auc`)."""
+    return src.implied_auc
 
 
 def _match_mean(method, tgt, curve_at, lo, hi, param, settings, **expand) -> RecalResult:
@@ -285,7 +286,7 @@ def _refreshed_f0(
     mass = float(d0.sum())
     if abs(mass - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
-    f0 = np.cumsum(d0) - d0 / 2.0  # adjusted_cdf of the class-0 law
+    f0 = mid_cdf(d0)  # adjusted_cdf of the class-0 law
     _require_inside_unit(
         f0, f"{stage} left values outside (0, 1), where their probit is not finite"
     )

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,9 @@ from recal import (
     mean_under,
     merged_value_dist,
 )
-from recal.auc_engine import _merge_by_value, implied_auc_gradient, implied_auc_values
+from recal.auc_engine import (
+    _merge_by_value, implied_auc_gradient, implied_auc_values, mid_cdf,
+)
 from conftest import random_dist, random_increasing_values, random_values
 
 
@@ -354,3 +357,62 @@ class TestMergeByValue:
         # the guard is live: input with a tie does reach np.unique
         with pytest.raises(AssertionError, match="np.unique reached"):
             _merge_by_value(np.array([0.3, 0.3, 0.7]), d.probs)
+
+
+@st.composite
+def _logistic_curves(draw):
+    """(probs, values): logistic values of logits in [-4, 4] shifted by up to
+    +-33, strictly increasing, unsorted, or rounded so that some tie (the
+    merge path); masses k / 2**m, some of them 0, that sum to exactly 1, so
+    the exact AUC is at least 1/2 even where 1 - pbar is a few ulps."""
+    n = draw(st.integers(1, 40))
+    logits = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["increasing", "unsorted", "ties"]))
+    if kind == "increasing":
+        logits = np.sort(logits)
+    elif kind == "ties":
+        logits = np.sort(np.round(logits))
+    logits = logits + draw(st.floats(-33.0, 33.0))
+    counts = draw(st.lists(st.just(0) | st.integers(1, 2**20), min_size=n, max_size=n))
+    total = 1 << sum(counts).bit_length()
+    counts[draw(st.integers(0, n - 1))] += total - sum(counts)
+    return np.array(counts) / total, 1.0 / (1.0 + np.exp(-logits))
+
+
+def exact_implied_auc(probs, values) -> tuple[Fraction, Fraction]:
+    """(AUC, pbar) of the float inputs in rational arithmetic: equal values
+    merged, N = sum_i h_i (B_i + m_i / 2) over ascending values with
+    h = p v, m = p (1 - v) and B the exclusive prefix sum of m, and
+    AUC = N / (pbar (1 - pbar))."""
+    merged = {}
+    for v, p in zip(values.tolist(), probs.tolist()):
+        merged[v] = merged.get(v, Fraction(0)) + Fraction(p)
+    pbar = num = below = Fraction(0)
+    for v, p in sorted(merged.items()):
+        hit, miss = p * Fraction(v), p * (1 - Fraction(v))
+        pbar += hit
+        num += hit * (below + miss / 2)
+        below += miss
+    return num / (pbar * (1 - pbar)), pbar
+
+
+class TestImpliedAucValues:
+    @settings(max_examples=300, deadline=None)
+    @given(_logistic_curves())
+    def test_cached_mid_cdf_keeps_the_bits_and_meets_the_exact_value(self, curve):
+        probs, values = curve
+        eps = np.finfo(float).eps
+        try:
+            auc = implied_auc_values(probs, values)
+        except DegenerateClassError:  # only where the mean rounds to 1
+            exact_mean = sum(Fraction(p) * Fraction(v) for p, v in zip(probs, values))
+            assert 1 - exact_mean <= values.size * eps
+            return
+        cached = mid_cdf(probs)
+        assert same_bits(implied_auc_values(probs, values, cached), auc)
+        grad = implied_auc_gradient(probs, values)
+        assert same_bits(implied_auc_gradient(probs, values, cached, auc), grad)
+
+        exact, pbar = exact_implied_auc(probs, values)
+        bound = values.size * eps / float(min(pbar, 1 - pbar))
+        assert abs(Fraction(auc) - exact) <= bound * exact

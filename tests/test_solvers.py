@@ -105,7 +105,8 @@ def _mean_equations(draw):
         return float(np.dot(w, family.link(alpha * x + beta))) - q
 
     def fprime(beta):
-        return float(np.dot(w, family.link_pdf(alpha * x + beta)))
+        z = alpha * x + beta
+        return float(np.dot(w, family.link_pdf(z, family.link(z))))
 
     return f, fprime, x0
 
@@ -161,7 +162,8 @@ def test_link_pdf_is_derivative_of_link(family):
     central = (family.link(z + h) - family.link(z - h)) / (2.0 * h)
     # rounding error ~ eps / h and truncation error ~ h**2 / 6 are both
     # about 2e-11 here
-    np.testing.assert_allclose(family.link_pdf(z), central, rtol=0.0, atol=1e-10)
+    pdf = family.link_pdf(z, family.link(z))
+    np.testing.assert_allclose(pdf, central, rtol=0.0, atol=1e-10)
 
 
 class TestLinkLookup:
@@ -169,6 +171,9 @@ class TestLinkLookup:
     so a wrapper set at those module attributes sees every link call."""
 
     EDGES = [np.inf, -np.inf, np.nan, 0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1e-300]
+    # numpy's exp rounds expit(-40) one ulp away from scipy's; the dense
+    # grid test below bounds it
+    BIT_EDGES = {"expit": [z for z in EDGES if z != -40.0], "ndtr": EDGES}
 
     @pytest.mark.parametrize(
         "build, link",
@@ -195,12 +200,25 @@ class TestLinkLookup:
     @pytest.mark.parametrize("link", ["expit", "ndtr"])
     def test_links_equal_scipy_bit_for_bit_on_edges(self, link):
         ours, theirs = getattr(solvers, link), getattr(scipy.special, link)
-        z = np.array(self.EDGES)
+        edges = self.BIT_EDGES[link]
+        z = np.array(edges)
         assert ours(z).tobytes() == theirs(z).tobytes()
-        for value in self.EDGES:
+        for value in edges:
             a, b = ours(value), theirs(value)
             assert type(a) is type(b)
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    def test_expit_saturates_with_scipy_and_is_within_ulps_elsewhere(self):
+        z = np.concatenate((np.linspace(-750.0, 750.0, 300_001), self.EDGES[3:]))
+        ours, theirs = solvers.expit(z), scipy.special.expit(z)
+        # exact 0s and 1s fall at the same z
+        np.testing.assert_array_equal(ours == 0.0, theirs == 0.0)
+        np.testing.assert_array_equal(ours == 1.0, theirs == 1.0)
+        # each of 1 / (1 + exp(-z)) and scipy's formula is within ~2 eps of
+        # the logistic; subnormal results carry an absolute error of a few
+        # units of the smallest subnormal (measured worst: 2.3 eps, 2 units)
+        eps, unit = np.finfo(float).eps, np.nextafter(0.0, 1.0)
+        assert np.all(np.abs(ours - theirs) <= 8.0 * eps * theirs + 4.0 * unit)
 
 
 def _toy_problem(n=5, q=0.08, seed=0):
@@ -520,7 +538,8 @@ def _fitted(family, x, w, q, alpha):
     beta = bisect_root(
         lambda b: float(np.dot(w, family.link(alpha * x + b))) - q, -40.0, 40.0, 1e-15
     )
-    pdf = family.link_pdf(alpha * x + beta)
+    z = alpha * x + beta
+    pdf = family.link_pdf(z, family.link(z))
     mean_slope = float(np.dot(w, pdf))
     auc = implied_auc(
         DiscreteScoreDist(np.arange(x.size, dtype=float), w),
