@@ -12,7 +12,9 @@ from itertools import starmap
 
 import numpy as np
 
-from .auc_engine import implied_auc_values
+# implied_auc_values is not called here; it stays importable under this
+# module's name because perfbench/layers.py wraps it there
+from .auc_engine import implied_auc_values  # noqa: F401
 from .dist_core import (
     DiscreteScoreDist,
     PosteriorCurve,
@@ -161,7 +163,7 @@ def build_results_table(
         TableRow(
             label="Source",
             mean_probs=mean_under(source.feature_dist, source.posterior),
-            auc=implied_auc_values(source.feature_dist.probs, source.posterior.values),
+            auc=source.implied_auc,
             mean_functional=functional_mean(
                 source.feature_dist, source.posterior, functional
             ),

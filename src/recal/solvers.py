@@ -76,131 +76,91 @@ def bisect_root(
     x0: float | None = None,
     expand_lo: bool = True,
     expand_hi: bool = True,
-    max_expansions: int = MAX_EXPANSIONS,
 ) -> float:
-    """Root search for a monotone scalar function: returns x with
+    """Root search for a non-decreasing scalar function: returns x with
     |f(x)| <= tol or bracket width <= tol * max(1, |x|).
 
-    Without ``fprime``, f(lo) and f(hi) come first; while they share a sign
-    the bracket widens on the permitted sides by its width, up to
-    ``max_expansions`` rounds, else :class:`NoRootError` carries the probed
-    interval. The bracket is then bisected, first at ``x0`` if inside.
-
-    With the derivative ``fprime`` of an increasing f, Newton steps run from
-    ``x0`` (else the midpoint), each at most half as long as [lo, hi], while
-    the derivative is positive and |f| shrinks. A point where f is not
-    finite is overshoot, moved halfway back toward the nearest probe until f
-    is finite there. The first sign change seen is the bracket; until one
-    is seen the search widens from the probes toward the root's side, to
-    that end of [lo, hi] and then by a width that doubles each round. A side
-    that may not widen, ``max_expansions`` rounds or widening after an
-    overshoot raise :class:`NoRootError`. In the bracket each step is Newton
-    from the last point, or the midpoint where that would leave the bracket,
-    the derivative is not positive or the step fails to halve the one before
-    (``rtsafe`` in *Numerical Recipes*); overshoot replaces the upper end. A
-    width stop returns the end with the smaller |f|.
+    The search starts at ``x0`` (else the midpoint of [lo, hi]). With the
+    derivative ``fprime``, Newton steps run from there, each at most half as
+    long as [lo, hi], while the derivative is positive and |f| shrinks. A
+    point where f is not finite is overshoot, moved halfway back toward the
+    nearest probe until f is finite there. The first sign change seen is the
+    bracket; until one is seen, without ``fprime`` or once Newton stalls,
+    the search walks from the probes toward the root's side, to that end of
+    [lo, hi] and then by a width that doubles each round. A side that may
+    not widen, an empty interval, ``MAX_EXPANSIONS`` rounds or widening
+    after an overshoot raise :class:`NoRootError`, which carries the probed
+    interval. In the bracket each step is the midpoint, or with ``fprime``
+    Newton from the last point where that stays inside the bracket, the
+    derivative is positive and the step halves the one before (``rtsafe`` in
+    *Numerical Recipes*); overshoot replaces the upper end. A width stop
+    returns the end with the smaller |f|.
     """
     if not np.isfinite(lo) or not np.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
-    expansions = 0
-    if fprime is None:
-        flo = float(f(lo))
-        fhi = float(f(hi))
-        if lo == hi:
-            if abs(flo) <= tol:
-                return lo
-            raise NoRootError(
-                "degenerate interval does not satisfy the tolerance", probed_interval=(lo, hi)
-            )
-        while flo * fhi > 0.0:
-            if expansions >= max_expansions or not (expand_lo or expand_hi):
-                raise NoRootError(
-                    f"no sign change over [{lo!r}, {hi!r}] after {expansions} expansions",
-                    probed_interval=(lo, hi),
-                )
-            width = hi - lo
-            if expand_lo:
-                lo = lo - width
-                flo = float(f(lo))
-            if expand_hi:
-                hi = hi + width
-                fhi = float(f(hi))
-            expansions += 1
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-    else:
-        width, cap = hi - lo, 0.5 * (hi - lo)
-        if x0 is None or (x0 < lo and not expand_lo) or (x0 > hi and not expand_hi):
-            x0 = 0.5 * (lo + hi)
-        x, fx = x0, float(f(x0))
-        neg = pos = None  # (x, f(x)) of the probes nearest the root with f < 0 / f > 0
-        newton, edge = bool(np.isfinite(fx)), False
-        for _ in range(MAX_BISECT_ITER):
-            if abs(fx) <= tol:
-                return x
-            if fx < 0.0 and (neg is None or x > neg[0]):
-                neg = (x, fx)
-            elif fx > 0.0 and (pos is None or x < pos[0]):
-                pos = (x, fx)
-            if neg and pos:
-                break
-            up = pos is None
-            near = neg if up else pos  # None only when f is not finite at x0
-            slope = float(fprime(x)) if newton else math.nan
-            trial = x - min(max(fx / slope, -cap), cap) if slope > 0.0 else None
-            if trial is None or (trial < lo and not expand_lo) or (trial > hi and not expand_hi):
-                newton, trial = False, hi if up else lo
-                if near is not None and (trial <= near[0] if up else trial >= near[0]):
-                    if edge or expansions >= max_expansions or not (
-                        expand_hi if up else expand_lo
-                    ):
-                        raise NoRootError(
-                            f"no sign change over [{lo!r}, {hi!r}] after {expansions} "
-                            "expansions", probed_interval=(lo, hi),
-                        )
-                    trial = near[0] + width if up else near[0] - width
-                    width, expansions = 2.0 * width, expansions + 1
+    width, cap, expansions = hi - lo, 0.5 * (hi - lo), 0
+    if x0 is None or (x0 < lo and not expand_lo) or (x0 > hi and not expand_hi):
+        x0 = 0.5 * (lo + hi)
+    x, fx = x0, float(f(x0))
+    neg = pos = None  # (x, f(x)) of the probes nearest the root with f < 0 / f > 0
+    newton, edge = fprime is not None and bool(np.isfinite(fx)), False
+    for _ in range(MAX_BISECT_ITER):
+        if abs(fx) <= tol:
+            return x
+        if fx < 0.0 and (neg is None or x > neg[0]):
+            neg = (x, fx)
+        elif fx > 0.0 and (pos is None or x < pos[0]):
+            pos = (x, fx)
+        if neg and pos:
+            break
+        up = pos is None
+        near = neg if up else pos  # None only when f is not finite at x0
+        slope = float(fprime(x)) if newton else math.nan
+        trial = x - min(max(fx / slope, -cap), cap) if slope > 0.0 else None
+        if trial is None or (trial < lo and not expand_lo) or (trial > hi and not expand_hi):
+            newton, trial = False, hi if up else lo
+            if near is not None and (trial <= near[0] if up else trial >= near[0]):
+                if edge or width == 0.0 or expansions >= MAX_EXPANSIONS or not (
+                    expand_hi if up else expand_lo
+                ):
+                    raise NoRootError(
+                        f"no sign change over [{lo!r}, {hi!r}] after {expansions} "
+                        "expansions", probed_interval=(lo, hi),
+                    )
+                trial = near[0] + width if up else near[0] - width
+                width, expansions = 2.0 * width, expansions + 1
+        ft = float(f(trial))
+        while not np.isfinite(ft) and near is not None and trial != near[0]:
+            edge, trial = True, 0.5 * (near[0] + trial)
             ft = float(f(trial))
-            while not np.isfinite(ft) and near is not None and trial != near[0]:
-                edge, trial = True, 0.5 * (near[0] + trial)
-                ft = float(f(trial))
-            if not np.isfinite(ft):
-                raise NoRootError(f"f is not finite at {trial!r}", probed_interval=(lo, hi))
-            newton = newton and abs(ft) < abs(fx)
-            lo, hi, x, fx = min(lo, trial), max(hi, trial), trial, ft
-        else:
-            raise NoRootError("no sign change found", probed_interval=(lo, hi))
-        (lo, flo), (hi, fhi) = neg, pos
+        if not np.isfinite(ft):
+            raise NoRootError(f"f is not finite at {trial!r}", probed_interval=(lo, hi))
+        newton = newton and abs(ft) < abs(fx)
+        lo, hi, x, fx = min(lo, trial), max(hi, trial), trial, ft
+    else:
+        raise NoRootError("no sign change found", probed_interval=(lo, hi))
+    (lo, flo), (hi, fhi) = neg, pos
     step_before = hi - lo
     for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
-        if fprime is None:
-            if x0 is not None and lo < x0 < hi:  # the first point
-                mid = x0
-            x0 = None
-        else:
-            slope = float(fprime(x)) if np.isfinite(fx) else math.nan
-            if slope > 0.0:
-                step = fx / slope
-                if lo < x - step < hi and 2.0 * abs(step) <= step_before:
-                    mid = x - step
-            step_before = abs(x - mid)
+        slope = float(fprime(x)) if fprime is not None and np.isfinite(fx) else math.nan
+        if slope > 0.0:
+            step = fx / slope
+            if lo < x - step < hi and 2.0 * abs(step) <= step_before:
+                mid = x - step
+        step_before = abs(x - mid)
         if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
             break
         x, fx = mid, float(f(mid))
         if abs(fx) <= tol:
             return x
-        if (fx < 0.0) == (flo < 0.0):
+        if fx < 0.0:
             lo, flo = x, fx
-        else:  # with fprime also where f is not finite
+        else:  # also where f is not finite
             hi, fhi = x, fx
         if (hi - lo) <= tol * max(1.0, abs(x)):
             break
-    if fprime is not None:
-        return hi if abs(fhi) < abs(flo) else lo
-    return 0.5 * (lo + hi)
+    return hi if abs(fhi) < abs(flo) else lo
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,9 +55,10 @@ class TestBisectRoot:
 
     def test_no_root_error_carries_probed_interval(self):
         with pytest.raises(NoRootError) as err:
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9, max_expansions=5)
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
         lo, hi = err.value.probed_interval
-        assert lo < -1.0 and hi > 1.0
+        # f > 0 everywhere, so the walk widens below lo only
+        assert lo < -1.0 and hi == 1.0
 
     def test_closed_interval_without_expansion(self):
         with pytest.raises(NoRootError):
@@ -109,6 +110,67 @@ def _mean_equations(draw):
         return float(np.dot(w, family.link_pdf(z, family.link(z))))
 
     return f, fprime, x0
+
+
+@st.composite
+def _walk_problems(draw):
+    """A non-decreasing f with (lo, hi, x0) for the derivative-free walk: a
+    line, a saturating tanh, a cube root that is steep at its root, or a
+    mean equation of the QMM probe."""
+    r = draw(st.floats(-1e4, 1e4))
+    shape = draw(st.sampled_from(["linear", "tanh", "cbrt", "mean"]))
+    if shape == "linear":
+        slope = draw(st.floats(1e-3, 1e3))
+        f = lambda x: slope * (x - r)
+    elif shape == "tanh":
+        f = lambda x: float(np.tanh(x - r))
+    elif shape == "cbrt":
+        f = lambda x: float(np.cbrt(x - r)) + 1e-3 * (x - r)
+    else:
+        f = draw(_mean_equations())[0]
+    lo = draw(st.floats(-50.0, 50.0))
+    hi = lo + draw(st.floats(1e-3, 100.0))
+    x0 = draw(st.one_of(st.none(), st.floats(lo - 10.0, hi + 10.0)))
+    return f, lo, hi, x0
+
+
+class TestBisectRootWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _walk_problems(), st.sampled_from([1e-12, 1e-9, 1e-6]), st.booleans(), st.booleans()
+    )
+    def test_walk_finds_the_root_within_the_permitted_sides(
+        self, problem, tol, expand_lo, expand_hi
+    ):
+        f, lo, hi, x0 = problem
+        calls = []
+
+        def logged(x):
+            calls.append(x)
+            return f(x)
+
+        def search():
+            try:
+                return bisect_root(
+                    logged, lo, hi, tol, x0=x0, expand_lo=expand_lo, expand_hi=expand_hi
+                )
+            except NoRootError as err:
+                return err
+
+        first = search()
+        if not expand_lo:
+            assert min(calls) >= lo
+        if not expand_hi:
+            assert max(calls) <= hi
+        second = search()
+        if isinstance(first, NoRootError):
+            # only a root past a side that may not widen goes unfound
+            assert (not expand_lo and f(lo) > 0.0) or (not expand_hi and f(hi) < 0.0)
+            assert isinstance(second, NoRootError)
+            assert second.probed_interval == first.probed_interval
+        else:
+            assert _meets_contract(f, first, tol)
+            assert np.float64(second).tobytes() == np.float64(first).tobytes()
 
 
 class TestBisectRootNewton:
