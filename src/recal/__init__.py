@@ -57,7 +57,6 @@ from .recal_methods import (
     parametric_cspd_qmm,
     roc_qmm,
     run_method,
-    source_implied_auc,
     two_param_qmm,
 )
 from .scenario import (

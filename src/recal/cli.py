@@ -31,7 +31,7 @@ from .eval_report import (
     format_table,
     table_to_csv,
 )
-from .recal_methods import RecalResult, source_implied_auc
+from .recal_methods import RecalResult
 from .scenario import (
     Scenario,
     _parse_functional,
@@ -107,7 +107,7 @@ def _diagnostics_payload(scenario: Scenario, results: list[RecalResult]) -> dict
     return {
         "source": {
             "prior": scenario.source.prior,
-            "implied_auc": source_implied_auc(scenario.source),
+            "implied_auc": scenario.source.implied_auc,
         },
         "target": {"prior": scenario.target.prior},
         "methods": methods,

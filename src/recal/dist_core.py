@@ -83,13 +83,6 @@ class PosteriorCurve:
         if np.any(self.values < 0) or np.any(self.values > 1):
             raise DomainError("posterior values must lie in [0, 1]")
 
-    def is_interior(self) -> bool:
-        """True when every value is strictly inside (0, 1).
-
-        Solver-based recalibration methods require this of the source curve.
-        """
-        return bool(np.all(self.values > 0.0) and np.all(self.values < 1.0))
-
 
 @dataclass(frozen=True, eq=False)
 class SourceModel:
@@ -164,26 +157,19 @@ def _binomial_pmf(trials: int, success_prob) -> np.ndarray:
     return np.exp(log_coeff + sp.xlogy(k, success_prob) + sp.xlog1py(trials - k, -success_prob))
 
 
-def binomial_dist(trials: int, success_prob: float, support_map=None) -> DiscreteScoreDist:
+def binomial_dist(trials: int, success_prob: float) -> DiscreteScoreDist:
     """Binomial pmf over k = 0..trials as a DiscreteScoreDist.
 
-    ``support_map`` optionally relabels the support with trials+1 strictly
-    increasing score values. The pmf is computed in log space and
-    renormalized, so it matches an iterated Bernoulli convolution to float
-    precision and stays finite for large trial counts, up to ``MAX_TRIALS``.
+    The pmf is computed in log space and renormalized, so it matches an
+    iterated Bernoulli convolution to float precision and stays finite for
+    large trial counts, up to ``MAX_TRIALS``.
     """
     trials = _count(trials, "trials", 1, MAX_TRIALS)
     if not np.isfinite(success_prob) or not (0.0 < success_prob < 1.0):
         raise DomainError("success_prob must be finite and strictly inside (0, 1)")
     pmf = _binomial_pmf(trials, success_prob)
     pmf = pmf / pmf.sum()
-    if support_map is None:
-        support = np.arange(trials + 1, dtype=float)
-    else:
-        support = np.asarray(support_map, dtype=float)
-        if support.ndim != 1 or support.size != trials + 1:
-            raise StructuralError("support_map must provide trials + 1 score values")
-    return DiscreteScoreDist(support, pmf)
+    return DiscreteScoreDist(np.arange(trials + 1, dtype=float), pmf)
 
 
 def vasicek_mixture_dist(

@@ -89,11 +89,17 @@ class RecalResult:
     diagnostics: SolveDiagnostics
 
 
+def _require_inside_unit(values, message: str) -> None:
+    """Raise a :class:`DomainError` with ``message`` unless every value lies
+    strictly inside (0, 1), where its probit is finite."""
+    if not (np.all(values > 0.0) and np.all(values < 1.0)):
+        raise DomainError(message)
+
+
 def _require_interior(src: SourceModel, method: str) -> None:
-    if not src.posterior.is_interior():
-        raise DomainError(
-            f"{method}: source posterior values must lie strictly inside (0, 1)"
-        )
+    _require_inside_unit(
+        src.posterior.values, f"{method}: source posterior values must lie strictly inside (0, 1)"
+    )
 
 
 def _finish(
@@ -117,17 +123,11 @@ def _finish(
     )
 
 
-def source_implied_auc(src: SourceModel) -> float:
-    """Implied AUC of the source posterior under the source features,
-    computed once per source model (:attr:`SourceModel.implied_auc`)."""
-    return src.implied_auc
-
-
-def _match_mean(method, tgt, curve_at, lo, hi, param, settings, **expand) -> RecalResult:
+def _match_mean(method, tgt, curve_at, lo, hi, param, settings, widen=True) -> RecalResult:
     """Solve mean(curve_at(t)) = q under the target features for the one
-    parameter t, reported as ``param``: a bisection from [lo, hi], widened as
-    the :func:`bisect_root` flags ``expand`` allow, with one diagnostics
-    iteration per mean evaluation."""
+    parameter t, reported as ``param``: a bisection from [lo, hi], widened
+    unless ``widen`` is False, with one diagnostics iteration per mean
+    evaluation."""
     q = tgt.prior
     weights = tgt.feature_dist.probs
     evals = 0
@@ -137,7 +137,7 @@ def _match_mean(method, tgt, curve_at, lo, hi, param, settings, **expand) -> Rec
         evals += 1
         return float(np.dot(weights, curve_at(t))) - q
 
-    t = bisect_root(mean_resid, lo, hi, settings.tol_mean, **expand)
+    t = bisect_root(mean_resid, lo, hi, settings.tol_mean, widen=widen)
     values = curve_at(t)
     residual = abs(float(np.dot(weights, values)) - q)
     diag = SolveDiagnostics(
@@ -154,14 +154,15 @@ def capped_scaling(
     """Scale the source posterior by t, capping at 1, so the mean hits q.
 
     The capped mean is continuous and non-decreasing in t with range (0, 1],
-    so a bracketed bisection always finds t; the cap can flatten the curve at
-    value 1 but nowhere else.
+    so a bracketed bisection always finds t; it is -q at t = 0, so the search
+    never goes below 0. The cap can flatten the curve at value 1 but nowhere
+    else.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     eta = src.posterior.values
     return _match_mean(
         MethodId.CAPPED_SCALING, tgt, lambda t: np.minimum(t * eta, 1.0),
-        0.0, 2.0, "t", settings, expand_lo=False,
+        0.0, 2.0, "t", settings,
     )
 
 
@@ -218,7 +219,7 @@ def fjs_recalibrate(
     try:
         return _match_mean(
             MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
-            lower, upper, "rho", settings, expand_lo=False, expand_hi=False,
+            lower, upper, "rho", settings, widen=False,
         )
     except NoRootError as exc:
         raise InfeasibleError(
@@ -252,16 +253,9 @@ def parametric_cspd_qmm(
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
     fam = _PARAMETRIC_FAMILIES[family](src.posterior.values)
-    auc_target = source_implied_auc(src)
+    auc_target = src.implied_auc
     a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt, settings)
     return _finish(family, tgt, values, {"a": float(a), "b": float(b)}, diag)
-
-
-def _require_inside_unit(values, message: str) -> None:
-    """Raise a :class:`DomainError` with ``message`` unless every value lies
-    strictly inside (0, 1), where its probit is finite."""
-    if not (np.all(values > 0.0) and np.all(values < 1.0)):
-        raise DomainError(message)
 
 
 def _refreshed_f0(
@@ -330,7 +324,7 @@ def fixed_point_f0(method, feature, f0, alpha, beta, tol, max_iter, fit):
 def _source_auc(method: str, src: SourceModel, tgt: TargetSpec) -> float:
     """The source implied AUC, strictly inside (0, 1), on the target's support."""
     _require_shared_support(src.support, tgt.support, "source and target")
-    auc_src = source_implied_auc(src)
+    auc_src = src.implied_auc
     _require_inside_unit(auc_src, f"{method}: source implied AUC must lie strictly inside (0, 1)")
     return auc_src
 
@@ -368,7 +362,6 @@ def two_param_qmm(
     src: SourceModel,
     tgt: TargetSpec,
     settings: SolverSettings = DEFAULT_SETTINGS,
-    f0_init: np.ndarray | None = None,
 ) -> RecalResult:
     """Two-parameter logistic transform of the probit class-0 CDF, alternated
     with refinement of that CDF.
@@ -381,14 +374,13 @@ def two_param_qmm(
     keeps the fit within the joint tolerance of the cold alternation's. An
     inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
-    stops when the CDF values and (a, b) are jointly stable to 1e-9. The
-    solver fits sigmoid(alpha * ndtri(F0) + beta) with alpha >= 0; the
-    reported (a, b) = (-alpha, -beta) and slope bracket are those of the
-    paper's literal form 1 / (1 + exp(b + a * ndtri(F0))), so a is negative
-    for an increasing net effect.
+    stops when the CDF values and (a, b) are jointly stable to
+    ``settings.tol_fixed_point``. The solver fits sigmoid(alpha * ndtri(F0)
+    + beta) with alpha >= 0; the reported (a, b) = (-alpha, -beta) and slope
+    bracket are those of the paper's literal form 1 / (1 + exp(b + a *
+    ndtri(F0))), so a is negative for an increasing net effect.
     """
     auc_src = _source_auc("two_param_qmm", src, tgt)
-    f0 = adjusted_cdf(tgt.feature_dist) if f0_init is None else np.array(f0_init, dtype=float)
     # the inner solves must be pinned well below the joint stability
     # tolerance, otherwise (a, b) jitter at the solver's own stopping
     # granularity and the alternation cycles instead of settling
@@ -415,7 +407,8 @@ def two_param_qmm(
         return alpha, beta, values, inner
 
     _, diag, (alpha, beta, values, inner) = fixed_point_f0(
-        "two_param_qmm", tgt.feature_dist, f0, np.nan, np.nan, 1e-9, settings.max_iter, fit
+        "two_param_qmm", tgt.feature_dist, adjusted_cdf(tgt.feature_dist), np.nan, np.nan,
+        settings.tol_fixed_point, settings.max_iter, fit,
     )
     converged = (
         diag.converged

@@ -185,11 +185,10 @@ def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
     try:
         if kind == "binomial":
             _check_keys(feat, "target.feature", ("type", "trials", "success_prob"))
-            trials, sp = _binomial_spec(
-                {"trials": feat["trials"], "success_prob": feat["success_prob"]},
-                "target.feature",
+            dist = binomial_dist(
+                _integer(feat, "target.feature", "trials", 1, MAX_TRIALS),
+                _open_unit(feat, "target.feature", "success_prob"),
             )
-            dist = binomial_dist(trials, sp)
         elif kind == "vasicek_mixture":
             _check_keys(
                 feat,

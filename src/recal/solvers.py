@@ -74,8 +74,7 @@ def bisect_root(
     *,
     fprime: Callable[[float], float] | None = None,
     x0: float | None = None,
-    expand_lo: bool = True,
-    expand_hi: bool = True,
+    widen: bool = True,
 ) -> float:
     """Root search for a non-decreasing scalar function: returns x with
     |f(x)| <= tol or bracket width <= tol * max(1, |x|).
@@ -87,19 +86,20 @@ def bisect_root(
     nearest probe until f is finite there. The first sign change seen is the
     bracket; until one is seen, without ``fprime`` or once Newton stalls,
     the search walks from the probes toward the root's side, to that end of
-    [lo, hi] and then by a width that doubles each round. A side that may
-    not widen, an empty interval, ``MAX_EXPANSIONS`` rounds or widening
-    after an overshoot raise :class:`NoRootError`, which carries the probed
-    interval. In the bracket each step is the midpoint, or with ``fprime``
-    Newton from the last point where that stays inside the bracket, the
-    derivative is positive and the step halves the one before (``rtsafe`` in
-    *Numerical Recipes*); overshoot replaces the upper end. A width stop
-    returns the end with the smaller |f|.
+    [lo, hi] and then by a width that doubles each round. With ``widen``
+    False every probe stays inside [lo, hi]. A needed widening that
+    ``widen`` forbids, an empty interval, ``MAX_EXPANSIONS`` rounds or
+    widening after an overshoot raise :class:`NoRootError`, which carries
+    the probed interval. In the bracket each step is the midpoint, or with
+    ``fprime`` Newton from the last point where that stays inside the
+    bracket, the derivative is positive and the step halves the one before
+    (``rtsafe`` in *Numerical Recipes*); overshoot replaces the upper end. A
+    width stop returns the end with the smaller |f|.
     """
     if not np.isfinite(lo) or not np.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
     width, cap, expansions = hi - lo, 0.5 * (hi - lo), 0
-    if x0 is None or (x0 < lo and not expand_lo) or (x0 > hi and not expand_hi):
+    if x0 is None or not (widen or lo <= x0 <= hi):
         x0 = 0.5 * (lo + hi)
     x, fx = x0, float(f(x0))
     neg = pos = None  # (x, f(x)) of the probes nearest the root with f < 0 / f > 0
@@ -117,12 +117,10 @@ def bisect_root(
         near = neg if up else pos  # None only when f is not finite at x0
         slope = float(fprime(x)) if newton else math.nan
         trial = x - min(max(fx / slope, -cap), cap) if slope > 0.0 else None
-        if trial is None or (trial < lo and not expand_lo) or (trial > hi and not expand_hi):
+        if trial is None or not (widen or lo <= trial <= hi):
             newton, trial = False, hi if up else lo
             if near is not None and (trial <= near[0] if up else trial >= near[0]):
-                if edge or width == 0.0 or expansions >= MAX_EXPANSIONS or not (
-                    expand_hi if up else expand_lo
-                ):
+                if edge or width == 0.0 or expansions >= MAX_EXPANSIONS or not widen:
                     raise NoRootError(
                         f"no sign change over [{lo!r}, {hi!r}] after {expansions} "
                         "expansions", probed_interval=(lo, hi),

@@ -23,7 +23,6 @@ from recal import (
     worked_example_scenario,
     run_method,
     run_methods,
-    source_implied_auc,
 )
 from recal.cli import main as cli_main
 from recal.scenario import example_scenario_path
@@ -159,7 +158,7 @@ def test_criterion_3_label_shift_under_true_mixture():
         tgt = mixture_target(src, q)
         result = label_shift_correct(src, tgt)
         worst_mean = max(worst_mean, abs(result.achieved_mean - q))
-        worst_auc = max(worst_auc, abs(result.implied_auc - source_implied_auc(src)))
+        worst_auc = max(worst_auc, abs(result.implied_auc - src.implied_auc))
     ok = worst_mean <= 1e-10 and worst_auc <= 1e-10
     report(
         3,
@@ -178,7 +177,7 @@ def test_criterion_4_mean_matching_and_auc_matching():
     non_converged = 0
     total = 0
     for src, tgt, results in scenarios:
-        auc_src = source_implied_auc(src)
+        auc_src = src.implied_auc
         for method, result in results.items():
             total += 1
             if not result.diagnostics.converged:

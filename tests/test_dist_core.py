@@ -77,11 +77,6 @@ class TestPosteriorCurve:
         with pytest.raises(DomainError):
             PosteriorCurve([0.0, 1.0], [-0.1, 0.5])
 
-    def test_interior_detection(self):
-        assert PosteriorCurve([0.0, 1.0], [0.2, 0.8]).is_interior()
-        assert not PosteriorCurve([0.0, 1.0], [0.0, 0.8]).is_interior()
-        assert not PosteriorCurve([0.0, 1.0], [0.2, 1.0]).is_interior()
-
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
             PosteriorCurve([0.0, 1.0, 2.0], [0.5, 0.5])
@@ -129,14 +124,6 @@ class TestBinomialDist:
             oracle = np.convolve(oracle, [1.0 - p, p])
         d = binomial_dist(trials, p)
         np.testing.assert_allclose(d.probs, oracle, atol=1e-14)
-
-    def test_support_map(self):
-        d = binomial_dist(2, 0.5, support_map=[-1.0, 0.0, 3.0])
-        np.testing.assert_allclose(d.support, [-1.0, 0.0, 3.0])
-
-    def test_support_map_wrong_length(self):
-        with pytest.raises(StructuralError):
-            binomial_dist(2, 0.5, support_map=[0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, np.nan, np.inf])
     def test_rejects_bad_success_prob(self, bad):

@@ -32,7 +32,6 @@ from recal import (
     run_method,
     scenario_from_dict,
     solve_qmm_2d,
-    source_implied_auc,
     two_param_qmm,
 )
 from conftest import (
@@ -59,27 +58,33 @@ def single_point_source(eta=0.3):
     return SourceModel(dist, PosteriorCurve([0.0], [eta]), eta)
 
 
+def logistic_scenario(s, slope, prior, shift, scale, q):
+    """Source features N(0, 1) over the support s with the posterior
+    expit(slope * s + b), b chosen for the source prior, and target features
+    N(shift, scale^2) with prior q."""
+    src_probs = np.exp(-0.5 * s**2)
+    src_probs /= src_probs.sum()
+    intercept = bisect_root(
+        lambda b: float(np.dot(src_probs, expit(slope * s + b))) - prior, -30.0, 30.0, 1e-14
+    )
+    posterior = expit(slope * s + intercept)
+    src = SourceModel(
+        DiscreteScoreDist(s, src_probs),
+        PosteriorCurve(s, posterior),
+        float(np.dot(src_probs, posterior)),
+    )
+    tgt_probs = np.exp(-0.5 * ((s - shift) / scale) ** 2)
+    tgt_probs /= tgt_probs.sum()
+    return src, TargetSpec(DiscreteScoreDist(s, tgt_probs), q)
+
+
 def saturated_tail_scenario(n=4097):
     """Support [-4, 4], a logistic source posterior (slope 1.237, prior
     0.0686) and a narrow target (shift -0.459, scale 0.704, q 0.2496): the
     class-0 CDF refreshed from a recalibrated posterior rounds to 1 in the
     upper tail. The failure first showed at n = 65,537; it already shows at
     n = 4,097."""
-    s = np.linspace(-4.0, 4.0, n)
-    src_probs = np.exp(-0.5 * s**2)
-    src_probs /= src_probs.sum()
-    intercept = bisect_root(
-        lambda b: float(np.dot(src_probs, expit(1.237 * s + b))) - 0.0686, -30.0, 30.0, 1e-14
-    )
-    posterior = expit(1.237 * s + intercept)
-    src = SourceModel(
-        DiscreteScoreDist(s, src_probs),
-        PosteriorCurve(s, posterior),
-        float(np.dot(src_probs, posterior)),
-    )
-    tgt_probs = np.exp(-0.5 * ((s + 0.459) / 0.704) ** 2)
-    tgt_probs /= tgt_probs.sum()
-    return src, TargetSpec(DiscreteScoreDist(s, tgt_probs), 0.2496)
+    return logistic_scenario(np.linspace(-4.0, 4.0, n), 1.237, 0.0686, -0.459, 0.704, 0.2496)
 
 
 @pytest.mark.parametrize("method", [MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM])
@@ -228,14 +233,24 @@ class TestLabelShift:
             tgt = mixture_target(src, q)
             result = label_shift_correct(src, tgt)
             assert abs(result.achieved_mean - q) <= 1e-10
-            assert abs(result.implied_auc - source_implied_auc(src)) <= 1e-10
+            assert abs(result.implied_auc - src.implied_auc) <= 1e-10
 
-    def test_interior_required(self):
+    @pytest.mark.parametrize(
+        "method", ["label_shift", "fjs", "platt", "logistic_cspd", "normal_cspd"]
+    )
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_interior_required(self, end, method):
+        """Every method that needs the source posterior strictly inside
+        (0, 1) refuses a value of 0 or 1 with the one shared message."""
         src_dist = DiscreteScoreDist([0.0, 1.0], [0.5, 0.5])
-        src = SourceModel(src_dist, PosteriorCurve([0.0, 1.0], [0.0, 0.8]), 0.4)
+        values = [0.0, 0.8] if end == 0.0 else [0.2, 1.0]
+        src = SourceModel(src_dist, PosteriorCurve([0.0, 1.0], values), 0.5 * sum(values))
         tgt = TargetSpec(src_dist, 0.3)
-        with pytest.raises(DomainError):
-            label_shift_correct(src, tgt)
+        with pytest.raises(
+            DomainError,
+            match=rf"^{method}: source posterior values must lie strictly inside \(0, 1\)",
+        ):
+            run_method(MethodId(method), src, tgt)
 
 
 class TestFjs:
@@ -323,7 +338,7 @@ class TestParametricCspdQmm:
 
     def test_mean_and_auc_contracts(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
-        auc_src = source_implied_auc(src)
+        auc_src = src.implied_auc
         for family in (MethodId.PLATT, MethodId.LOGISTIC_CSPD, MethodId.NORMAL_CSPD):
             result = parametric_cspd_qmm(src, tgt, family)
             assert abs(result.achieved_mean - tgt.prior) <= 1e-9
@@ -367,7 +382,7 @@ class TestRocQmm:
         """Oracle: run the update map by hand and watch the sup-norm deltas
         decrease monotonically to convergence."""
         src, tgt = example_scenario.source, example_scenario.target
-        c = float(np.sqrt(2.0) * ndtri(source_implied_auc(src)))
+        c = float(np.sqrt(2.0) * ndtri(src.implied_auc))
         q = tgt.prior
         f0 = adjusted_cdf(tgt.feature_dist)
         deltas = []
@@ -394,7 +409,7 @@ class TestRocQmm:
         q = 0.05
         tgt = TargetSpec(DiscreteScoreDist(support, [0.55, 0.45]), q)
 
-        auc_src = source_implied_auc(src)
+        auc_src = src.implied_auc
         c = float(np.sqrt(2.0) * ndtri(auc_src))
         w = [0.55, 0.45]
         f0 = [w[0] - w[0] / 2.0, w[0] + w[1] - w[1] / 2.0]
@@ -459,7 +474,7 @@ class TestRocQmm:
 
 # the two-parameter QMM fits and the curve bound against a tight run: the
 # inner tolerances of two_param_qmm are 1e-12 / 1e-11 and its joint stop
-# 1e-9; the parametric families stop at the default tol_auc
+# tol_fixed_point (1e-10); the parametric families stop at the default tol_auc
 TIGHT_SETTINGS = SolverSettings(
     tol_mean=1e-14, tol_auc=1e-13, tol_fixed_point=1e-14, max_iter=2000
 )
@@ -472,20 +487,26 @@ QMM_2D_BOUNDS = {
 
 
 @pytest.mark.parametrize("method", list(QMM_2D_BOUNDS), ids=lambda m: m.value)
-@pytest.mark.parametrize("seed", [None, 3, 11])
-def test_qmm_2d_curve_within_bound_of_tight_reference(example_scenario, seed, method):
-    """Each solve_qmm_2d user lands within its bound of a run at 1e-13 AUC
-    and 1e-14 mean tolerance, on the worked example (seed None) and on two
-    explicit supports."""
-    if seed is None:
+@pytest.mark.parametrize("case", [None, 3, 11, "n257"])
+def test_qmm_2d_curve_within_bound_of_tight_reference(example_scenario, case, method):
+    """Each solve_qmm_2d user lands within its bound of a run at 1e-13 AUC,
+    1e-14 mean and 1e-14 fixed-point tolerance, on the worked example (case
+    None), on two explicit supports (seeds 3 and 11) and on a 257-point
+    logistic geometry."""
+    if case is None:
         src, tgt = example_scenario.source, example_scenario.target
+    elif case == "n257":
+        # a joint stop of 1e-9 left two_param_qmm 1.8e-9 from the reference here
+        src, tgt = logistic_scenario(np.linspace(-3.0, 3.0, 257), 1.5, 0.15, 0.2, 0.9, 0.10)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(case)
         src = random_source(rng, 60)
         tgt = random_target(rng, src)
     default = run_method(method, src, tgt)
     tight = run_method(method, src, tgt, TIGHT_SETTINGS)
     assert default.diagnostics.converged and tight.diagnostics.converged
+    if method is MethodId.TWO_PARAM_QMM:  # the reference's alternation is tight too
+        assert tight.diagnostics.residual_fixed_point <= 1e-14
     np.testing.assert_allclose(
         default.posterior.values, tight.posterior.values, rtol=0, atol=QMM_2D_BOUNDS[method]
     )
@@ -510,7 +531,7 @@ class TestTwoParamQmm:
         src, tgt = example_scenario.source, example_scenario.target
         result = two_param_qmm(src, tgt)
         assert abs(result.achieved_mean - tgt.prior) <= 1e-9
-        assert abs(result.implied_auc - source_implied_auc(src)) <= 1e-6
+        assert abs(result.implied_auc - src.implied_auc) <= 1e-6
 
     def test_uninformative_source_constant_transform(self):
         src = single_point_source(0.3)
@@ -521,42 +542,10 @@ class TestTwoParamQmm:
         assert abs(result.params["b"] - float(np.log((1 - q) / q))) <= 1e-6
         np.testing.assert_allclose(result.posterior.values, q, atol=1e-9)
 
-    def test_initialisation_independence_on_toy(self):
-        """Starting the alternation from the adjusted CDF of the target
-        features or from the converged ROC fixed point must end at the same
-        answer."""
-        support = [0.0, 1.0, 2.0]
-        src = SourceModel(
-            DiscreteScoreDist(support, [0.5, 0.3, 0.2]),
-            PosteriorCurve(support, [0.03, 0.1, 0.35]),
-            0.5 * 0.03 + 0.3 * 0.1 + 0.2 * 0.35,
-        )
-        tgt = TargetSpec(DiscreteScoreDist(support, [0.4, 0.35, 0.25]), 0.08)
-        default_run = two_param_qmm(src, tgt)
-
-        roc = roc_qmm(src, tgt)
-        cc = class_conditionals(tgt.feature_dist, roc.posterior)
-        alt_init = adjusted_cdf(cc.dist0)
-        alt_run = two_param_qmm(src, tgt, f0_init=alt_init)
-
-        np.testing.assert_allclose(
-            default_run.posterior.values, alt_run.posterior.values, atol=1e-8
-        )
-        assert abs(default_run.params["a"] - alt_run.params["a"]) <= 1e-6
-        assert abs(default_run.params["b"] - alt_run.params["b"]) <= 1e-6
-
     def test_zero_end_mass_initial_cdf_names_the_method_and_stage(self):
         scenario = scenario_from_dict(ZERO_END_MASS_SCENARIO)
         with pytest.raises(DomainError, match="^two_param_qmm: initial class-0 CDF has values"):
             two_param_qmm(scenario.source, scenario.target)
-
-    @pytest.mark.parametrize("end", [0, -1])
-    def test_f0_init_at_zero_or_one_names_the_method_and_stage(self, example_scenario, end):
-        src, tgt = example_scenario.source, example_scenario.target
-        f0_init = adjusted_cdf(tgt.feature_dist).copy()
-        f0_init[end] = float(end == -1)
-        with pytest.raises(DomainError, match="^two_param_qmm: initial class-0 CDF has values"):
-            two_param_qmm(src, tgt, f0_init=f0_init)
 
     def test_single_outer_step_reports_no_joint_change(self, example_scenario):
         """One outer step measures no joint change: the residual is None,
@@ -640,7 +629,7 @@ class TestCrossMethodProperties:
         """Capped scaling, label shift and FJS push the implied AUC above the
         source level; the moment-matching family stays at it."""
         src, tgt = example_scenario.source, example_scenario.target
-        auc_src = source_implied_auc(src)
+        auc_src = src.implied_auc
         steep = (MethodId.CAPPED_SCALING, MethodId.LABEL_SHIFT, MethodId.FJS)
         flat = (
             MethodId.PLATT,
@@ -727,7 +716,7 @@ class TestWarmStartedAlternation:
         expected = REFERENCE_TABLE["2-param QMM"]
         assert abs(mean - expected[0]) <= CELL_TOL and abs(auc - expected[1]) <= CELL_TOL
         assert abs(warm.achieved_mean - tgt.prior) <= 1e-9
-        assert abs(warm.implied_auc - source_implied_auc(src)) <= 1e-6
+        assert abs(warm.implied_auc - src.implied_auc) <= 1e-6
 
     def test_later_outer_steps_take_few_probes(self, monkeypatch, example_scenario):
         probes = []
@@ -740,7 +729,7 @@ class TestWarmStartedAlternation:
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         two_param_qmm(example_scenario.source, example_scenario.target)
         # a cold solve takes 4 probes at every outer step of the example
-        assert probes == [4, 4, 3, 3, 2, 2, 2, 2, 2]
+        assert probes == [4, 4, 3, 3, 2, 2, 2, 2, 2, 2, 2]
 
 
 class TestSaturatedBinomialTail:
@@ -754,7 +743,7 @@ class TestSaturatedBinomialTail:
         with pytest.raises(InfeasibleError, match=r"^two_param_qmm: inner \(a, b\) solve") as err:
             two_param_qmm(scenario.source, scenario.target)
         low, high = err.value.attainable_auc_range
-        assert low <= high < source_implied_auc(scenario.source)
+        assert low <= high < scenario.source.implied_auc
 
     def test_roc_qmm_initial_cdf_names_the_method_and_stage(self, scenario):
         # the starting CDF stalls just below 1, which the alternation accepts;

@@ -27,7 +27,6 @@ from recal import (
     platt_family,
     rob_logit_family,
     solve_qmm_2d,
-    source_implied_auc,
 )
 
 
@@ -43,16 +42,6 @@ class TestBisectRoot:
         root = bisect_root(lambda x: x - 1000.0, 0.0, 1.0, 1e-9)
         assert abs(root - 1000.0) <= 1e-5
 
-    def test_expansion_respects_lo_anchor(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 1000.0
-
-        bisect_root(f, 0.0, 1.0, 1e-9, expand_lo=False)
-        assert min(calls) >= 0.0
-
     def test_no_root_error_carries_probed_interval(self):
         with pytest.raises(NoRootError) as err:
             bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
@@ -62,7 +51,7 @@ class TestBisectRoot:
 
     def test_closed_interval_without_expansion(self):
         with pytest.raises(NoRootError):
-            bisect_root(lambda x: x - 5.0, 0.0, 1.0, 1e-9, expand_lo=False, expand_hi=False)
+            bisect_root(lambda x: x - 5.0, 0.0, 1.0, 1e-9, widen=False)
 
     def test_degenerate_interval(self):
         assert bisect_root(lambda x: 0.0, 2.0, 2.0, 1e-9) == 2.0
@@ -136,12 +125,8 @@ def _walk_problems(draw):
 
 class TestBisectRootWalk:
     @settings(max_examples=200, deadline=None)
-    @given(
-        _walk_problems(), st.sampled_from([1e-12, 1e-9, 1e-6]), st.booleans(), st.booleans()
-    )
-    def test_walk_finds_the_root_within_the_permitted_sides(
-        self, problem, tol, expand_lo, expand_hi
-    ):
+    @given(_walk_problems(), st.sampled_from([1e-12, 1e-9, 1e-6]), st.booleans())
+    def test_walk_finds_the_root_within_the_permitted_sides(self, problem, tol, widen):
         f, lo, hi, x0 = problem
         calls = []
 
@@ -151,21 +136,17 @@ class TestBisectRootWalk:
 
         def search():
             try:
-                return bisect_root(
-                    logged, lo, hi, tol, x0=x0, expand_lo=expand_lo, expand_hi=expand_hi
-                )
+                return bisect_root(logged, lo, hi, tol, x0=x0, widen=widen)
             except NoRootError as err:
                 return err
 
         first = search()
-        if not expand_lo:
-            assert min(calls) >= lo
-        if not expand_hi:
-            assert max(calls) <= hi
+        if not widen:
+            assert lo <= min(calls) and max(calls) <= hi
         second = search()
         if isinstance(first, NoRootError):
-            # only a root past a side that may not widen goes unfound
-            assert (not expand_lo and f(lo) > 0.0) or (not expand_hi and f(hi) < 0.0)
+            # only a root outside [lo, hi] without widening goes unfound
+            assert not widen and (f(lo) > 0.0 or f(hi) < 0.0)
             assert isinstance(second, NoRootError)
             assert second.probed_interval == first.probed_interval
         else:
@@ -300,7 +281,7 @@ class TestSolveQmm2d:
         identity transform already satisfies both matching equations."""
         src = example_scenario.source
         target = TargetSpec(src.feature_dist, src.prior)
-        auc = source_implied_auc(src)
+        auc = src.implied_auc
         a, b, values, diag = solve_qmm_2d(
             logistic_cspd_family(src.posterior.values), auc, src.prior, target
         )
@@ -321,7 +302,7 @@ class TestSolveQmm2d:
 
     def test_example_logistic_cspd_row(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
-        auc_target = source_implied_auc(src)
+        auc_target = src.implied_auc
         fam = logistic_cspd_family(src.posterior.values)
         a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt)
         assert diag.converged
@@ -360,7 +341,7 @@ class TestSolveQmm2d:
     def test_bracket_recorded(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         a, b, _, diag = solve_qmm_2d(
-            logistic_cspd_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
+            logistic_cspd_family(src.posterior.values), src.implied_auc, tgt.prior, tgt
         )
         assert diag.bracket is not None
         lo, hi = diag.bracket
@@ -368,7 +349,7 @@ class TestSolveQmm2d:
 
     def test_deterministic(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
-        auc = source_implied_auc(src)
+        auc = src.implied_auc
         first = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt.prior, tgt)
         second = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt.prior, tgt)
         assert first[0] == second[0] and first[1] == second[1]
@@ -425,7 +406,7 @@ class TestSolveQmm2d:
         monkeypatch.setattr(solvers, "bisect_root", counting_root)
         src, tgt = example_scenario.source, example_scenario.target
         _, _, _, diag = solve_qmm_2d(
-            platt_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
+            platt_family(src.posterior.values), src.implied_auc, tgt.prior, tgt
         )
         assert diag.converged and diag.iterations == 6
         assert calls["link"] == calls["mean"] - diag.iterations == 21
@@ -689,7 +670,7 @@ class TestSolveQmm2dWarmStart:
         probe, with no sign change seen; a cold solve takes more."""
         src, tgt = example_scenario.source, example_scenario.target
         fam = rob_logit_family(np.cumsum(tgt.feature_dist.probs) - tgt.feature_dist.probs / 2)
-        auc = source_implied_auc(src)
+        auc = src.implied_auc
         a, b, _, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, WARM_SETTINGS)
         a_warm, _, _, warm = solve_qmm_2d(
             fam, auc, tgt.prior, tgt, WARM_SETTINGS, warm_start=(a, b)
@@ -744,7 +725,7 @@ class TestSolveQmm2dWarmStart:
         monkeypatch.setattr(solvers, "bisect_root", counting_root)
         src, tgt = example_scenario.source, example_scenario.target
         a, b, _, diag = solve_qmm_2d(
-            platt_family(src.posterior.values), source_implied_auc(src), tgt.prior, tgt
+            platt_family(src.posterior.values), src.implied_auc, tgt.prior, tgt
         )
         assert diag.converged
         # the final mean check of the solve is one more link call
