@@ -15,8 +15,8 @@ from functools import partial
 import numpy as np
 
 from . import _special as sp
-# class_conditionals is not called here; it stays importable under this
-# module's name because perfbench/layers.py wraps it there
+# adjusted_cdf and class_conditionals are not called here; they stay importable
+# under this module's name because perfbench/layers.py wraps them there
 from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf  # noqa: F401
 from .dist_core import (
     PROB_SUM_TOL,
@@ -258,19 +258,31 @@ def parametric_cspd_qmm(
     return _finish(family, tgt, values, {"a": float(a), "b": float(b)}, diag)
 
 
-def _refreshed_f0(
-    method: str, feature: DiscreteScoreDist, values: np.ndarray
-) -> np.ndarray:
-    """Adjusted class-0 CDF implied by a posterior over the target features.
+def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjusted CDF F = mid_cdf(d0) of class-0 masses and its two-sided
+    probit z: ndtri(F) where F <= 1/2, above it -ndtri of the adjusted
+    survival sum, which stays finite where F rounds to 1. A z that is not
+    finite raises a :class:`DomainError` that starts with ``stage``."""
+    f0 = mid_cdf(d0)
+    upper = int(np.searchsorted(f0, 0.5, "right"))  # F is non-decreasing
+    survival = mid_cdf(d0[upper:][::-1])[::-1]
+    z = np.concatenate((sp.ndtri(f0[:upper]), -sp.ndtri(survival)))
+    if not np.all(np.isfinite(z)):
+        raise DomainError(
+            f"{stage} has values outside (0, 1), where their probit is not finite "
+            "(a zero class-0 mass at an end of the support puts one there)"
+        )
+    return f0, z
 
-    The bits of ``adjusted_cdf(class_conditionals(feature, curve).dist0)``,
-    computed from the arrays with the checks of that path: the posterior
-    mean must leave both classes non-empty (:class:`DegenerateClassError`)
-    and the class-0 mass must sum to 1 within ``PROB_SUM_TOL``
-    (:class:`DomainError`). Both class-0 CDF refinements feed the result to
-    a probit, so a value that rounds to 0 or 1 in a saturated tail raises a
-    :class:`DomainError`. Each error names the method and the stage.
-    """
+
+def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray):
+    """The class-0 CDF and its probit (:func:`_class0_cdf`) implied by a
+    posterior over the target features. F has the bits of
+    ``adjusted_cdf(class_conditionals(feature, curve).dist0)``, with the
+    checks of that path: the posterior mean must leave both classes
+    non-empty (:class:`DegenerateClassError`) and the class-0 mass must sum
+    to 1 within ``PROB_SUM_TOL`` (:class:`DomainError`). Each error names
+    the method and the stage."""
     stage = f"{method}: class-0 CDF refresh"
     probs = feature.probs
     pbar = float(np.dot(probs, values))
@@ -280,45 +292,34 @@ def _refreshed_f0(
     mass = float(d0.sum())
     if abs(mass - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
-    f0 = mid_cdf(d0)  # adjusted_cdf of the class-0 law
-    _require_inside_unit(
-        f0, f"{stage} left values outside (0, 1), where their probit is not finite"
-    )
-    return f0
+    return _class0_cdf(stage, d0)
 
 
-def fixed_point_f0(method, feature, f0, alpha, beta, tol, max_iter, fit):
-    """Alternate ``fit(f0) -> (alpha, beta, values, diag)`` with the refresh
-    of ``f0`` from ``values`` until the sup-norm change over ``f0`` and
-    (alpha, beta) is at most ``tol``, or for ``max_iter`` steps; the one loop
-    of :func:`roc_qmm` and :func:`two_param_qmm`.
-
-    Step 1 compares against the given (alpha, beta); NaN measures no change,
-    and ``residual_fixed_point`` is None until a change is measured. Returns
-    the refreshed CDF, the diagnostics and the last fit. ``max_iter`` below 1
-    or a starting CDF at 0 or 1 raises a :class:`DomainError` naming
-    ``method``.
-    """
+def fixed_point_f0(method, feature, tol, max_iter, fit):
+    """Alternate ``fit(z) -> (alpha, beta, values, diag)`` with the refresh
+    of the class-0 CDF F and its probit z from ``values``, starting from the
+    target law ``feature``, until the sup-norm change over F and the last two
+    fits' (alpha, beta) is at most ``tol`` or for ``max_iter`` steps; the one
+    loop of :func:`roc_qmm` and :func:`two_param_qmm`. The change is measured
+    from step 2 on, so ``residual_fixed_point`` is None until then. Returns
+    the last z, the diagnostics and the last fit; ``max_iter`` below 1 raises
+    a :class:`DomainError` naming ``method``."""
     if max_iter < 1:
         raise DomainError(f"{method}: max_iter must be at least 1")
-    _require_inside_unit(
-        f0,
-        f"{method}: initial class-0 CDF has values outside (0, 1), where their probit "
-        "is not finite (a zero target mass at an end of the support puts one there)",
-    )
-    delta = None
+    f0, z = _class0_cdf(f"{method}: initial class-0 CDF", feature.probs)
+    delta = last = None
     for step in range(1, max_iter + 1):
-        fitted = fit(f0)
-        f0_new = _refreshed_f0(method, feature, fitted[2])
-        if np.isfinite(alpha):
+        fitted = fit(z)
+        f0_new, z = _refreshed_f0(method, feature, fitted[2])
+        if last is not None:
             delta = float(np.max(np.abs(f0_new - f0)))
-            delta = max(delta, abs(fitted[0] - alpha), abs(fitted[1] - beta))
-        alpha, beta, f0 = fitted[0], fitted[1], f0_new
+            delta = max(delta, abs(fitted[0] - last[0]), abs(fitted[1] - last[1]))
+        last, f0 = fitted, f0_new
         converged = delta is not None and delta <= tol
         if converged:
             break
     diag = SolveDiagnostics(iterations=step, converged=converged, residual_fixed_point=delta)
-    return f0, diag, fitted
+    return z, diag, fitted
 
 
 def _source_auc(method: str, src: SourceModel, tgt: TargetSpec) -> float:
@@ -347,15 +348,14 @@ def roc_qmm(
     c = float(np.sqrt(2.0) * sp.ndtri(auc_src))
     b = sp.logit(tgt.prior) - c * c / 2.0
 
-    def fit(f0: np.ndarray):
-        fam = rob_logit_family(f0)
+    def fit(z: np.ndarray):
+        fam = rob_logit_family(z)
         return c, b, fam.link(c * fam.x + b), None
 
-    f0, diag, _ = fixed_point_f0(
-        "roc_qmm", tgt.feature_dist, adjusted_cdf(tgt.feature_dist), c, b,
-        settings.tol_fixed_point, settings.max_iter, fit,
+    z, diag, _ = fixed_point_f0(
+        "roc_qmm", tgt.feature_dist, settings.tol_fixed_point, settings.max_iter, fit
     )
-    return _finish(MethodId.ROC_QMM, tgt, fit(f0)[2], {"c": c}, diag)
+    return _finish(MethodId.ROC_QMM, tgt, fit(z)[2], {"c": c}, diag)
 
 
 def two_param_qmm(
@@ -390,12 +390,12 @@ def two_param_qmm(
     warm_start = None
     steps = 0
 
-    def fit(f0: np.ndarray):
+    def fit(z: np.ndarray):
         nonlocal warm_start, steps
         steps += 1
         try:
             alpha, beta, values, inner = solve_qmm_2d(
-                rob_logit_family(f0), auc_src, tgt.prior, tgt, inner_settings,
+                rob_logit_family(z), auc_src, tgt.prior, tgt, inner_settings,
                 warm_start=warm_start,
             )
         except InfeasibleError as exc:
@@ -407,8 +407,7 @@ def two_param_qmm(
         return alpha, beta, values, inner
 
     _, diag, (alpha, beta, values, inner) = fixed_point_f0(
-        "two_param_qmm", tgt.feature_dist, adjusted_cdf(tgt.feature_dist), np.nan, np.nan,
-        settings.tol_fixed_point, settings.max_iter, fit,
+        "two_param_qmm", tgt.feature_dist, settings.tol_fixed_point, settings.max_iter, fit
     )
     converged = (
         diag.converged

@@ -233,15 +233,15 @@ def normal_cspd_family(u) -> TransformFamily:
     return TransformFamily("normal_cspd", ndtr, _normal_pdf, x, slope_may_vanish=False)
 
 
-def rob_logit_family(f0_values: np.ndarray) -> TransformFamily:
-    """eta_i = sigmoid(a * ndtri(f0_i) + b) attached to support points.
+def rob_logit_family(z) -> TransformFamily:
+    """eta_i = sigmoid(a * z_i + b) on the probit z_i = ndtri(F0_i) of the
+    class-0 CDF at each support point.
 
-    The paper writes this transform as 1 / (1 + exp(b' + a' * ndtri(f0_i))),
+    The paper writes this transform as 1 / (1 + exp(b' + a' * z_i)),
     decreasing in the probit of the class-0 CDF for a' > 0; it is the same
     family with (a', b') = (-a, -b), the form ``two_param_qmm`` reports.
     """
-    x = sp.ndtri(np.asarray(f0_values, dtype=float))
-    return TransformFamily("rob_logit", expit, _logistic_pdf, x, slope_may_vanish=True)
+    return TransformFamily("rob_logit", expit, _logistic_pdf, z, slope_may_vanish=True)
 
 
 def solve_qmm_2d(

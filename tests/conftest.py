@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import expit
 
 from recal import (
     DiscreteScoreDist,
     PosteriorCurve,
     SourceModel,
     TargetSpec,
+    bisect_root,
     class_conditionals,
     example_scenario_path,
     worked_example_scenario,
@@ -154,3 +156,32 @@ ZERO_END_MASS_SCENARIO = {
     "methods": "all",
     "functional": "sqrt",
 }
+
+
+def logistic_scenario(s, slope, prior, shift, scale, q):
+    """Source features N(0, 1) over the support s with the posterior
+    expit(slope * s + b), b chosen for the source prior, and target features
+    N(shift, scale^2) with prior q."""
+    src_probs = np.exp(-0.5 * s**2)
+    src_probs /= src_probs.sum()
+    intercept = bisect_root(
+        lambda b: float(np.dot(src_probs, expit(slope * s + b))) - prior, -30.0, 30.0, 1e-14
+    )
+    posterior = expit(slope * s + intercept)
+    src = SourceModel(
+        DiscreteScoreDist(s, src_probs),
+        PosteriorCurve(s, posterior),
+        float(np.dot(src_probs, posterior)),
+    )
+    tgt_probs = np.exp(-0.5 * ((s - shift) / scale) ** 2)
+    tgt_probs /= tgt_probs.sum()
+    return src, TargetSpec(DiscreteScoreDist(s, tgt_probs), q)
+
+
+def saturated_tail_scenario(n=4097):
+    """Support [-4, 4], a logistic source posterior (slope 1.237, prior
+    0.0686) and a narrow target (shift -0.459, scale 0.704, q 0.2496): the
+    class-0 CDF refreshed from a recalibrated posterior rounds to 1 in the
+    upper tail, where only its two-sided probit stays finite. A one-sided
+    probit failed there at n = 65,537 and already at n = 4,097."""
+    return logistic_scenario(np.linspace(-4.0, 4.0, n), 1.237, 0.0686, -0.459, 0.704, 0.2496)

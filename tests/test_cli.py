@@ -10,6 +10,7 @@ from conftest import (
     SATURATED_BINOMIAL_SCENARIO,
     ZERO_END_MASS_SCENARIO,
     example_with_count,
+    saturated_tail_scenario,
 )
 
 
@@ -323,7 +324,7 @@ class TestUsageErrors:
     "method, message",
     [
         ("two_param_qmm", "two_param_qmm: inner (a, b) solve"),
-        ("roc_qmm", "roc_qmm: class-0 CDF refresh left values outside (0, 1)"),
+        ("roc_qmm", "roc_qmm: class-0 CDF refresh has values outside (0, 1)"),
     ],
 )
 def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method, message):
@@ -334,6 +335,36 @@ def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_saturated_tail_runs_every_method(tmp_path, capsys):
+    """The [-4, 4] geometry at n = 65,537, whose refreshed class-0 CDF
+    rounds to 1 in the upper tail: every method converges and all three
+    files are written."""
+    src, tgt = saturated_tail_scenario(65_537)
+    scenario = {
+        "source": {
+            "support": src.feature_dist.support.tolist(),
+            "probs": src.feature_dist.probs.tolist(),
+            "posterior": src.posterior.values.tolist(),
+        },
+        "target": {
+            "feature": {
+                "type": "explicit",
+                "support": tgt.support.tolist(),
+                "probs": tgt.feature_dist.probs.tolist(),
+            },
+            "prior": tgt.prior,
+        },
+        "methods": "all",
+        "functional": "sqrt",
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "diagnostics.json", "table.csv"]
+    assert json.loads((out / "diagnostics.json").read_text())["all_converged"] is True
 
 
 def test_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys):

@@ -39,9 +39,11 @@ from conftest import (
     REFERENCE_TABLE,
     SATURATED_BINOMIAL_SCENARIO,
     ZERO_END_MASS_SCENARIO,
+    logistic_scenario,
     mixture_target,
     random_source,
     random_target,
+    saturated_tail_scenario,
 )
 
 
@@ -58,40 +60,19 @@ def single_point_source(eta=0.3):
     return SourceModel(dist, PosteriorCurve([0.0], [eta]), eta)
 
 
-def logistic_scenario(s, slope, prior, shift, scale, q):
-    """Source features N(0, 1) over the support s with the posterior
-    expit(slope * s + b), b chosen for the source prior, and target features
-    N(shift, scale^2) with prior q."""
-    src_probs = np.exp(-0.5 * s**2)
-    src_probs /= src_probs.sum()
-    intercept = bisect_root(
-        lambda b: float(np.dot(src_probs, expit(slope * s + b))) - prior, -30.0, 30.0, 1e-14
-    )
-    posterior = expit(slope * s + intercept)
-    src = SourceModel(
-        DiscreteScoreDist(s, src_probs),
-        PosteriorCurve(s, posterior),
-        float(np.dot(src_probs, posterior)),
-    )
-    tgt_probs = np.exp(-0.5 * ((s - shift) / scale) ** 2)
-    tgt_probs /= tgt_probs.sum()
-    return src, TargetSpec(DiscreteScoreDist(s, tgt_probs), q)
-
-
-def saturated_tail_scenario(n=4097):
-    """Support [-4, 4], a logistic source posterior (slope 1.237, prior
-    0.0686) and a narrow target (shift -0.459, scale 0.704, q 0.2496): the
-    class-0 CDF refreshed from a recalibrated posterior rounds to 1 in the
-    upper tail. The failure first showed at n = 65,537; it already shows at
-    n = 4,097."""
-    return logistic_scenario(np.linspace(-4.0, 4.0, n), 1.237, 0.0686, -0.459, 0.704, 0.2496)
-
-
-@pytest.mark.parametrize("method", [MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM])
-def test_saturated_class0_cdf_refresh_names_method_and_stage(method):
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_saturated_tail_runs_every_method(method):
+    """Every method converges on the [-4, 4] geometry, whose refreshed
+    class-0 CDF rounds to 1 in the upper tail; both QMM curves increase and
+    two_param_qmm meets its residual contract."""
     src, tgt = saturated_tail_scenario()
-    with pytest.raises(DomainError, match=f"^{method.value}: class-0 CDF refresh"):
-        run_method(method, src, tgt)
+    result = run_method(method, src, tgt)
+    assert result.diagnostics.converged
+    if method in (MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM):
+        assert np.all(np.diff(result.posterior.values) > 0.0)
+    if method is MethodId.TWO_PARAM_QMM:
+        assert abs(result.achieved_mean - tgt.prior) <= 1e-9
+        assert abs(result.implied_auc - src.implied_auc) <= 1e-6
 
 
 @pytest.mark.parametrize("method", ["roc_qmm", "two_param_qmm"])
@@ -126,9 +107,11 @@ def refresh_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(refresh_inputs())
 def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
-    """The array refresh gives the bits of the validated object route, or
-    the error it would meet: a degenerate mean, a class-0 mass off 1, or
-    values outside (0, 1) that the probit downstream cannot take."""
+    """The array refresh gives the CDF bits of the validated object route,
+    or the error it would meet: a degenerate mean or a class-0 mass off 1.
+    Its probit z has the bits of ndtri(F) where F <= 1/2, does not decrease
+    beyond rounding, and is not finite exactly where a zero class-0 mass
+    sits at an end of the support."""
     feature, values = inputs
     try:
         cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
@@ -137,12 +120,29 @@ def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
         with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
             recal_methods._refreshed_f0("two_param_qmm", feature, values)
         return
-    if np.all(expected > 0.0) and np.all(expected < 1.0):
-        got = recal_methods._refreshed_f0("two_param_qmm", feature, values)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    else:
-        with pytest.raises(DomainError, match="class-0 CDF refresh left values outside"):
+    d0 = cc.dist0.probs
+    if d0[0] == 0.0 or d0[-1] == 0.0:
+        with pytest.raises(
+            DomainError, match=r"^two_param_qmm: class-0 CDF refresh has values outside \(0, 1\)"
+        ):
             recal_methods._refreshed_f0("two_param_qmm", feature, values)
+        return
+    f0, z = recal_methods._refreshed_f0("two_param_qmm", feature, values)
+    assert f0.dtype == expected.dtype and f0.tobytes() == expected.tobytes()
+    lower = expected <= 0.5
+    assert z[lower].tobytes() == ndtri(expected[lower]).tobytes()
+    # ndtri itself steps back by an ulp between some neighbouring floats,
+    # and the sums on the two sides of the split round differently
+    assert np.all(np.isfinite(z)) and np.all(np.diff(z) >= -1e-12)
+
+
+def test_two_sided_probit_stays_finite_where_the_cdf_rounds_to_1():
+    """Class-0 masses [1, 2e-20, 1e-20] put F at [1/2, 1, 1], where ndtri is
+    +inf; z takes the probit of the survival sums [2e-20, 5e-21] instead."""
+    feature = DiscreteScoreDist([0.0, 1.0, 2.0], [1.0, 2e-20, 1e-20])
+    f0, z = recal_methods._refreshed_f0("two_param_qmm", feature, np.full(3, 0.5))
+    assert f0.tolist() == [0.5, 1.0, 1.0]
+    assert z.tolist() == [0.0, -ndtri(2e-20), -ndtri(5e-21)]
 
 
 class TestCappedScaling:
@@ -361,12 +361,14 @@ class TestParametricCspdQmm:
 
 
 class TestRocQmm:
-    def test_uninformative_source_collapses_to_prior_in_one_iteration(self):
+    def test_uninformative_source_collapses_to_prior_in_two_iterations(self):
+        """The change is measured between two fits, so the alternation stops
+        at step 2, the first step that measures one."""
         src = single_point_source(0.3)
         tgt = TargetSpec(DiscreteScoreDist([0.0], [1.0]), 0.05)
         result = roc_qmm(src, tgt)
         np.testing.assert_allclose(result.posterior.values, 0.05, atol=1e-12)
-        assert result.diagnostics.iterations == 1
+        assert result.diagnostics.iterations == 2
         assert result.params["c"] == 0.0
 
     def test_reference_row(self, example_scenario):
@@ -453,13 +455,15 @@ class TestRocQmm:
         ):
             roc_qmm(scenario.source, scenario.target)
 
-    @pytest.mark.parametrize("seed", [None, 3, 11])
+    @pytest.mark.parametrize("seed", [None, 3, 11, "tail"])
     def test_default_curve_within_1e9_of_tight_reference(self, example_scenario, seed):
         """The default stop on the CDF change lands within 1e-9 of a run
-        converged to 1e-14, on the worked example (seed None) and on two
-        explicit supports."""
+        converged to 1e-14, on the worked example (seed None), on two
+        explicit supports and on the saturated [-4, 4] geometry."""
         if seed is None:
             src, tgt = example_scenario.source, example_scenario.target
+        elif seed == "tail":
+            src, tgt = saturated_tail_scenario()
         else:
             rng = np.random.default_rng(seed)
             src = random_source(rng, 60)
@@ -487,14 +491,16 @@ QMM_2D_BOUNDS = {
 
 
 @pytest.mark.parametrize("method", list(QMM_2D_BOUNDS), ids=lambda m: m.value)
-@pytest.mark.parametrize("case", [None, 3, 11, "n257"])
+@pytest.mark.parametrize("case", [None, 3, 11, "n257", "tail"])
 def test_qmm_2d_curve_within_bound_of_tight_reference(example_scenario, case, method):
     """Each solve_qmm_2d user lands within its bound of a run at 1e-13 AUC,
     1e-14 mean and 1e-14 fixed-point tolerance, on the worked example (case
-    None), on two explicit supports (seeds 3 and 11) and on a 257-point
-    logistic geometry."""
+    None), on two explicit supports (seeds 3 and 11), on a 257-point
+    logistic geometry and on the saturated [-4, 4] geometry."""
     if case is None:
         src, tgt = example_scenario.source, example_scenario.target
+    elif case == "tail":
+        src, tgt = saturated_tail_scenario()
     elif case == "n257":
         # a joint stop of 1e-9 left two_param_qmm 1.8e-9 from the reference here
         src, tgt = logistic_scenario(np.linspace(-3.0, 3.0, 257), 1.5, 0.15, 0.2, 0.9, 0.10)
@@ -745,10 +751,10 @@ class TestSaturatedBinomialTail:
         low, high = err.value.attainable_auc_range
         assert low <= high < scenario.source.implied_auc
 
-    def test_roc_qmm_initial_cdf_names_the_method_and_stage(self, scenario):
-        # the starting CDF stalls just below 1, which the alternation accepts;
-        # the first refresh then rounds to 1 in the upper tail
+    def test_roc_qmm_refresh_names_the_method_and_stage(self, scenario):
+        # c is about 4.83, so the link at step 1 rounds 97 of the 257
+        # posteriors to exactly 1, where the class-0 mass is then exactly 0
         with pytest.raises(
-            DomainError, match=r"^roc_qmm: class-0 CDF refresh left values outside \(0, 1\)"
+            DomainError, match=r"^roc_qmm: class-0 CDF refresh has values outside \(0, 1\)"
         ):
             roc_qmm(scenario.source, scenario.target)

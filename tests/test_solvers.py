@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.special
-from scipy.special import logit
+from scipy.special import logit, ndtri
 
 from recal import recal_methods, solvers
 from recal import (
@@ -16,7 +16,6 @@ from recal import (
     SolverSettings,
     StructuralError,
     TargetSpec,
-    adjusted_cdf,
     bisect_root,
     fixed_point_f0,
     implied_auc,
@@ -195,7 +194,7 @@ class TestBisectRootNewton:
         platt_family(np.array([0.2, 0.5, 0.8])),
         logistic_cspd_family(np.array([0.2, 0.5, 0.8])),
         normal_cspd_family(np.array([0.2, 0.5, 0.8])),
-        rob_logit_family(np.array([0.2, 0.5, 0.8])),
+        rob_logit_family(ndtri(np.array([0.2, 0.5, 0.8]))),
     ],
     ids=lambda fam: fam.name,
 )
@@ -224,7 +223,7 @@ class TestLinkLookup:
             (platt_family, "expit"),
             (logistic_cspd_family, "expit"),
             (normal_cspd_family, "ndtr"),
-            (lambda f0: rob_logit_family(f0), "expit"),
+            (lambda f0: rob_logit_family(ndtri(f0)), "expit"),
         ],
     )
     def test_family_built_after_patch_binds_replacement(self, monkeypatch, build, link):
@@ -364,7 +363,7 @@ class TestSolveQmm2d:
         with pytest.raises(DomainError, match="^normal_cspd: transform regressor"):
             normal_cspd_family(1.0 - bad.values)
         with pytest.raises(DomainError, match="^rob_logit: transform regressor"):
-            rob_logit_family(bad.values)
+            rob_logit_family(ndtri(bad.values))
         with pytest.raises(DomainError, match="^platt: transform regressor"):
             platt_family(np.where(bad.values > 0.0, bad.values, np.nan))
 
@@ -439,7 +438,7 @@ def _explicit_problems(draw):
     )
     settings_ = draw(st.sampled_from([SolverSettings(), WARM_SETTINGS]))
     target = TargetSpec(DiscreteScoreDist(np.arange(n, dtype=float), w), q)
-    regressor = np.cumsum(w) - w / 2.0 if build is rob_logit_family else values
+    regressor = ndtri(np.cumsum(w) - w / 2.0) if build is rob_logit_family else values
     return build, regressor, draw(st.floats(0.5, 0.9999)), q, target, settings_
 
 
@@ -467,63 +466,67 @@ class TestSolveQmm2dExplicitProblems:
 
 
 class TestFixedPointF0:
-    """The class-0 CDF alternation of roc_qmm and two_param_qmm: fit, refresh
-    the CDF, stop on the joint change over the CDF and (alpha, beta)."""
+    """The class-0 CDF alternation of roc_qmm and two_param_qmm: start from
+    the target law, fit, refresh the CDF and its probit, stop on the change
+    over the CDF and the last two fits' (alpha, beta)."""
 
     FEATURE = DiscreteScoreDist([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4])
     CURVE = np.array([0.05, 0.1, 0.2, 0.4])
 
-    def fixed(self, f0):
-        """A fit that returns the same (alpha, beta) and curve at every CDF."""
+    def fixed(self, z):
+        """A fit that returns the same (alpha, beta) and curve at every z."""
         return 1.0, 0.5, self.CURVE, None
 
     def test_identity_converges_immediately(self):
-        """Started at its own fixed point with the (alpha, beta) its fit
-        returns, the alternation measures no change at step 1."""
-        f0 = recal_methods._refreshed_f0("m", self.FEATURE, self.CURVE)
-        out, diag, fitted = fixed_point_f0("m", self.FEATURE, f0, 1.0, 0.5, 1e-12, 200, self.fixed)
-        assert diag.converged and diag.iterations == 1
-        assert diag.residual_fixed_point == 0.0
-        np.testing.assert_array_equal(out, f0)
-        assert fitted[:2] == (1.0, 0.5) and fitted[2] is self.CURVE
+        """A fit that ignores z refreshes the same CDF at every step, so the
+        first measured change, at step 2, is exactly 0."""
+        zs = []
 
-    def test_nan_parameters_measure_no_change_at_step_one(self):
-        f0 = adjusted_cdf(self.FEATURE)
-        _, diag, _ = fixed_point_f0("m", self.FEATURE, f0, np.nan, np.nan, 1e-12, 1, self.fixed)
-        assert diag.iterations == 1 and not diag.converged
-        assert diag.residual_fixed_point is None
-        # step 2 compares against step 1's fit and refreshed CDF
-        _, diag, _ = fixed_point_f0("m", self.FEATURE, f0, np.nan, np.nan, 1e-12, 200, self.fixed)
+        def recording(z):
+            zs.append(z)
+            return self.fixed(z)
+
+        out, diag, fitted = fixed_point_f0("m", self.FEATURE, 1e-12, 200, recording)
         assert diag.converged and diag.iterations == 2
         assert diag.residual_fixed_point == 0.0
+        # step 1 fits the two-sided probit of the target law's adjusted CDF
+        # [0.05, 0.2, 0.45, 0.8]: -ndtri of the survival sum 0.2 above 1/2
+        p = self.FEATURE.probs
+        f = np.cumsum(p) - p / 2
+        np.testing.assert_array_equal(zs[0], np.append(ndtri(f[:3]), -ndtri(p[3] / 2)))
+        _, refreshed = recal_methods._refreshed_f0("m", self.FEATURE, self.CURVE)
+        np.testing.assert_array_equal(zs[1], refreshed)
+        np.testing.assert_array_equal(out, refreshed)
+        assert fitted[:2] == (1.0, 0.5) and fitted[2] is self.CURVE
+
+    def test_single_step_measures_no_change(self):
+        _, diag, _ = fixed_point_f0("m", self.FEATURE, 1e-12, 1, self.fixed)
+        assert diag.iterations == 1 and not diag.converged
+        assert diag.residual_fixed_point is None
 
     def test_non_convergence_flagged_not_raised(self):
         steps = []
 
-        def drifting(f0):  # alpha moves by 1 every step
-            steps.append(f0)
+        def drifting(z):  # alpha moves by 1 every step
+            steps.append(z)
             return float(len(steps)), 0.5, self.CURVE, None
 
-        f0 = adjusted_cdf(self.FEATURE)
-        out, diag, fitted = fixed_point_f0("m", self.FEATURE, f0, 0.0, 0.5, 1e-12, 5, drifting)
+        out, diag, fitted = fixed_point_f0("m", self.FEATURE, 1e-12, 5, drifting)
         assert not diag.converged
         assert diag.iterations == len(steps) == 5
         assert diag.residual_fixed_point == 1.0
         assert fitted[0] == 5.0 and out.shape == (4,)
 
     def test_init_validation(self):
-        """A starting value at 0 or 1 and max_iter below 1 are refused with
-        the method named; a CDF that only stalls inside (0, 1) is accepted."""
-        initial = r"^m: initial class-0 CDF has values outside \(0, 1\)"
-        for bad in ([0.0, 0.2, 0.5, 0.8], [0.05, 0.2, 0.5, 1.0]):
-            with pytest.raises(DomainError, match=initial):
-                fixed_point_f0("m", self.FEATURE, np.array(bad), 1.0, 0.5, 1e-12, 200, self.fixed)
-        f0 = adjusted_cdf(self.FEATURE)
+        """max_iter below 1 and a target law with a zero mass at an end of
+        the support are refused with the method named."""
         with pytest.raises(DomainError, match="^m: max_iter must be at least 1$"):
-            fixed_point_f0("m", self.FEATURE, f0, 1.0, 0.5, 1e-12, 0, self.fixed)
-        stalled = np.array([0.2, 0.2, 0.5, 0.8])
-        _, diag, _ = fixed_point_f0("m", self.FEATURE, stalled, 1.0, 0.5, 1e-12, 200, self.fixed)
-        assert diag.converged and diag.iterations == 2
+            fixed_point_f0("m", self.FEATURE, 1e-12, 0, self.fixed)
+        initial = r"^m: initial class-0 CDF has values outside \(0, 1\)"
+        for probs in ([0.0, 0.2, 0.4, 0.4], [0.2, 0.4, 0.4, 0.0]):
+            with pytest.raises(DomainError, match=initial):
+                feature = DiscreteScoreDist(self.FEATURE.support, probs)
+                fixed_point_f0("m", feature, 1e-12, 200, self.fixed)
 
 
 class TestSolverSettings:
@@ -555,7 +558,7 @@ def _qmm_problems(draw):
         )
     )
     if build is rob_logit_family:
-        family = rob_logit_family(np.cumsum(w) - w / 2.0)  # an adjusted CDF
+        family = rob_logit_family(ndtri(np.cumsum(w) - w / 2.0))  # an adjusted CDF
     else:
         family = build(values)
     q = draw(st.floats(0.02, 0.5))
@@ -669,7 +672,8 @@ class TestSolveQmm2dWarmStart:
         """A warm start at the cold solution finds it again at its first
         probe, with no sign change seen; a cold solve takes more."""
         src, tgt = example_scenario.source, example_scenario.target
-        fam = rob_logit_family(np.cumsum(tgt.feature_dist.probs) - tgt.feature_dist.probs / 2)
+        w = tgt.feature_dist.probs
+        fam = rob_logit_family(ndtri(np.cumsum(w) - w / 2))
         auc = src.implied_auc
         a, b, _, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, WARM_SETTINGS)
         a_warm, _, _, warm = solve_qmm_2d(
