@@ -2,12 +2,14 @@
 
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation is pure, so the whole module is safe to use
-from concurrent threads without coordination; the generators' first use
-imports scipy.special under the interpreter's import lock.
+from concurrent threads without coordination. The generators take their
+special functions from the standard library (``math.lgamma``, and the normal
+CDF and quantile of :mod:`._special` per quadrature node), not from scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,8 +155,11 @@ def _binomial_pmf(trials: int, success_prob) -> np.ndarray:
     a success probability of exactly 0 or 1 gives the degenerate pmf.
     """
     k = np.arange(trials + 1)
-    log_coeff = sp.gammaln(trials + 1.0) - sp.gammaln(k + 1.0) - sp.gammaln(trials - k + 1.0)
-    return np.exp(log_coeff + sp.xlogy(k, success_prob) + sp.xlog1py(trials - k, -success_prob))
+    log_fact = np.fromiter(map(math.lgamma, range(1, trials + 2)), float, trials + 1)  # log k!
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) is taken as 0
+        log_p = np.where(k == 0, 0.0, k * np.log(success_prob))
+        log_q = np.where(k == trials, 0.0, (trials - k) * np.log1p(-success_prob))
+    return np.exp(log_fact[-1] - log_fact - log_fact[::-1] + log_p + log_q)
 
 
 def binomial_dist(trials: int, success_prob: float) -> DiscreteScoreDist:
@@ -195,7 +200,8 @@ def vasicek_mixture_dist(
     )
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
-    succ = sp.ndtr((sp.ndtri(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation))
+    shifted = (sp.normal_ppf(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation)
+    succ = sp.elementwise(sp.normal_cdf, shifted)
     # rows: quadrature nodes, columns: k
     pmf = w @ _binomial_pmf(trials, succ[:, None])
     pmf = pmf / pmf.sum()

@@ -265,8 +265,9 @@ def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite raises a :class:`DomainError` that starts with ``stage``."""
     f0 = mid_cdf(d0)
     upper = int(np.searchsorted(f0, 0.5, "right"))  # F is non-decreasing
-    survival = mid_cdf(d0[upper:][::-1])[::-1]
-    z = np.concatenate((sp.ndtri(f0[:upper]), -sp.ndtri(survival)))
+    # one ndtri call, so that the support's size alone picks its path
+    z = sp.ndtri(np.concatenate((f0[:upper], mid_cdf(d0[upper:][::-1])[::-1])))
+    z[upper:] = -z[upper:]
     if not np.all(np.isfinite(z)):
         raise DomainError(
             f"{stage} has values outside (0, 1), where their probit is not finite "
@@ -345,8 +346,8 @@ def roc_qmm(
     approximate by construction and are reported, not forced.
     """
     auc_src = _source_auc("roc_qmm", src, tgt)
-    c = float(np.sqrt(2.0) * sp.ndtri(auc_src))
-    b = sp.logit(tgt.prior) - c * c / 2.0
+    c = float(np.sqrt(2.0) * sp.normal_ppf(auc_src))
+    b = sp.log_odds(tgt.prior) - c * c / 2.0
 
     def fit(z: np.ndarray):
         fam = rob_logit_family(z)

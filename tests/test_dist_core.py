@@ -14,7 +14,7 @@ from recal import (
     mean_under,
     vasicek_mixture_dist,
 )
-from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS
+from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS, _binomial_pmf
 from conftest import random_dist, random_values
 
 # refused counts, none of which may size an array: one past the bound, a
@@ -205,6 +205,15 @@ class TestVasicekMixtureDist:
 
     def test_pmf_normalized(self):
         d = vasicek_mixture_dist(16, 0.3, 0.3)
+        assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+
+    def test_nodes_at_probability_0_and_1_give_degenerate_rows(self):
+        """At a correlation near 1 the outer nodes' success probabilities
+        round to exactly 0 and 1; their binomial rows put all mass on k = 0
+        and k = trials, with no RuntimeWarning from log(0)."""
+        rows = _binomial_pmf(4, np.array([[0.0], [1.0]]))
+        assert rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
+        d = vasicek_mixture_dist(16, 0.3, 0.9999, quad_nodes=MAX_QUAD_NODES)
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
 
     def test_large_trial_count_stays_finite(self):

@@ -1,4 +1,6 @@
-"""scipy.special is imported on first use, not by ``import recal``.
+"""scipy.special is imported on first use by an input of more than
+``STDLIB_MAX_POINTS`` elements, not by ``import recal``, and the bundled
+worked example never imports it.
 
 The test process has imported scipy already, so every check runs in a
 fresh interpreter.
@@ -13,11 +15,14 @@ from pathlib import Path
 import pytest
 
 from recal import MethodId, parse_scenario, run_method, worked_example_scenario
+from recal._special import STDLIB_MAX_POINTS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # prints the names of the loaded scipy modules after the code before it
 PRINT_SCIPY_MODULES = "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+# makes every later ``import scipy...`` raise ImportError
+BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 
 def fresh(code: str) -> str:
@@ -68,6 +73,50 @@ def test_import_loads_no_scipy():
     assert fresh("import recal, recal.cli" + PRINT_SCIPY_MODULES) == "[]\n"
 
 
+def test_import_loads_no_statistics():
+    code = "import sys, recal, recal.cli\nprint('statistics' in sys.modules)\n"
+    assert fresh(code) == "False\n"
+
+
+def worked_example_code(out_dir) -> str:
+    """Builds the worked example in process, then runs it through the CLI."""
+    return (
+        "import recal\n"
+        "from recal.cli import main\n"
+        "sc = recal.worked_example_scenario()\n"
+        "assert sc.source.support.size <= recal._special.STDLIB_MAX_POINTS\n"
+        "code = main(['run', '--scenario', str(recal.example_scenario_path()),"
+        f" '--methods', 'all', '--out', {str(out_dir)!r}])\n"
+        "assert code == 0, code\n"
+    )
+
+
+def test_worked_example_loads_no_scipy(tmp_path):
+    assert fresh(worked_example_code(tmp_path) + PRINT_SCIPY_MODULES).endswith("[]\n")
+    assert (tmp_path / "table.csv").exists()
+
+
+def test_worked_example_runs_with_scipy_blocked(tmp_path):
+    fresh(BLOCK_SCIPY + worked_example_code(tmp_path / "blocked"))
+    fresh(worked_example_code(tmp_path / "free"))
+    for name in ("table.csv", "curves.csv", "diagnostics.json"):
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+
+
+def test_large_input_needs_scipy():
+    code = (
+        BLOCK_SCIPY
+        + "import numpy as np\n"
+        "from recal._special import ndtr\n"
+        "ndtr(np.zeros(64))\n"
+        "try:\n"
+        "    ndtr(np.zeros(65))\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n"
+    )
+    assert fresh(code) == "ImportError\n"
+
+
 def test_cheap_methods_run_without_scipy(explicit_path, tmp_path):
     code = (
         "from recal.cli import main\n"
@@ -99,21 +148,26 @@ def test_first_use_matches_preloaded_scipy(explicit_path, method):
 
 
 def test_concurrent_first_use_is_safe():
-    # more threads than cores race for the first scipy.special lookup
+    # more threads than cores race for the first scipy.special import, on
+    # inputs just above the size the standard library takes
     code = (
         "import sys, threading\n"
+        "import numpy as np\n"
         "sys.setswitchinterval(1e-6)\n"
-        "from recal import binomial_dist, vasicek_mixture_dist\n"
+        "from recal import logistic_cspd_family, normal_cspd_family, solvers\n"
+        f"u = np.linspace(0.01, 0.99, {STDLIB_MAX_POINTS + 1})\n"
+        "def values():\n"
+        "    return (normal_cspd_family(u).x.tobytes(), logistic_cspd_family(u).x.tobytes(),\n"
+        "            solvers.ndtr(u).tobytes())\n"
         "out = []\n"
         "def work():\n"
-        "    out.append((binomial_dist(40, 0.3).probs.tobytes(),\n"
-        "                vasicek_mixture_dist(40, 0.3, 0.2).probs.tobytes()))\n"
+        "    out.append(values())\n"
         "threads = [threading.Thread(target=work) for _ in range(8)]\n"
         "for t in threads: t.start()\n"
         "for t in threads: t.join(timeout=60)\n"
         "assert not any(t.is_alive() for t in threads)\n"
+        "assert 'scipy.special' in sys.modules\n"
         "assert len(out) == 8 and len(set(out)) == 1, len(out)\n"
-        "print(out[0] == (binomial_dist(40, 0.3).probs.tobytes(),"
-        " vasicek_mixture_dist(40, 0.3, 0.2).probs.tobytes()))\n"
+        "print(out[0] == values())\n"
     )
     assert fresh(code) == "True\n"
