@@ -147,7 +147,7 @@ def implied_auc_values(
 
 
 def implied_auc_gradient(
-    probs: np.ndarray, values: np.ndarray, cached_mid_cdf=None, auc: float | None = None
+    probs: np.ndarray, values: np.ndarray, cached_mid_cdf: np.ndarray, auc: float
 ) -> np.ndarray:
     """Gradient of the implied AUC A = N / (pbar (1 - pbar)) of
     :func:`implied_auc_values` in each of ``values``.
@@ -159,15 +159,13 @@ def implied_auc_gradient(
     prefix sum of p, the bracket is F_k - pbar - A (1 - 2 pbar), where
     F = P + p / 2 is the mid-CDF that A itself is computed from. Tied values
     get their share, by mass, of the derivative of the merged value, which
-    is exact where they move together. ``cached_mid_cdf`` is as for
-    :func:`implied_auc_values`, and ``auc``, if given, is its result on the
-    same arrays, which is then not computed again.
+    is exact where they move together. ``cached_mid_cdf`` is ``mid_cdf(probs)``
+    as for :func:`implied_auc_values`, and ``auc`` is that function's result
+    on the same arrays.
     """
     v = np.asarray(values, dtype=float)
     u, w, pbar, f = _merged(probs, v, cached_mid_cdf)
     var = pbar * (1.0 - pbar)
-    if auc is None:
-        auc = implied_auc_values(probs, v, cached_mid_cdf)
     per_mass = (f - (pbar + auc * (1.0 - 2.0 * pbar))) / var
     if u is not v:
         per_mass = per_mass[np.searchsorted(u, v)]

@@ -33,6 +33,7 @@ from .eval_report import (
 )
 from .recal_methods import RecalResult
 from .scenario import (
+    SETTINGS_KEYS,
     Scenario,
     _parse_functional,
     _parse_methods,
@@ -86,7 +87,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         )
     if args.functional is not None:
         changes["functional"] = _parse_functional(args.functional)
-    flags = {key: getattr(args, key) for key in ("tol_mean", "tol_auc", "max_iter")}
+    flags = {key: getattr(args, key) for key in SETTINGS_KEYS}
     changes["settings"] = _parse_settings(
         {key: value for key, value in flags.items() if value is not None},
         scenario.settings,

@@ -26,7 +26,10 @@ PRIOR_CONSISTENCY_TOL = 1e-10
 # Vasicek mixture's pmf matrix at most MAX_QUAD_NODES x (MAX_TRIALS + 1)
 # float64 entries (134 MB).
 MAX_TRIALS = 65_536
+MIN_QUAD_NODES = 16
 MAX_QUAD_NODES = 256
+# largest miss of the requested mean that a Vasicek quadrature may leave
+VASICEK_MEAN_TOL = 1e-8
 
 
 def _validated_array(values, name: str) -> np.ndarray:
@@ -63,7 +66,7 @@ class DiscreteScoreDist:
         if np.any(self.probs < 0):
             raise DomainError("probs must be non-negative")
         if abs(float(self.probs.sum()) - 1.0) > PROB_SUM_TOL:
-            raise DomainError("probs must sum to 1 within 1e-12")
+            raise DomainError(f"probs must sum to 1 within {PROB_SUM_TOL}")
 
     @property
     def n(self) -> int:
@@ -91,7 +94,7 @@ class SourceModel:
     """Source feature distribution, its posterior curve and class-1 prior.
 
     The prior must equal the mean of the posterior under the feature
-    distribution (auto-calibration consistency) within 1e-10.
+    distribution (auto-calibration consistency) within ``PRIOR_CONSISTENCY_TOL``.
     """
 
     feature_dist: DiscreteScoreDist
@@ -107,8 +110,8 @@ class SourceModel:
         implied = float(np.dot(self.feature_dist.probs, self.posterior.values))
         if abs(implied - self.prior) > PRIOR_CONSISTENCY_TOL:
             raise DomainError(
-                "source prior must equal the posterior mean under the feature "
-                f"distribution within 1e-10 (prior={self.prior!r}, mean={implied!r})"
+                "source prior must equal the posterior mean under the feature distribution "
+                f"within {PRIOR_CONSISTENCY_TOL} (prior={self.prior!r}, mean={implied!r})"
             )
 
     @property
@@ -185,7 +188,9 @@ def vasicek_mixture_dist(
     The success probability is V(z) = ndtr((ndtri(mean) - sqrt(corr) * z)
     / sqrt(1 - corr)) for a standard normal z, the one-factor law with the
     given mean. The mixture integral is evaluated by Gauss-Hermite quadrature
-    with 16 to ``MAX_QUAD_NODES`` nodes and the pmf is renormalized.
+    with ``MIN_QUAD_NODES`` to ``MAX_QUAD_NODES`` nodes and the pmf is
+    renormalized. Nodes whose mean of V misses ``mean`` by more than
+    ``VASICEK_MEAN_TOL`` (near correlation 1) raise a :class:`DomainError`.
     """
     trials = _count(trials, "trials", 1, MAX_TRIALS)
     if not np.isfinite(mean) or not (0.0 < mean < 1.0):
@@ -195,13 +200,18 @@ def vasicek_mixture_dist(
             "correlation must lie strictly inside (0, 1); "
             "request the degenerate case as a plain binomial instead"
         )
-    nodes, weights = np.polynomial.hermite.hermgauss(
-        _count(quad_nodes, "quad_nodes", 16, MAX_QUAD_NODES)
-    )
+    quad_nodes = _count(quad_nodes, "quad_nodes", MIN_QUAD_NODES, MAX_QUAD_NODES)
+    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
     shifted = (sp.normal_ppf(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation)
     succ = sp.elementwise(sp.normal_cdf, shifted)
+    achieved = float(np.dot(w, succ))
+    if not abs(achieved - mean) <= VASICEK_MEAN_TOL:
+        raise DomainError(
+            f"{quad_nodes} quadrature nodes give mean {achieved!r}, not the requested {mean!r}; "
+            f"raise quad_nodes (at most {MAX_QUAD_NODES}) or lower the correlation"
+        )
     # rows: quadrature nodes, columns: k
     pmf = w @ _binomial_pmf(trials, succ[:, None])
     pmf = pmf / pmf.sum()

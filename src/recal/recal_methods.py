@@ -41,29 +41,19 @@ from .solvers import (
 
 
 class MethodId(enum.Enum):
-    """Closed enumeration of the recalibration methods; names are stable."""
+    """The recalibration methods in results-table order; names are stable."""
 
     CAPPED_SCALING = "capped_scaling"
     LABEL_SHIFT = "label_shift"
     FJS = "fjs"
     PLATT = "platt"
-    LOGISTIC_CSPD = "logistic_cspd"
-    NORMAL_CSPD = "normal_cspd"
     ROC_QMM = "roc_qmm"
     TWO_PARAM_QMM = "two_param_qmm"
+    LOGISTIC_CSPD = "logistic_cspd"
+    NORMAL_CSPD = "normal_cspd"
 
 
-# results-table row order
-CANONICAL_ORDER: tuple[MethodId, ...] = (
-    MethodId.CAPPED_SCALING,
-    MethodId.LABEL_SHIFT,
-    MethodId.FJS,
-    MethodId.PLATT,
-    MethodId.ROC_QMM,
-    MethodId.TWO_PARAM_QMM,
-    MethodId.LOGISTIC_CSPD,
-    MethodId.NORMAL_CSPD,
-)
+CANONICAL_ORDER: tuple[MethodId, ...] = tuple(MethodId)
 
 DISPLAY_LABELS: dict[MethodId, str] = {
     MethodId.CAPPED_SCALING: "Capped scaling",
@@ -253,8 +243,7 @@ def parametric_cspd_qmm(
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
     fam = _PARAMETRIC_FAMILIES[family](src.posterior.values)
-    auc_target = src.implied_auc
-    a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt, settings)
+    a, b, values, diag = solve_qmm_2d(fam, src.implied_auc, tgt, settings)
     return _finish(family, tgt, values, {"a": float(a), "b": float(b)}, diag)
 
 
@@ -296,27 +285,27 @@ def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray):
     return _class0_cdf(stage, d0)
 
 
-def fixed_point_f0(method, feature, tol, max_iter, fit):
+def fixed_point_f0(method, tgt, settings, fit):
     """Alternate ``fit(z) -> (alpha, beta, values, diag)`` with the refresh
     of the class-0 CDF F and its probit z from ``values``, starting from the
-    target law ``feature``, until the sup-norm change over F and the last two
-    fits' (alpha, beta) is at most ``tol`` or for ``max_iter`` steps; the one
-    loop of :func:`roc_qmm` and :func:`two_param_qmm`. The change is measured
-    from step 2 on, so ``residual_fixed_point`` is None until then. Returns
-    the last z, the diagnostics and the last fit; ``max_iter`` below 1 raises
-    a :class:`DomainError` naming ``method``."""
-    if max_iter < 1:
+    target features, until the sup-norm change over F and the last two fits'
+    (alpha, beta) is at most ``settings.tol_fixed_point`` or for ``max_iter``
+    steps; the one loop of :func:`roc_qmm` and :func:`two_param_qmm`. The
+    change is measured from step 2 on, so ``residual_fixed_point`` is None
+    until then. Returns the last z, the diagnostics and the last fit;
+    ``max_iter`` below 1 raises a :class:`DomainError` naming ``method``."""
+    if settings.max_iter < 1:
         raise DomainError(f"{method}: max_iter must be at least 1")
-    f0, z = _class0_cdf(f"{method}: initial class-0 CDF", feature.probs)
+    f0, z = _class0_cdf(f"{method}: initial class-0 CDF", tgt.feature_dist.probs)
     delta = last = None
-    for step in range(1, max_iter + 1):
+    for step in range(1, settings.max_iter + 1):
         fitted = fit(z)
-        f0_new, z = _refreshed_f0(method, feature, fitted[2])
+        f0_new, z = _refreshed_f0(method, tgt.feature_dist, fitted[2])
         if last is not None:
             delta = float(np.max(np.abs(f0_new - f0)))
             delta = max(delta, abs(fitted[0] - last[0]), abs(fitted[1] - last[1]))
         last, f0 = fitted, f0_new
-        converged = delta is not None and delta <= tol
+        converged = delta is not None and delta <= settings.tol_fixed_point
         if converged:
             break
     diag = SolveDiagnostics(iterations=step, converged=converged, residual_fixed_point=delta)
@@ -353,9 +342,7 @@ def roc_qmm(
         fam = rob_logit_family(z)
         return c, b, fam.link(c * fam.x + b), None
 
-    z, diag, _ = fixed_point_f0(
-        "roc_qmm", tgt.feature_dist, settings.tol_fixed_point, settings.max_iter, fit
-    )
+    z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, fit)
     return _finish(MethodId.ROC_QMM, tgt, fit(z)[2], {"c": c}, diag)
 
 
@@ -396,8 +383,7 @@ def two_param_qmm(
         steps += 1
         try:
             alpha, beta, values, inner = solve_qmm_2d(
-                rob_logit_family(z), auc_src, tgt.prior, tgt, inner_settings,
-                warm_start=warm_start,
+                rob_logit_family(z), auc_src, tgt, inner_settings, warm_start=warm_start
             )
         except InfeasibleError as exc:
             raise InfeasibleError(
@@ -407,9 +393,7 @@ def two_param_qmm(
         warm_start = (alpha, beta)  # the next solve starts here
         return alpha, beta, values, inner
 
-    _, diag, (alpha, beta, values, inner) = fixed_point_f0(
-        "two_param_qmm", tgt.feature_dist, settings.tol_fixed_point, settings.max_iter, fit
-    )
+    _, diag, (alpha, beta, values, inner) = fixed_point_f0("two_param_qmm", tgt, settings, fit)
     converged = (
         diag.converged
         and inner.residual_mean <= settings.tol_mean

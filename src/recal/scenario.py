@@ -25,8 +25,8 @@ Schema (all keys checked; unknown keys are rejected)::
       "solver": {"tol_mean": float, "tol_auc": float, "max_iter": int}  // optional
     }
 
-``trials`` is at most ``dist_core.MAX_TRIALS`` and ``quad_nodes`` (at least
-16) at most ``dist_core.MAX_QUAD_NODES``.
+``solver`` takes :data:`SETTINGS_KEYS`, ``trials`` at most ``dist_core.MAX_TRIALS``,
+and ``quad_nodes`` ``dist_core.MIN_QUAD_NODES`` to ``dist_core.MAX_QUAD_NODES``.
 
 With a class-conditional source, the unconditional feature pmf is
 prior * f1 + (1 - prior) * f0 and the posterior at each support point is the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +46,8 @@ import numpy as np
 from .dist_core import (
     MAX_QUAD_NODES,
     MAX_TRIALS,
+    MIN_QUAD_NODES,
+    PRIOR_CONSISTENCY_TOL,
     DiscreteScoreDist,
     PosteriorCurve,
     SourceModel,
@@ -57,6 +59,9 @@ from .errors import RecalError, ScenarioError
 from .eval_report import FunctionalSpec
 from .recal_methods import CANONICAL_ORDER, MethodId, RecalResult, run_method
 from .solvers import DEFAULT_SETTINGS, SolverSettings
+
+# the SolverSettings fields that a scenario's ``solver`` block and the CLI set
+SETTINGS_KEYS = ("tol_mean", "tol_auc", "max_iter")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +167,7 @@ def _parse_source(obj: dict) -> SourceModel:
         prior = float(np.dot(feature.probs, curve.values))
         if "prior" in obj:
             prior_given = _open_unit(obj, "source", "prior")
-            if abs(prior_given - prior) > 1e-10:
+            if abs(prior_given - prior) > PRIOR_CONSISTENCY_TOL:
                 raise ScenarioError(
                     "source.prior: inconsistent with the posterior mean "
                     f"({prior_given!r} vs {prior!r})"
@@ -199,12 +204,12 @@ def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
             trials = _integer(feat, "target.feature", "trials", 1, MAX_TRIALS)
             mean = _open_unit(feat, "target.feature", "mean")
             correlation = _open_unit(feat, "target.feature", "correlation")
-            nodes = (
-                _integer(feat, "target.feature", "quad_nodes", 16, MAX_QUAD_NODES)
-                if "quad_nodes" in feat
-                else 128
-            )
-            dist = vasicek_mixture_dist(trials, mean, correlation, nodes)
+            nodes = {}  # absent, the generator's default applies
+            if "quad_nodes" in feat:
+                nodes["quad_nodes"] = _integer(
+                    feat, "target.feature", "quad_nodes", MIN_QUAD_NODES, MAX_QUAD_NODES
+                )
+            dist = vasicek_mixture_dist(trials, mean, correlation, **nodes)
         elif kind == "explicit":
             _check_keys(feat, "target.feature", ("type", "support", "probs"))
             dist = DiscreteScoreDist(
@@ -272,7 +277,7 @@ def _parse_settings(
     """
     if obj is None:
         return base
-    _check_keys(obj, "solver", (), optional=("tol_mean", "tol_auc", "max_iter"))
+    _check_keys(obj, "solver", (), optional=SETTINGS_KEYS)
     name = name or (lambda key: f"solver.{key}")
     changes = {}
     for key, value in obj.items():
@@ -315,7 +320,13 @@ def parse_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize a scenario; the source is written in explicit form."""
+    """Serialize a scenario, the source in explicit form; a solver setting
+    with no file key must be at its default, else a :class:`RecalError`."""
+    settings = scenario.settings
+    for key in (f.name for f in fields(settings) if f.name not in SETTINGS_KEYS):
+        value = getattr(settings, key)
+        if value != getattr(DEFAULT_SETTINGS, key):
+            raise RecalError(f"solver.{key}: scenario files hold only the default, not {value!r}")
     functional: str | dict
     if scenario.functional.id == "sqrt":
         functional = "sqrt"
@@ -342,11 +353,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         },
         "methods": [m.value for m in scenario.methods],
         "functional": functional,
-        "solver": {
-            "tol_mean": scenario.settings.tol_mean,
-            "tol_auc": scenario.settings.tol_auc,
-            "max_iter": scenario.settings.max_iter,
-        },
+        "solver": {key: getattr(settings, key) for key in SETTINGS_KEYS},
     }
 
 

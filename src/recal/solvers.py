@@ -247,14 +247,13 @@ def rob_logit_family(z) -> TransformFamily:
 def solve_qmm_2d(
     family: TransformFamily,
     source_auc_target: float,
-    q: float,
     target: TargetSpec,
     settings: SolverSettings = DEFAULT_SETTINGS,
     warm_start: tuple[float, float] | None = None,
 ) -> tuple[float, float, np.ndarray, SolveDiagnostics]:
-    """Fit (a, b) so the transformed curve has mean q and the target AUC;
-    return them with the fitted curve link(a * x + b), which the accepted
-    probe computed, and the diagnostics.
+    """Fit (a, b) so the transformed curve has mean q = ``target.prior`` and
+    the target AUC; return them with the fitted curve link(a * x + b), which
+    the accepted probe computed, and the diagnostics.
 
     Both levels are :func:`bisect_root` with a derivative. At a fixed slope
     (a probe) the intercept solves the strictly monotone mean equation,
@@ -275,7 +274,7 @@ def solve_qmm_2d(
     (alpha, beta)`` starts both searches there; an ``alpha`` outside the
     slope range or with an unhealthy probe gives the cold solve.
     """
-    weights = target.feature_dist.probs
+    weights, q = target.feature_dist.probs, target.prior
     x = family.x
     if x.shape != weights.shape:
         raise StructuralError(

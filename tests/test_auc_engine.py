@@ -216,12 +216,17 @@ def _central_difference(probs, values, direction, h=1e-6):
     ) / (2.0 * h)
 
 
+def _gradient(probs, values):
+    """implied_auc_gradient with the mid-CDF and AUC that a solve passes it."""
+    return implied_auc_gradient(probs, values, mid_cdf(probs), implied_auc_values(probs, values))
+
+
 class TestImpliedAucGradient:
     @settings(max_examples=200, deadline=None)
     @given(_increasing_curves())
     def test_matches_a_central_difference(self, curve):
         probs, values = curve
-        grad = implied_auc_gradient(probs, values)
+        grad = _gradient(probs, values)
         for k, unit in enumerate(np.eye(values.size)):
             # truncation ~ h**2 and rounding ~ eps / h are both below 1e-9
             assert abs(grad[k] - _central_difference(probs, values, unit)) <= 1e-8
@@ -231,16 +236,17 @@ class TestImpliedAucGradient:
         derivative of moving them together, by mass."""
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         values = np.array([0.1, 0.3, 0.3, 0.5])
-        grad = implied_auc_gradient(probs, values)
+        grad = _gradient(probs, values)
         together = np.array([0.0, 1.0, 1.0, 0.0])
         assert abs(grad @ together - _central_difference(probs, values, together)) <= 1e-8
         assert grad[2] / grad[1] == pytest.approx(1.5, rel=1e-12)
         order = np.array([3, 0, 2, 1])
-        assert np.array_equal(implied_auc_gradient(probs[order], values[order]), grad[order])
+        assert np.array_equal(_gradient(probs[order], values[order]), grad[order])
 
     def test_degenerate_mean_rejected(self):
         with pytest.raises(DegenerateClassError):
-            implied_auc_gradient(np.array([0.5, 0.5]), np.array([0.0, 0.0]))
+            probs = np.array([0.5, 0.5])
+            implied_auc_gradient(probs, np.array([0.0, 0.0]), mid_cdf(probs), 0.5)
 
 
 class TestAdjustedCdf:
@@ -410,7 +416,7 @@ class TestImpliedAucValues:
             return
         cached = mid_cdf(probs)
         assert same_bits(implied_auc_values(probs, values, cached), auc)
-        grad = implied_auc_gradient(probs, values)
+        grad = _gradient(probs, values)
         assert same_bits(implied_auc_gradient(probs, values, cached, auc), grad)
 
         exact, pbar = exact_implied_auc(probs, values)

@@ -208,13 +208,25 @@ class TestVasicekMixtureDist:
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
 
     def test_nodes_at_probability_0_and_1_give_degenerate_rows(self):
-        """At a correlation near 1 the outer nodes' success probabilities
-        round to exactly 0 and 1; their binomial rows put all mass on k = 0
-        and k = trials, with no RuntimeWarning from log(0)."""
+        """At a high correlation the outer nodes' success probabilities
+        round to exactly 0 and 1 (67 and 111 of 256 nodes at correlation
+        0.9); their binomial rows put all mass on k = 0 and k = trials, with
+        no RuntimeWarning from log(0)."""
         rows = _binomial_pmf(4, np.array([[0.0], [1.0]]))
         assert rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
-        d = vasicek_mixture_dist(16, 0.3, 0.9999, quad_nodes=MAX_QUAD_NODES)
+        d = vasicek_mixture_dist(16, 0.3, 0.9, quad_nodes=MAX_QUAD_NODES)
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("nodes", [128, MAX_QUAD_NODES])
+    def test_quadrature_that_misses_the_mean_is_refused(self, nodes):
+        """At correlation 0.99 the mixing law is close to a step in the
+        normal factor, and even 256 nodes miss its mean 0.3 (by 1e-4)."""
+        with pytest.raises(
+            DomainError,
+            match=rf"^{nodes} quadrature nodes give mean 0\.29.*, not the requested 0\.3; "
+            rf"raise quad_nodes \(at most {MAX_QUAD_NODES}\) or lower the correlation$",
+        ):
+            vasicek_mixture_dist(16, 0.3, 0.99, quad_nodes=nodes)
 
     def test_large_trial_count_stays_finite(self):
         # a float binomial coefficient overflows above ~1,030 trials

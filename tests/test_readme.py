@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import recal
+from recal import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -22,6 +23,12 @@ def test_library_use_block_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert "FJS" in capsys.readouterr().out
+
+
+def test_table_block_is_what_the_cli_prints(capsys):
+    block = re.search(r"`recal table` prints.*?```\n(.*?)```", _section("CLI"), re.S)
+    assert cli.main(["table", "--scenario", str(recal.example_scenario_path())]) == 0
+    assert capsys.readouterr().out == block.group(1)
 
 
 MENTIONED = sorted(

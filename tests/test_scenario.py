@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from recal import (
     MethodId,
+    RecalError,
     ScenarioError,
+    SolverSettings,
     capped_scaling,
     example_scenario_path,
     parse_scenario,
@@ -152,6 +155,14 @@ class TestParseScenario:
         }
         with pytest.raises(ScenarioError, match="target.feature.correlation"):
             scenario_from_dict(obj)
+
+    def test_vasicek_quadrature_missing_the_mean_named(self, tmp_path):
+        obj = json.loads(example_scenario_path().read_text(encoding="utf-8"))
+        obj["target"]["feature"]["correlation"] = 0.99
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ScenarioError, match="^target.feature: 128 quadrature nodes give"):
+            parse_scenario(path)
 
     def test_methods_all_expands_canonically(self):
         obj = minimal_dict(methods="all")
@@ -318,6 +329,12 @@ class TestRoundTrip:
         assert back.target.prior == example_scenario.target.prior
         assert back.methods == example_scenario.methods
         assert back.settings == example_scenario.settings
+
+    def test_setting_without_a_file_key_is_refused_not_dropped(self, example_scenario):
+        tight = replace(example_scenario, settings=SolverSettings(tol_fixed_point=1e-14))
+        refusal = "^solver.tol_fixed_point: scenario files hold only the default, not 1e-14$"
+        with pytest.raises(RecalError, match=refusal):
+            scenario_to_dict(tight)
 
     def test_dict_form_lists_explicit_source(self, example_scenario):
         obj = scenario_to_dict(example_scenario)

@@ -282,7 +282,7 @@ class TestSolveQmm2d:
         target = TargetSpec(src.feature_dist, src.prior)
         auc = src.implied_auc
         a, b, values, diag = solve_qmm_2d(
-            logistic_cspd_family(src.posterior.values), auc, src.prior, target
+            logistic_cspd_family(src.posterior.values), auc, target
         )
         assert diag.converged
         assert abs(a - 1.0) <= 1e-3
@@ -293,7 +293,7 @@ class TestSolveQmm2d:
         """Target AUC 1/2 is met exactly by a constant transform: zero slope
         and intercept at the log-odds of the target prior."""
         target, curve = _toy_problem(q=0.07)
-        a, b, values, diag = solve_qmm_2d(platt_family(curve.values), 0.5, 0.07, target)
+        a, b, values, diag = solve_qmm_2d(platt_family(curve.values), 0.5, target)
         assert diag.converged
         assert a == 0.0
         assert abs(b - logit(0.07)) <= 1e-6
@@ -303,7 +303,7 @@ class TestSolveQmm2d:
         src, tgt = example_scenario.source, example_scenario.target
         auc_target = src.implied_auc
         fam = logistic_cspd_family(src.posterior.values)
-        a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt.prior, tgt)
+        a, b, values, diag = solve_qmm_2d(fam, auc_target, tgt)
         assert diag.converged
         curve = PosteriorCurve(tgt.support, values)
         assert abs(mean_under(tgt.feature_dist, curve) - 0.050) <= 1.5e-3
@@ -319,7 +319,7 @@ class TestSolveQmm2d:
             # AUC under the target features
             auc_target = implied_auc(target.feature_dist, curve)
             a, b, _, diag = solve_qmm_2d(
-                platt_family(curve.values), auc_target, target.prior, target
+                platt_family(curve.values), auc_target, target
             )
             assert diag.converged
             assert diag.residual_mean <= 1e-9
@@ -328,19 +328,19 @@ class TestSolveQmm2d:
     def test_infeasible_target_reports_attainable_range(self):
         target, curve = _toy_problem(n=2, q=0.3, seed=3)
         with pytest.raises(InfeasibleError) as err:
-            solve_qmm_2d(platt_family(curve.values), 0.9999, 0.3, target)
+            solve_qmm_2d(platt_family(curve.values), 0.9999, target)
         low, high = err.value.attainable_auc_range
         assert 0.5 <= low <= high < 0.9999
 
     def test_below_half_target_is_infeasible(self):
         target, curve = _toy_problem(q=0.1)
         with pytest.raises(InfeasibleError):
-            solve_qmm_2d(platt_family(curve.values), 0.3, 0.1, target)
+            solve_qmm_2d(platt_family(curve.values), 0.3, target)
 
     def test_bracket_recorded(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         a, b, _, diag = solve_qmm_2d(
-            logistic_cspd_family(src.posterior.values), src.implied_auc, tgt.prior, tgt
+            logistic_cspd_family(src.posterior.values), src.implied_auc, tgt
         )
         assert diag.bracket is not None
         lo, hi = diag.bracket
@@ -349,8 +349,8 @@ class TestSolveQmm2d:
     def test_deterministic(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         auc = src.implied_auc
-        first = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt.prior, tgt)
-        second = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt.prior, tgt)
+        first = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt)
+        second = solve_qmm_2d(platt_family(src.posterior.values), auc, tgt)
         assert first[0] == second[0] and first[1] == second[1]
 
     def test_interior_source_required(self):
@@ -374,14 +374,14 @@ class TestSolveQmm2d:
         w[-1] -= 5e-13
         target = TargetSpec(DiscreteScoreDist(np.arange(5.0), w), 1.0 - 1e-15)
         with pytest.raises(InfeasibleError, match="^platt: mean equation insoluble at slope 0"):
-            solve_qmm_2d(platt_family([0.1, 0.2, 0.3, 0.4, 0.5]), 0.5, target.prior, target)
+            solve_qmm_2d(platt_family([0.1, 0.2, 0.3, 0.4, 0.5]), 0.5, target)
 
     def test_regressor_length_mismatch_names_the_family(self):
         target = TargetSpec(DiscreteScoreDist(np.arange(5.0), np.full(5, 0.2)), 0.1)
         with pytest.raises(
             StructuralError, match="^platt: regressor has 3 points, the target support 5$"
         ):
-            solve_qmm_2d(platt_family([0.1, 0.2, 0.3]), 0.7, target.prior, target)
+            solve_qmm_2d(platt_family([0.1, 0.2, 0.3]), 0.7, target)
 
     def test_every_link_call_is_an_intercept_mean_evaluation(self, monkeypatch, example_scenario):
         """The accepted fit's mean residual comes from its probe's intercept
@@ -405,7 +405,7 @@ class TestSolveQmm2d:
         monkeypatch.setattr(solvers, "bisect_root", counting_root)
         src, tgt = example_scenario.source, example_scenario.target
         _, _, _, diag = solve_qmm_2d(
-            platt_family(src.posterior.values), src.implied_auc, tgt.prior, tgt
+            platt_family(src.posterior.values), src.implied_auc, tgt
         )
         assert diag.converged and diag.iterations == 6
         assert calls["link"] == calls["mean"] - diag.iterations == 21
@@ -416,7 +416,7 @@ class TestSolveQmm2d:
         the bracket is the fitted slope itself."""
         target, curve = _toy_problem(seed=0)
         auc = implied_auc(target.feature_dist, curve)
-        a, _, _, diag = solve_qmm_2d(logistic_cspd_family(curve.values), auc, 0.08, target)
+        a, _, _, diag = solve_qmm_2d(logistic_cspd_family(curve.values), auc, target)
         assert diag.converged and diag.iterations == 3
         assert diag.bracket == (a, a)
 
@@ -451,7 +451,7 @@ class TestSolveQmm2dExplicitProblems:
         build, regressor, auc, q, target, settings_ = problem
         try:
             family = build(regressor)
-            a, b, values, diag = solve_qmm_2d(family, auc, q, target, settings_)
+            a, b, values, diag = solve_qmm_2d(family, auc, target, settings_)
         except RecalError as exc:
             assert str(exc).startswith(build.__name__.removesuffix("_family") + ": ")
             return
@@ -472,6 +472,8 @@ class TestFixedPointF0:
 
     FEATURE = DiscreteScoreDist([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4])
     CURVE = np.array([0.05, 0.1, 0.2, 0.4])
+    TARGET = TargetSpec(FEATURE, 0.3)
+    SETTINGS = SolverSettings(tol_fixed_point=1e-12)
 
     def fixed(self, z):
         """A fit that returns the same (alpha, beta) and curve at every z."""
@@ -486,7 +488,7 @@ class TestFixedPointF0:
             zs.append(z)
             return self.fixed(z)
 
-        out, diag, fitted = fixed_point_f0("m", self.FEATURE, 1e-12, 200, recording)
+        out, diag, fitted = fixed_point_f0("m", self.TARGET, self.SETTINGS, recording)
         assert diag.converged and diag.iterations == 2
         assert diag.residual_fixed_point == 0.0
         # step 1 fits the two-sided probit of the target law's adjusted CDF
@@ -502,7 +504,8 @@ class TestFixedPointF0:
         assert fitted[:2] == (1.0, 0.5) and fitted[2] is self.CURVE
 
     def test_single_step_measures_no_change(self):
-        _, diag, _ = fixed_point_f0("m", self.FEATURE, 1e-12, 1, self.fixed)
+        one_step = SolverSettings(tol_fixed_point=1e-12, max_iter=1)
+        _, diag, _ = fixed_point_f0("m", self.TARGET, one_step, self.fixed)
         assert diag.iterations == 1 and not diag.converged
         assert diag.residual_fixed_point is None
 
@@ -513,7 +516,8 @@ class TestFixedPointF0:
             steps.append(z)
             return float(len(steps)), 0.5, self.CURVE, None
 
-        out, diag, fitted = fixed_point_f0("m", self.FEATURE, 1e-12, 5, drifting)
+        five_steps = SolverSettings(tol_fixed_point=1e-12, max_iter=5)
+        out, diag, fitted = fixed_point_f0("m", self.TARGET, five_steps, drifting)
         assert not diag.converged
         assert diag.iterations == len(steps) == 5
         assert diag.residual_fixed_point == 1.0
@@ -523,12 +527,13 @@ class TestFixedPointF0:
         """max_iter below 1 and a target law with a zero mass at an end of
         the support are refused with the method named."""
         with pytest.raises(DomainError, match="^m: max_iter must be at least 1$"):
-            fixed_point_f0("m", self.FEATURE, 1e-12, 0, self.fixed)
+            no_steps = SolverSettings(tol_fixed_point=1e-12, max_iter=0)
+            fixed_point_f0("m", self.TARGET, no_steps, self.fixed)
         initial = r"^m: initial class-0 CDF has values outside \(0, 1\)"
         for probs in ([0.0, 0.2, 0.4, 0.4], [0.2, 0.4, 0.4, 0.0]):
             with pytest.raises(DomainError, match=initial):
-                feature = DiscreteScoreDist(self.FEATURE.support, probs)
-                fixed_point_f0("m", feature, 1e-12, 200, self.fixed)
+                target = TargetSpec(DiscreteScoreDist(self.FEATURE.support, probs), 0.3)
+                fixed_point_f0("m", target, self.SETTINGS, self.fixed)
 
 
 class TestSolverSettings:
@@ -629,13 +634,13 @@ class TestSolveQmm2dWarmStart:
                 "far": (10.0**u, v),
                 "zero": (0.0, v),
             }[kind]
-            return solve_qmm_2d(family, auc_target, q, target, WARM_SETTINGS, warm_start=warm)
+            return solve_qmm_2d(family, auc_target, target, WARM_SETTINGS, warm_start=warm)
 
         # the regressor is fixed when the family is built
         assert not family.x.flags.writeable
         try:
             a_cold, b_cold, values_cold, cold = solve_qmm_2d(
-                family, auc_target, q, target, WARM_SETTINGS
+                family, auc_target, target, WARM_SETTINGS
             )
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
@@ -677,9 +682,9 @@ class TestSolveQmm2dWarmStart:
         w = tgt.feature_dist.probs
         fam = rob_logit_family(ndtri(np.cumsum(w) - w / 2))
         auc = src.implied_auc
-        a, b, _, cold = solve_qmm_2d(fam, auc, tgt.prior, tgt, WARM_SETTINGS)
+        a, b, _, cold = solve_qmm_2d(fam, auc, tgt, WARM_SETTINGS)
         a_warm, _, _, warm = solve_qmm_2d(
-            fam, auc, tgt.prior, tgt, WARM_SETTINGS, warm_start=(a, b)
+            fam, auc, tgt, WARM_SETTINGS, warm_start=(a, b)
         )
         assert warm.converged and cold.converged
         assert warm.iterations == 1 and cold.iterations == 4
@@ -692,9 +697,9 @@ class TestSolveQmm2dWarmStart:
         slope past the search range all restart the slope search at 1."""
         target, curve = _toy_problem()
         auc = implied_auc(target.feature_dist, curve)
-        a_cold, b_cold, _, cold = solve_qmm_2d(platt_family(curve.values), auc, 0.08, target)
+        a_cold, b_cold, _, cold = solve_qmm_2d(platt_family(curve.values), auc, target)
         a, b, _, diag = solve_qmm_2d(
-            platt_family(curve.values), auc, 0.08, target, warm_start=(alpha0, b_cold)
+            platt_family(curve.values), auc, target, warm_start=(alpha0, b_cold)
         )
         assert diag.converged and diag.bracket == cold.bracket
         # only the unhealthy warm probe costs one probe more
@@ -708,7 +713,7 @@ class TestSolveQmm2dWarmStart:
     def test_malformed_warm_start_rejected(self, warm_start):
         target, curve = _toy_problem()
         with pytest.raises(DomainError, match="^solve_qmm_2d: warm_start"):
-            solve_qmm_2d(platt_family(curve.values), 0.7, 0.08, target, warm_start=warm_start)
+            solve_qmm_2d(platt_family(curve.values), 0.7, target, warm_start=warm_start)
 
     def test_link_values_at_the_intercept_root_are_reused(self, monkeypatch, example_scenario):
         """Each probe's link values come from the intercept search's last
@@ -731,7 +736,7 @@ class TestSolveQmm2dWarmStart:
         monkeypatch.setattr(solvers, "bisect_root", counting_root)
         src, tgt = example_scenario.source, example_scenario.target
         a, b, _, diag = solve_qmm_2d(
-            platt_family(src.posterior.values), src.implied_auc, tgt.prior, tgt
+            platt_family(src.posterior.values), src.implied_auc, tgt
         )
         assert diag.converged
         # the final mean check of the solve is one more link call
