@@ -11,8 +11,9 @@ Two independent AUC routes are kept side by side on purpose:
   which sorts only values that are not already strictly increasing. The
   sum is N = sum(p v F) - pbar**2 / 2 over the merged masses p, with F
   their mid-CDF, so the AUC N / (pbar (1 - pbar)) is two dot products once
-  F is known. F depends on the masses only; a QMM solve computes it once
-  per target with :func:`mid_cdf` and passes it to every probe.
+  F is known. F depends on the masses only; a QMM solve reads it from the
+  target law, which caches it (``DiscreteScoreDist.mid_cdf``), and each
+  probe keeps its merge for the AUC's derivative in the slope.
 
 For monotone posterior curves the two agree to float precision; the test
 suite leans on that equivalence.
@@ -103,7 +104,7 @@ def _merge_by_value(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, 
     input order starting from 0.0, so both paths give the same bits: the
     ``+ 0.0`` turns a -0.0 mass into 0.0 exactly as that sum does.
     """
-    if np.all(values[1:] > values[:-1]):
+    if (values[1:] > values[:-1]).all():
         return values, probs + 0.0
     distinct, inverse = np.unique(values, return_inverse=True)
     return distinct, np.bincount(inverse, weights=probs, minlength=distinct.size)
@@ -111,14 +112,16 @@ def _merge_by_value(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, 
 
 def mid_cdf(probs: np.ndarray) -> np.ndarray:
     """The mid-CDF cumsum(p) - p / 2 of masses ``p`` in their given order."""
-    return np.cumsum(probs) - 0.5 * probs
+    f = np.cumsum(probs, dtype=float)
+    f -= 0.5 * probs
+    return f
 
 
 def _merged(probs, values, cached_mid_cdf=None):
-    """:func:`_merge_by_value` of the arrays, the posterior mean pbar, which
-    must leave both classes non-empty, and the mid-CDF of the merged masses:
-    ``cached_mid_cdf`` (that of ``probs``) where the values needed no merge,
-    else computed."""
+    """(u, pbar, F, A): the values u of :func:`_merge_by_value` of the arrays,
+    the posterior mean pbar, which must leave both classes non-empty, the
+    mid-CDF F of the merged masses (``cached_mid_cdf``, that of ``probs``,
+    where the values needed no merge) and the implied AUC A."""
     v = np.asarray(values, dtype=float)
     u, p = _merge_by_value(v, np.asarray(probs, dtype=float))
     pbar = float(np.dot(p, u))
@@ -127,7 +130,9 @@ def _merged(probs, values, cached_mid_cdf=None):
             f"posterior mean {pbar!r} leaves one class empty; AUC undefined"
         )
     f = cached_mid_cdf if u is v and cached_mid_cdf is not None else mid_cdf(p)
-    return u, p, pbar, f
+    # the p / 2 in F carries the self-tie terms, so one-point (uninformative)
+    # inputs give 1/2 up to rounding
+    return u, pbar, f, (float(np.dot(p * u, f)) - 0.5 * pbar * pbar) / (pbar * (1.0 - pbar))
 
 
 def implied_auc_values(
@@ -135,15 +140,13 @@ def implied_auc_values(
 ) -> float:
     """Array fast path of :func:`implied_auc`; no validation, same result.
 
-    Called once per slope probe of the QMM solves, whose link values are
-    usually strictly increasing already; those skip the sort (see
-    :func:`_merge_by_value`) and, given ``cached_mid_cdf = mid_cdf(probs)``,
-    the prefix sum. The result has the same bits with or without it.
+    Values that are strictly increasing already, as the link values of the
+    QMM probes usually are, skip the sort (see :func:`_merge_by_value`) and,
+    given ``cached_mid_cdf = mid_cdf(probs)``, the prefix sum. The result has
+    the same bits with or without it. The probes call :func:`_merged` itself
+    and keep its result for the slope derivative.
     """
-    u, p, pbar, f = _merged(probs, values, cached_mid_cdf)
-    # the p / 2 in F carries the self-tie terms, so one-point (uninformative)
-    # inputs give 1/2 up to rounding
-    return (float(np.dot(p * u, f)) - 0.5 * pbar * pbar) / (pbar * (1.0 - pbar))
+    return _merged(probs, values, cached_mid_cdf)[3]
 
 
 def implied_auc_gradient(
@@ -164,11 +167,16 @@ def implied_auc_gradient(
     on the same arrays.
     """
     v = np.asarray(values, dtype=float)
-    u, w, pbar, f = _merged(probs, v, cached_mid_cdf)
+    return _merged_gradient(probs, v, _merged(probs, v, cached_mid_cdf), auc)
+
+
+def _merged_gradient(probs, values, merged, auc: float) -> np.ndarray:
+    """:func:`implied_auc_gradient` from the :func:`_merged` result of ``values``."""
+    u, pbar, f, _ = merged
     var = pbar * (1.0 - pbar)
     per_mass = (f - (pbar + auc * (1.0 - 2.0 * pbar))) / var
-    if u is not v:
-        per_mass = per_mass[np.searchsorted(u, v)]
+    if u is not values:
+        per_mass = per_mass[np.searchsorted(u, values)]
     return np.asarray(probs, dtype=float) * per_mass
 
 

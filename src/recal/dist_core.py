@@ -2,9 +2,14 @@
 
 All types are immutable after construction (arrays are copied and marked
 read-only) and every operation is pure, so the whole module is safe to use
-from concurrent threads without coordination. The generators take their
-special functions from the standard library (``math.lgamma``, and the normal
-CDF and quantile of :mod:`._special` per quadrature node), not from scipy.
+from concurrent threads without coordination. That includes the cached
+properties (``DiscreteScoreDist.mid_cdf``, ``SourceModel.implied_auc``):
+from Python 3.12 on, threads that first read one at the same time may each
+compute it, from the same immutable inputs and so with the same bits, and one
+result is kept; the cached mid-CDF array is read-only. The generators take
+their special functions from the standard library (``math.lgamma``, and the
+normal CDF and quantile of :mod:`._special` per quadrature node), not from
+scipy.
 """
 
 from __future__ import annotations
@@ -71,6 +76,15 @@ class DiscreteScoreDist:
     @property
     def n(self) -> int:
         return int(self.support.size)
+
+    @cached_property
+    def mid_cdf(self) -> np.ndarray:
+        """Read-only ``auc_engine.mid_cdf`` of ``probs``, computed on first use."""
+        from .auc_engine import mid_cdf  # auc_engine imports this module
+
+        f = mid_cdf(self.probs)
+        f.setflags(write=False)
+        return f
 
 
 @dataclass(frozen=True, eq=False)

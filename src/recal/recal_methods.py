@@ -251,17 +251,21 @@ def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjusted CDF F = mid_cdf(d0) of class-0 masses and its two-sided
     probit z: ndtri(F) where F <= 1/2, above it -ndtri of the adjusted
     survival sum, which stays finite where F rounds to 1. A z that is not
-    finite raises a :class:`DomainError` that starts with ``stage``."""
+    finite raises a :class:`DomainError` that starts with ``stage``. A z that
+    steps back (ndtri falls by an ulp between some neighbouring floats, and
+    the split's two sides rest on different sums) becomes its running maximum."""
     f0 = mid_cdf(d0)
     upper = int(np.searchsorted(f0, 0.5, "right"))  # F is non-decreasing
     # one ndtri call, so that the support's size alone picks its path
     z = sp.ndtri(np.concatenate((f0[:upper], mid_cdf(d0[upper:][::-1])[::-1])))
-    z[upper:] = -z[upper:]
-    if not np.all(np.isfinite(z)):
+    np.negative(z[upper:], out=z[upper:])
+    if not np.isfinite(z).all():
         raise DomainError(
             f"{stage} has values outside (0, 1), where their probit is not finite "
             "(a zero class-0 mass at an end of the support puts one there)"
         )
+    if (z[1:] < z[:-1]).any():  # rare; the running maximum costs more than the test
+        np.maximum.accumulate(z, out=z)
     return f0, z
 
 
@@ -278,7 +282,9 @@ def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray):
     pbar = float(np.dot(probs, values))
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(f"{stage}: posterior mean {pbar!r} leaves one class empty")
-    d0 = probs * (1.0 - values) / (1.0 - pbar)
+    d0 = 1.0 - values
+    d0 *= probs
+    d0 /= 1.0 - pbar
     mass = float(d0.sum())
     if abs(mass - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
@@ -302,7 +308,8 @@ def fixed_point_f0(method, tgt, settings, fit):
         fitted = fit(z)
         f0_new, z = _refreshed_f0(method, tgt.feature_dist, fitted[2])
         if last is not None:
-            delta = float(np.max(np.abs(f0_new - f0)))
+            change = f0_new - f0
+            delta = float(np.abs(change, out=change).max())
             delta = max(delta, abs(fitted[0] - last[0]), abs(fitted[1] - last[1]))
         last, f0 = fitted, f0_new
         converged = delta is not None and delta <= settings.tol_fixed_point

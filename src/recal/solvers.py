@@ -13,7 +13,9 @@ from typing import Callable
 import numpy as np
 
 from . import _special as sp
-from .auc_engine import implied_auc_gradient, implied_auc_values, mid_cdf
+# implied_auc_values is not called here; it stays importable under this
+# module's name because perfbench/layers.py wraps it there
+from .auc_engine import _merged, _merged_gradient, implied_auc_values  # noqa: F401
 from .dist_core import TargetSpec
 from .errors import (
     DegenerateClassError, DomainError, InfeasibleError, NoRootError, StructuralError,
@@ -96,14 +98,14 @@ def bisect_root(
     (``rtsafe`` in *Numerical Recipes*); overshoot replaces the upper end. A
     width stop returns the end with the smaller |f|.
     """
-    if not np.isfinite(lo) or not np.isfinite(hi) or lo > hi:
+    if not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
     width, cap, expansions = hi - lo, 0.5 * (hi - lo), 0
     if x0 is None or not (widen or lo <= x0 <= hi):
         x0 = 0.5 * (lo + hi)
     x, fx = x0, float(f(x0))
     neg = pos = None  # (x, f(x)) of the probes nearest the root with f < 0 / f > 0
-    newton, edge = fprime is not None and bool(np.isfinite(fx)), False
+    newton, edge = fprime is not None and math.isfinite(fx), False
     for _ in range(MAX_BISECT_ITER):
         if abs(fx) <= tol:
             return x
@@ -128,10 +130,10 @@ def bisect_root(
                 trial = near[0] + width if up else near[0] - width
                 width, expansions = 2.0 * width, expansions + 1
         ft = float(f(trial))
-        while not np.isfinite(ft) and near is not None and trial != near[0]:
+        while not math.isfinite(ft) and near is not None and trial != near[0]:
             edge, trial = True, 0.5 * (near[0] + trial)
             ft = float(f(trial))
-        if not np.isfinite(ft):
+        if not math.isfinite(ft):
             raise NoRootError(f"f is not finite at {trial!r}", probed_interval=(lo, hi))
         newton = newton and abs(ft) < abs(fx)
         lo, hi, x, fx = min(lo, trial), max(hi, trial), trial, ft
@@ -141,7 +143,7 @@ def bisect_root(
     step_before = hi - lo
     for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
-        slope = float(fprime(x)) if fprime is not None and np.isfinite(fx) else math.nan
+        slope = float(fprime(x)) if fprime is not None and math.isfinite(fx) else math.nan
         if slope > 0.0:
             step = fx / slope
             if lo < x - step < hi and 2.0 * abs(step) <= step_before:
@@ -183,7 +185,7 @@ class TransformFamily:
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float, copy=True)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError(f"{self.name}: transform regressor is not finite")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -196,9 +198,15 @@ def expit(z):
     numpy's vectorised exp makes this several times faster than
     ``scipy.special.expit``. It gives exactly 0 and 1 at the same z and is
     within a few ulps of it elsewhere; an exp that overflows to inf gives 0.
+    An array argument is left unchanged; the steps run in place on its negation.
     """
+    t = np.negative(z)  # a numpy scalar for scalar and 0-d input
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        if type(t) is not np.ndarray or t.dtype.kind != "f":
+            return 1.0 / (1.0 + np.exp(t))
+        np.exp(t, out=t)
+        t += 1.0
+        return np.divide(1.0, t, out=t)
 
 
 def ndtr(z):
@@ -282,7 +290,7 @@ def solve_qmm_2d(
         )
     tol_auc = settings.tol_auc
     wx = weights * x
-    weights_cdf = mid_cdf(weights)  # the AUC's prefix sum over increasing values
+    weights_cdf = target.feature_dist.mid_cdf  # the AUC's prefix sum over increasing values
     evals = 0
     start, beta_start = 0.0, None  # first log slope probed; the last probe's intercept
     if warm_start is not None:
@@ -294,7 +302,7 @@ def solve_qmm_2d(
         if 1.0 / SLOPE_LIMIT <= alpha0 <= SLOPE_LIMIT:
             start, beta_start = math.log(alpha0), beta0
 
-    # log slope -> (alpha, auc, beta, |mean residual|, link values, link argument)
+    # log slope -> (alpha, auc, beta, |mean residual|, link values, link argument, AUC merge)
     fits = {}
     tangent = None
 
@@ -328,7 +336,7 @@ def solve_qmm_2d(
             predicted = tangent[1] + tangent[2] * (alpha - tangent[0])
             beta_start = predicted if math.isfinite(predicted) else beta_start
         lo, hi = (-2.0, 2.0) if beta_start is None else (beta_start - 2.0, beta_start + 2.0)
-        fits[t] = (alpha, np.nan, np.nan, np.nan, None, None)
+        fits[t] = (alpha, np.nan, np.nan, np.nan, None, None, None)
         try:
             beta = bisect_root(
                 mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=beta_start
@@ -340,14 +348,14 @@ def solve_qmm_2d(
             mean_resid(beta)
         _, z, values, resid = last
         resid = abs(resid)
-        fits[t] = (alpha, np.nan, beta, resid, values, z)
+        fits[t] = (alpha, np.nan, beta, resid, values, z, None)
         if resid > settings.tol_mean:
             return False
         try:
-            auc = implied_auc_values(weights, values, weights_cdf)
-            fits[t] = (alpha, auc, beta, resid, values, z)
+            merged = _merged(weights, values, weights_cdf)
         except DegenerateClassError:
             return False
+        fits[t] = (alpha, merged[3], beta, resid, values, z, merged)
         return True
 
     def residual(t: float) -> float:
@@ -360,8 +368,8 @@ def solve_qmm_2d(
     def auc_slope(t: float) -> float:
         """Derivative of the AUC residual in log(alpha) at the probe of t."""
         nonlocal tangent
-        alpha, auc, beta, _, values, z = fits[t]
-        if not np.isfinite(auc):
+        alpha, auc, beta, _, values, z, merged = fits[t]
+        if not math.isfinite(auc):
             return math.nan
         pdf = family.link_pdf(z, values)
         mass = float(np.dot(weights, pdf))
@@ -369,7 +377,7 @@ def solve_qmm_2d(
             return math.nan
         dbeta = -float(np.dot(wx, pdf)) / mass
         tangent = alpha, beta, dbeta
-        moved = implied_auc_gradient(weights, values, weights_cdf, auc) * pdf
+        moved = _merged_gradient(weights, values, merged, auc) * pdf
         return alpha * (float(np.dot(moved, x)) + dbeta * float(moved.sum()))
 
     if family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc:
@@ -384,7 +392,7 @@ def solve_qmm_2d(
         if not probe(start) and start != 0.0:  # an unusable warm slope
             start, beta_start = 0.0, None
             probe(start)
-        if not np.isfinite(fits[start][1]):
+        if not math.isfinite(fits[start][1]):
             raise InfeasibleError(
                 f"{family.name}: mean equation insoluble at unit slope; "
                 "the transform family is numerically exhausted"
@@ -395,7 +403,7 @@ def solve_qmm_2d(
                 fprime=auc_slope, x0=start,
             )
         except NoRootError:
-            aucs = [fit[1] for fit in fits.values() if np.isfinite(fit[1])]
+            aucs = [fit[1] for fit in fits.values() if math.isfinite(fit[1])]
             raise InfeasibleError(
                 f"{family.name}: target AUC {source_auc_target!r} lies outside the AUC "
                 f"range [{min(aucs)!r}, {max(aucs)!r}] attained over the probed slopes",
@@ -408,7 +416,7 @@ def solve_qmm_2d(
         if below and above:
             bracket = (min(max(below), alpha), max(min(above), alpha))
 
-    alpha, auc, beta, residual_mean, values, _ = fits[t]
+    alpha, auc, beta, residual_mean, values, _, _ = fits[t]
     residual_auc = abs(auc - source_auc_target)
     diag = SolveDiagnostics(
         iterations=evals,
@@ -416,6 +424,6 @@ def solve_qmm_2d(
         residual_mean=residual_mean,
         residual_auc=residual_auc,
         bracket=bracket,
-        implied_auc=auc if np.isfinite(auc) else None,
+        implied_auc=auc if math.isfinite(auc) else None,
     )
     return alpha, beta, values, diag

@@ -14,6 +14,7 @@ from recal import (
     mean_under,
     vasicek_mixture_dist,
 )
+from recal.auc_engine import mid_cdf
 from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS, _binomial_pmf
 from conftest import random_dist, random_values
 
@@ -68,6 +69,14 @@ class TestDiscreteScoreDist:
         d = DiscreteScoreDist([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_mid_cdf_is_cached_read_only_and_has_the_bits_of_mid_cdf(self):
+        d = random_dist(np.random.default_rng(11), 300)
+        f = d.mid_cdf
+        assert f is d.mid_cdf
+        assert f.tobytes() == mid_cdf(d.probs).tobytes()
+        with pytest.raises(ValueError):
+            f[0] = 0.0
 
 
 class TestPosteriorCurve:

@@ -110,9 +110,9 @@ def refresh_inputs(draw):
 def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
     """The array refresh gives the CDF bits of the validated object route,
     or the error it would meet: a degenerate mean or a class-0 mass off 1.
-    Its probit z has the bits of the library's ndtri applied to F where
-    F <= 1/2 and to the survival sums above, negated there; it does not
-    decrease beyond rounding, and is not finite exactly where a zero
+    Its probit z has the bits of the running maximum of the library's ndtri
+    applied to F where F <= 1/2 and to the survival sums above, negated
+    there; it does not decrease, and is not finite exactly where a zero
     class-0 mass sits at an end of the support."""
     feature, values = inputs
     try:
@@ -135,10 +135,57 @@ def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
     # one call on the whole support, as the library makes it, so that both
     # take the same path of recal._special
     probit = _special.ndtri(np.concatenate((expected[:upper], mid_cdf(d0[upper:][::-1])[::-1])))
-    assert z.tobytes() == np.concatenate((probit[:upper], -probit[upper:])).tobytes()
     # ndtri itself steps back by an ulp between some neighbouring floats,
-    # and the sums on the two sides of the split round differently
-    assert np.all(np.isfinite(z)) and np.all(np.diff(z) >= -1e-12)
+    # and the sums on the two sides of the split round differently; the
+    # refresh takes the running maximum over such steps
+    raw = np.concatenate((probit[:upper], -probit[upper:]))
+    assert z.tobytes() == np.maximum.accumulate(raw).tobytes()
+    assert np.all(np.isfinite(z)) and np.all(np.diff(z) >= 0.0)
+
+
+# neighbouring floats where scipy's ndtri falls by an ulp
+_NDTRI_STEP_BACK = 0.14000000000000082
+
+
+@pytest.mark.parametrize(
+    "d0",
+    [
+        # F = [x / 2, x, x + 1 ulp] at x = _NDTRI_STEP_BACK; 73 points, so
+        # that scipy's ndtri runs
+        np.concatenate((
+            [_NDTRI_STEP_BACK, 0.0, 2.0 * np.spacing(_NDTRI_STEP_BACK)],
+            np.full(70, (1.0 - _NDTRI_STEP_BACK) / 70.0),
+        )),
+        # masses summing to 1 + 5e-13: F[1] = 1/2 - 5e-15 lies below the
+        # split, and the survival sum 1/2 + 4.95e-13 at index 2 above it
+        # gives a probit below ndtri(F[1])
+        np.array([0.5 - 1e-14, 1e-14, 1e-14, 0.5 - 1e-14 + 5e-13]),
+    ],
+    ids=["ndtri_ulp", "split"],
+)
+def test_class0_probit_does_not_step_back(d0):
+    """Where the two-sided probit of a class-0 law falls from index 1 to 2,
+    between neighbouring floats or across the F = 1/2 split, the class-0
+    CDF step returns its running maximum, and F itself unchanged."""
+    f0, z = recal_methods._class0_cdf("two_param_qmm: class-0 CDF refresh", d0)
+    assert f0.tobytes() == mid_cdf(d0).tobytes()
+    upper = int(np.searchsorted(f0, 0.5, "right"))
+    probit = _special.ndtri(np.concatenate((f0[:upper], mid_cdf(d0[upper:][::-1])[::-1])))
+    raw = np.concatenate((probit[:upper], -probit[upper:]))
+    assert np.flatnonzero(np.diff(raw) < 0.0).tolist() == [1]
+    assert z.tobytes() == np.maximum.accumulate(raw).tobytes()
+    assert np.all(np.diff(z) >= 0.0)
+
+
+def test_refreshed_f0_leaves_its_inputs_unchanged():
+    """The refresh runs in place on its own arrays only."""
+    rng = np.random.default_rng(3)
+    probs = rng.uniform(0.1, 1.0, 100)
+    feature = DiscreteScoreDist(np.arange(100.0), probs / probs.sum())
+    values = np.sort(rng.uniform(0.05, 0.95, 100))
+    kept_probs, kept_values = feature.probs.tobytes(), values.tobytes()
+    recal_methods._refreshed_f0("two_param_qmm", feature, values)
+    assert feature.probs.tobytes() == kept_probs and values.tobytes() == kept_values
 
 
 def test_two_sided_probit_stays_finite_where_the_cdf_rounds_to_1():

@@ -250,6 +250,26 @@ class TestLinkLookup:
             assert type(a) is type(b)
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
 
+    @pytest.mark.parametrize("kind", ["array", "0-d array", "numpy scalar", "float"])
+    def test_expit_has_the_bits_and_types_of_the_formula(self, kind):
+        """The in-place steps give what 1 / (1 + exp(-z)) gives."""
+        values = [np.inf, -np.inf, np.nan, 745.0, -745.0, 0.0, -0.0, 3.5, -40.0]
+        make = {"0-d array": np.array, "numpy scalar": np.float64, "float": float}.get(kind)
+        for z in [np.array(values)] if make is None else [make(v) for v in values]:
+            with np.errstate(over="ignore"):
+                expected = 1.0 / (1.0 + np.exp(-z))
+            ours = solvers.expit(z)
+            assert type(ours) is type(expected)
+            assert np.asarray(ours).tobytes() == np.asarray(expected).tobytes()
+
+    def test_expit_leaves_its_argument_and_accepts_a_read_only_array(self):
+        z = np.linspace(-50.0, 50.0, 101)
+        kept = z.tobytes()
+        solvers.expit(z)
+        assert z.tobytes() == kept
+        z.setflags(write=False)
+        assert solvers.expit(z).tobytes() == solvers.expit(z.copy()).tobytes()
+
     def test_expit_saturates_with_scipy_and_is_within_ulps_elsewhere(self):
         z = np.concatenate((np.linspace(-750.0, 750.0, 300_001), self.EDGES[3:]))
         ours, theirs = solvers.expit(z), scipy.special.expit(z)
@@ -288,6 +308,19 @@ class TestSolveQmm2d:
         assert abs(a - 1.0) <= 1e-3
         assert abs(b) <= 1e-2
         np.testing.assert_allclose(values, src.posterior.values, atol=1e-4)
+
+    def test_second_solve_on_a_target_has_the_bits_of_a_fresh_one(self):
+        """The target law caches its mid-CDF on the first solve; a second
+        solve on the same target gives what a solve on a new target gives."""
+        target, curve = _toy_problem(n=200, q=0.12, seed=4)
+        family = logistic_cspd_family(curve.values)
+        first = solve_qmm_2d(family, 0.71, target)
+        fresh_target = TargetSpec(
+            DiscreteScoreDist(target.support, target.feature_dist.probs), target.prior
+        )
+        for again in (solve_qmm_2d(family, 0.71, target), solve_qmm_2d(family, 0.71, fresh_target)):
+            assert again[:2] == first[:2] and again[2].tobytes() == first[2].tobytes()
+            assert repr(again[3]) == repr(first[3])
 
     def test_platt_with_half_auc_target_collapses(self):
         """Target AUC 1/2 is met exactly by a constant transform: zero slope
