@@ -163,16 +163,16 @@ def implied_auc_gradient(
     F = P + p / 2 is the mid-CDF that A itself is computed from. Tied values
     get their share, by mass, of the derivative of the merged value, which
     is exact where they move together. ``cached_mid_cdf`` is ``mid_cdf(probs)``
-    as for :func:`implied_auc_values`, and ``auc`` is that function's result
-    on the same arrays.
+    as for :func:`implied_auc_values`. A is computed from the arrays; ``auc``,
+    that function's result on them, is accepted and not read.
     """
     v = np.asarray(values, dtype=float)
-    return _merged_gradient(probs, v, _merged(probs, v, cached_mid_cdf), auc)
+    return _merged_gradient(probs, v, _merged(probs, v, cached_mid_cdf))
 
 
-def _merged_gradient(probs, values, merged, auc: float) -> np.ndarray:
+def _merged_gradient(probs, values, merged) -> np.ndarray:
     """:func:`implied_auc_gradient` from the :func:`_merged` result of ``values``."""
-    u, pbar, f, _ = merged
+    u, pbar, f, auc = merged
     var = pbar * (1.0 - pbar)
     per_mass = (f - (pbar + auc * (1.0 - 2.0 * pbar))) / var
     if u is not values:

@@ -198,15 +198,9 @@ def expit(z):
     numpy's vectorised exp makes this several times faster than
     ``scipy.special.expit``. It gives exactly 0 and 1 at the same z and is
     within a few ulps of it elsewhere; an exp that overflows to inf gives 0.
-    An array argument is left unchanged; the steps run in place on its negation.
     """
-    t = np.negative(z)  # a numpy scalar for scalar and 0-d input
     with np.errstate(over="ignore"):
-        if type(t) is not np.ndarray or t.dtype.kind != "f":
-            return 1.0 / (1.0 + np.exp(t))
-        np.exp(t, out=t)
-        t += 1.0
-        return np.divide(1.0, t, out=t)
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def ndtr(z):
@@ -377,7 +371,7 @@ def solve_qmm_2d(
             return math.nan
         dbeta = -float(np.dot(wx, pdf)) / mass
         tangent = alpha, beta, dbeta
-        moved = _merged_gradient(weights, values, merged, auc) * pdf
+        moved = _merged_gradient(weights, values, merged) * pdf
         return alpha * (float(np.dot(moved, x)) + dbeta * float(moved.sum()))
 
     if family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc:

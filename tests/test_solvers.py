@@ -252,7 +252,7 @@ class TestLinkLookup:
 
     @pytest.mark.parametrize("kind", ["array", "0-d array", "numpy scalar", "float"])
     def test_expit_has_the_bits_and_types_of_the_formula(self, kind):
-        """The in-place steps give what 1 / (1 + exp(-z)) gives."""
+        """expit gives what 1 / (1 + exp(-z)) gives, for every argument type."""
         values = [np.inf, -np.inf, np.nan, 745.0, -745.0, 0.0, -0.0, 3.5, -40.0]
         make = {"0-d array": np.array, "numpy scalar": np.float64, "float": float}.get(kind)
         for z in [np.array(values)] if make is None else [make(v) for v in values]:
