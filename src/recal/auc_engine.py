@@ -150,7 +150,7 @@ def implied_auc_values(
 
 
 def implied_auc_gradient(
-    probs: np.ndarray, values: np.ndarray, cached_mid_cdf: np.ndarray, auc: float
+    probs: np.ndarray, values: np.ndarray, cached_mid_cdf: np.ndarray
 ) -> np.ndarray:
     """Gradient of the implied AUC A = N / (pbar (1 - pbar)) of
     :func:`implied_auc_values` in each of ``values``.
@@ -163,8 +163,7 @@ def implied_auc_gradient(
     F = P + p / 2 is the mid-CDF that A itself is computed from. Tied values
     get their share, by mass, of the derivative of the merged value, which
     is exact where they move together. ``cached_mid_cdf`` is ``mid_cdf(probs)``
-    as for :func:`implied_auc_values`. A is computed from the arrays; ``auc``,
-    that function's result on them, is accepted and not read.
+    as for :func:`implied_auc_values`; A comes from the same merge.
     """
     v = np.asarray(values, dtype=float)
     return _merged_gradient(probs, v, _merged(probs, v, cached_mid_cdf))

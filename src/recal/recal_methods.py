@@ -9,6 +9,7 @@ pure given their inputs; distinct methods can run concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -17,7 +18,9 @@ import numpy as np
 from . import _special as sp
 # adjusted_cdf and class_conditionals are not called here; they stay importable
 # under this module's name because perfbench/layers.py wraps them there
-from .auc_engine import adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf  # noqa: F401
+from .auc_engine import (  # noqa: F401
+    _merged, _merged_gradient, adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf,
+)
 from .dist_core import (
     PROB_SUM_TOL,
     DiscreteScoreDist,
@@ -26,7 +29,7 @@ from .dist_core import (
     TargetSpec,
     _require_shared_support,
 )
-from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootError
+from .errors import DegenerateClassError, DomainError, InfeasibleError, NoRootError, RecalError
 from .solvers import (
     DEFAULT_SETTINGS,
     SolveDiagnostics,
@@ -38,6 +41,9 @@ from .solvers import (
     rob_logit_family,
     solve_qmm_2d,
 )
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TINY = np.finfo(float).tiny
 
 
 class MethodId(enum.Enum):
@@ -269,9 +275,12 @@ def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f0, z
 
 
-def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray):
+def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, complement=None):
     """The class-0 CDF and its probit (:func:`_class0_cdf`) implied by a
-    posterior over the target features. F has the bits of
+    posterior over the target features: class-0 masses p (1 - v) / (1 - pbar).
+    ``complement`` is 1 - v where the fit holds it to full relative
+    precision, as expit(-eta) of its link argument eta, which stays positive
+    where v rounds to 1; without it, 1 - v. F then has the bits of
     ``adjusted_cdf(class_conditionals(feature, curve).dist0)``, with the
     checks of that path: the posterior mean must leave both classes
     non-empty (:class:`DegenerateClassError`) and the class-0 mass must sum
@@ -282,8 +291,11 @@ def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray):
     pbar = float(np.dot(probs, values))
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(f"{stage}: posterior mean {pbar!r} leaves one class empty")
-    d0 = 1.0 - values
-    d0 *= probs
+    if complement is None:
+        d0 = 1.0 - values
+        d0 *= probs
+    else:
+        d0 = complement * probs
     d0 /= 1.0 - pbar
     mass = float(d0.sum())
     if abs(mass - 1.0) > PROB_SUM_TOL:
@@ -291,32 +303,202 @@ def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray):
     return _class0_cdf(stage, d0)
 
 
+def _cdf_residual(z: np.ndarray, refreshed: np.ndarray) -> tuple[float, np.ndarray]:
+    """max |G(z) - z| phi(G(z)), the fixed-point residual of z in CDF units,
+    and the density phi(G(z)) it is weighted by."""
+    phi = np.square(refreshed)
+    phi *= -0.5
+    np.exp(phi, out=phi)
+    phi /= _SQRT_2PI
+    resid = refreshed - z
+    np.abs(resid, out=resid)
+    resid *= phi
+    return float(resid.max()), phi
+
+
+def _sided_solve(k, g, rhs, upper) -> bool:
+    """Overwrite each row w of ``rhs`` with T^-1 w, or return False where a
+    cumprod underflows. T = I + K M diag(g) on the rows below ``upper`` and
+    I - K M' diag(g) on the rows from it on, with K = diag(k) and M, M' the
+    mid-cumsums from the left and from the right, so that each side only
+    reaches its own rows.
+
+    Each side is the recurrence y_i = (w_i - k_i S_i) / (1 + x_i), x_i =
+    k_i g_i / 2, over the sums S of g y taken from that side's end, with g
+    negated on the upper side. S follows S_(i+1) = a_i S_i + e_i with a_i =
+    (1 - x_i) / (1 + x_i), so it is the cumprod P of a times the cumsum of
+    e / P: one cumprod and one row-major cumsum per side solve every row."""
+    signed = g.copy()
+    signed[upper:] *= -1.0
+    x = k * signed
+    x *= 0.5
+    inv = 1.0 + x
+    np.reciprocal(inv, out=inv)
+    prod = np.subtract(1.0, x, out=x)
+    prod *= inv
+    np.cumprod(prod[:upper], out=prod[:upper])
+    np.cumprod(prod[upper:][::-1], out=prod[upper:][::-1])
+    if not np.abs(prod).min() >= _TINY:
+        return False
+    signed *= inv
+    signed /= prod
+    sums = rhs * signed
+    np.cumsum(sums[:, :upper], axis=1, out=sums[:, :upper])
+    np.cumsum(sums[:, upper:][:, ::-1], axis=1, out=sums[:, upper:][:, ::-1])
+    # w - k S, with S each side's sum one point behind, times P there
+    lower = max(upper - 1, 0)
+    below, above = sums[:, :lower], sums[:, upper + 1 :]
+    below *= prod[:lower]
+    below *= k[1 : lower + 1]
+    rhs[:, 1 : lower + 1] -= below
+    above *= prod[upper + 1 :]
+    above *= k[upper:-1]
+    rhs[:, upper:-1] -= above
+    rhs *= inv
+    return True
+
+
+def _closed_form_solve(a, b):
+    """a^-1 b for a 1 x 1 or 2 x 2 matrix ``a`` (nested lists of floats) by
+    Cramer's rule, or None where ``a`` is singular or its determinant is not
+    finite."""
+    if len(b) == 1:
+        det, sol = a[0][0], b
+    else:
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        sol = (a[1][1] * b[0] - a[0][1] * b[1], a[0][0] * b[1] - a[1][0] * b[0])
+    if not (det != 0.0 and math.isfinite(det)):
+        return None
+    return [x / det for x in sol]
+
+
+def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
+    """The Newton iterate z + d for the class-0 fixed point z = G(z), or None
+    where the plain iterate G(z) is to be taken: where the fit gives no
+    ``rows``, 1 / phi overflows, a cumprod underflows, the small system is
+    singular or the iterate is not finite. An iterate that steps back
+    becomes its running maximum.
+
+    ``fitted`` = (alpha, beta, v, diag, expit(-eta), rows) is the fit at z,
+    v = expit(eta) with eta = alpha z + beta; F, G(z) and phi(G(z)) come from
+    its refresh. With class-0 masses d0 and g = alpha d0 v, the Jacobian of G
+    is K (-M diag(g) + low rank), K = diag(1 / phi) and M the mid-cumsum,
+    which above the F = 1/2 split runs from the right with its sign flipped,
+    as the two-sided probit does (:func:`_sided_solve`). A fixed (alpha,
+    beta) (empty ``rows``) gives the mean's rank-1 term K (F, or -S above the
+    split) g^T; a refit that holds the mean and the AUC gives ``rows`` =
+    (dalpha/dz, dbeta/dz) / alpha and the rank-2 term (T - I) [z, 1] rows.
+    Sherman-Morrison or Woodbury adds it, with the 1 x 1 or 2 x 2 system of
+    :func:`_closed_form_solve`."""
+    if len(fitted) < 6 or fitted[5] is None:
+        return None
+    alpha, _, values, _, complement, rows = fitted
+    with np.errstate(all="ignore"):
+        k = 1.0 / phi
+        if not (math.isfinite(k[0]) and math.isfinite(k[-1])):  # G(z) is monotone
+            return None
+        g = complement * probs
+        g /= 1.0 - float(np.dot(probs, values))  # the class-0 masses d0, until g
+        upper = int(np.searchsorted(f0, 0.5, "right"))
+        y = np.empty((3 if rows else 2, z.size))
+        np.subtract(refreshed, z, out=y[0])
+        if rows:
+            y[1] = z
+            y[2] = 1.0
+        else:  # K times -F below the split and the survival sums S above it
+            np.negative(f0[:upper], out=y[1, :upper])
+            y[1, upper:] = mid_cdf(g[upper:][::-1])[::-1]
+            y[1] *= k
+        g *= alpha
+        g *= values
+        if not _sided_solve(k, g, y, upper):
+            return None
+        cols = y[1:]
+        if rows:  # I - J = T + (T - I) [z, 1] rows
+            np.subtract(z, cols[0], out=cols[0])
+            np.subtract(1.0, cols[1], out=cols[1])
+        else:  # I - J = T + (K tails) g^T, and y[1] is now T^-1 K tails
+            rows = (g,)
+        small = [[float(np.dot(r, c)) + (i == j) for j, c in enumerate(cols)]
+                 for i, r in enumerate(rows)]
+        sol = _closed_form_solve(small, [float(np.dot(r, y[0])) for r in rows])
+        if sol is None:
+            return None
+        step = y[0]
+        for coef, col in zip(sol, cols):
+            step -= coef * col
+        step += z
+    if not np.isfinite(step).all():
+        return None
+    if (step[1:] < step[:-1]).any():
+        np.maximum.accumulate(step, out=step)
+    return step
+
+
 def fixed_point_f0(method, tgt, settings, fit):
-    """Alternate ``fit(z) -> (alpha, beta, values, diag)`` with the refresh
-    of the class-0 CDF F and its probit z from ``values``, starting from the
-    target features, until the sup-norm change over F and the last two fits'
-    (alpha, beta) is at most ``settings.tol_fixed_point`` or for ``max_iter``
-    steps; the one loop of :func:`roc_qmm` and :func:`two_param_qmm`. The
-    change is measured from step 2 on, so ``residual_fixed_point`` is None
-    until then. Returns the last z, the diagnostics and the last fit;
-    ``max_iter`` below 1 raises a :class:`DomainError` naming ``method``."""
+    """Solve the class-0 fixed point z = G(z) of :func:`roc_qmm` and
+    :func:`two_param_qmm`. G calls ``fit(z) -> (alpha, beta, values, diag)``
+    at the probit z of the class-0 CDF F and refreshes F and z from
+    ``values``; the start is the target features' own CDF.
+
+    A fit of the form values = expit(alpha z + beta) may also return
+    expit(-(alpha z + beta)), which the refresh takes for 1 - values, and
+    the ``rows`` of :func:`_newton_iterate`. Each step then tries the Newton
+    iterate and keeps it where G there raises no :class:`RecalError` and the
+    residual max |G(z) - z| phi(G(z)) falls below the last iterate's. Where
+    it is rejected, this step and the next take the plain iterate G(z);
+    where there is none, this step alone does. A fit that returns neither
+    takes the plain iterate at every step.
+
+    The loop stops when the sup-norm change over F and (alpha, beta) between
+    the fits at the last two iterates is at most ``settings.tol_fixed_point``
+    (measured from the second on, so ``residual_fixed_point`` is None until
+    then), or after ``max_iter`` evaluations of G, rejected ones included,
+    which ``iterations`` counts. Returns G at the last iterate, the
+    diagnostics and the fit there. ``max_iter`` below 1 raises a
+    :class:`DomainError`; an error at the start or at a plain iterate
+    propagates, naming ``method`` and the stage."""
     if settings.max_iter < 1:
         raise DomainError(f"{method}: max_iter must be at least 1")
-    f0, z = _class0_cdf(f"{method}: initial class-0 CDF", tgt.feature_dist.probs)
-    delta = last = None
-    for step in range(1, settings.max_iter + 1):
+    probs = tgt.feature_dist.probs
+    evals = 0
+
+    def evaluate(z):
+        """(fit, F, G(z), residual, phi(G(z))) at z."""
+        nonlocal evals
+        evals += 1
         fitted = fit(z)
-        f0_new, z = _refreshed_f0(method, tgt.feature_dist, fitted[2])
-        if last is not None:
-            change = f0_new - f0
-            delta = float(np.abs(change, out=change).max())
-            delta = max(delta, abs(fitted[0] - last[0]), abs(fitted[1] - last[1]))
-        last, f0 = fitted, f0_new
-        converged = delta is not None and delta <= settings.tol_fixed_point
-        if converged:
-            break
-    diag = SolveDiagnostics(iterations=step, converged=converged, residual_fixed_point=delta)
-    return z, diag, fitted
+        complement = fitted[4] if len(fitted) > 4 else None
+        f0, refreshed = _refreshed_f0(method, tgt.feature_dist, fitted[2], complement)
+        return (fitted, f0, refreshed, *_cdf_residual(z, refreshed))
+
+    z = _class0_cdf(f"{method}: initial class-0 CDF", probs)[1]
+    fitted, f0, refreshed, resid, phi = evaluate(z)
+    delta, converged, rejected = None, False, False
+    while not converged and evals < settings.max_iter:
+        trial = None
+        z_new = None if rejected else _newton_iterate(probs, z, fitted, f0, refreshed, phi)
+        rejected = False
+        if z_new is not None:
+            try:
+                trial = evaluate(z_new)
+            except RecalError:
+                pass
+            if trial is None or not trial[3] < resid:
+                if evals == settings.max_iter:
+                    break
+                trial, rejected = None, True
+        if trial is None:
+            z_new = refreshed
+            trial = evaluate(z_new)
+        fitted_new, f0_new = trial[:2]
+        change = f0_new - f0
+        delta = float(np.abs(change, out=change).max())
+        delta = max(delta, abs(fitted_new[0] - fitted[0]), abs(fitted_new[1] - fitted[1]))
+        z, (fitted, f0, refreshed, resid, phi) = z_new, trial
+        converged = delta <= settings.tol_fixed_point
+    diag = SolveDiagnostics(iterations=evals, converged=converged, residual_fixed_point=delta)
+    return refreshed, diag, fitted
 
 
 def _source_auc(method: str, src: SourceModel, tgt: TargetSpec) -> float:
@@ -347,10 +529,30 @@ def roc_qmm(
 
     def fit(z: np.ndarray):
         fam = rob_logit_family(z)
-        return c, b, fam.link(c * fam.x + b), None
+        eta = c * fam.x + b
+        return c, b, fam.link(eta), None, fam.link(-eta), ()
 
     z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, fit)
     return _finish(MethodId.ROC_QMM, tgt, fit(z)[2], {"c": c}, diag)
+
+
+def _refit_rows(tgt: TargetSpec, z, values, complement):
+    """(dalpha/dz, dbeta/dz) / alpha of the (alpha, beta) that hold the mean
+    and the AUC of values = expit(alpha z + beta) fixed as z moves, from the
+    implicit function theorem on the 2 x 2 moment Jacobian, with dA/dv from
+    the AUC gradient; None where that Jacobian is singular."""
+    weights = tgt.feature_dist.probs
+    slope = values * complement  # dv/d(alpha z + beta)
+    mean_rows = weights * slope
+    auc_rows = _merged_gradient(weights, values, _merged(weights, values, tgt.feature_dist.mid_cdf))
+    auc_rows *= slope
+    m_z, m_1 = float(np.dot(mean_rows, z)), float(mean_rows.sum())
+    a_z, a_1 = float(np.dot(auc_rows, z)), float(auc_rows.sum())
+    det = m_z * a_1 - m_1 * a_z
+    if not (det != 0.0 and math.isfinite(det)):
+        return None
+    with np.errstate(over="ignore"):  # a row that overflows gives a non-finite iterate
+        return (m_1 * auc_rows - a_1 * mean_rows) / det, (a_z * mean_rows - m_z * auc_rows) / det
 
 
 def two_param_qmm(
@@ -388,9 +590,10 @@ def two_param_qmm(
     def fit(z: np.ndarray):
         nonlocal warm_start, steps
         steps += 1
+        fam = rob_logit_family(z)
         try:
             alpha, beta, values, inner = solve_qmm_2d(
-                rob_logit_family(z), auc_src, tgt, inner_settings, warm_start=warm_start
+                fam, auc_src, tgt, inner_settings, warm_start=warm_start
             )
         except InfeasibleError as exc:
             raise InfeasibleError(
@@ -398,9 +601,10 @@ def two_param_qmm(
                 attainable_auc_range=exc.attainable_auc_range,
             ) from exc
         warm_start = (alpha, beta)  # the next solve starts here
-        return alpha, beta, values, inner
+        complement = fam.link(-(alpha * fam.x + beta))
+        return alpha, beta, values, inner, complement, _refit_rows(tgt, fam.x, values, complement)
 
-    _, diag, (alpha, beta, values, inner) = fixed_point_f0("two_param_qmm", tgt, settings, fit)
+    _, diag, (alpha, beta, values, inner, *_) = fixed_point_f0("two_param_qmm", tgt, settings, fit)
     converged = (
         diag.converged
         and inner.residual_mean <= settings.tol_mean

@@ -217,8 +217,8 @@ def _central_difference(probs, values, direction, h=1e-6):
 
 
 def _gradient(probs, values):
-    """implied_auc_gradient with the mid-CDF and AUC that a solve passes it."""
-    return implied_auc_gradient(probs, values, mid_cdf(probs), implied_auc_values(probs, values))
+    """implied_auc_gradient with the mid-CDF that a solve passes it."""
+    return implied_auc_gradient(probs, values, mid_cdf(probs))
 
 
 class TestImpliedAucGradient:
@@ -246,7 +246,7 @@ class TestImpliedAucGradient:
     def test_degenerate_mean_rejected(self):
         with pytest.raises(DegenerateClassError):
             probs = np.array([0.5, 0.5])
-            implied_auc_gradient(probs, np.array([0.0, 0.0]), mid_cdf(probs), 0.5)
+            implied_auc_gradient(probs, np.array([0.0, 0.0]), mid_cdf(probs))
 
 
 class TestAdjustedCdf:
@@ -417,7 +417,7 @@ class TestImpliedAucValues:
         cached = mid_cdf(probs)
         assert same_bits(implied_auc_values(probs, values, cached), auc)
         grad = _gradient(probs, values)
-        assert same_bits(implied_auc_gradient(probs, values, cached, auc), grad)
+        assert same_bits(implied_auc_gradient(probs, values, cached), grad)
 
         exact, pbar = exact_implied_auc(probs, values)
         bound = values.size * eps / float(min(pbar, 1 - pbar))

@@ -324,7 +324,6 @@ class TestUsageErrors:
     "method, message",
     [
         ("two_param_qmm", "two_param_qmm: inner (a, b) solve"),
-        ("roc_qmm", "roc_qmm: class-0 CDF refresh has values outside (0, 1)"),
     ],
 )
 def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method, message):
@@ -335,6 +334,24 @@ def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_saturated_binomial_tail_roc_qmm_converges(tmp_path, capsys):
+    """roc_qmm takes its class-0 masses from expit(-eta), which stay
+    positive where the posterior rounds to 1, and converges: `recal run`
+    exits 0 and reports it converged."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SATURATED_BINOMIAL_SCENARIO), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("run", "--scenario", str(path), "--methods", "roc_qmm", "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    diagnostics = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+    assert diagnostics["all_converged"]
+    rows = (out / "table.csv").read_text(encoding="utf-8").splitlines()
+    method, mean, auc, _ = rows[-1].split(",")
+    assert method == "ROC QMM"
+    assert abs(float(mean) - 0.0157489) <= 1e-6 and abs(float(auc) - 0.9990087) <= 1e-6
 
 
 def test_saturated_tail_runs_every_method(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.special import expit, logit, ndtri
 from recal import _special, recal_methods
 from recal.auc_engine import mid_cdf
 from recal import (
+    DEFAULT_SETTINGS,
     DegenerateClassError,
     DiscreteScoreDist,
     DomainError,
@@ -115,21 +118,29 @@ def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
     there; it does not decrease, and is not finite exactly where a zero
     class-0 mass sits at an end of the support."""
     feature, values = inputs
+    # the class-0 posterior 1 - v, given as the fits give expit(-eta), or
+    # left to the refresh
+    complements = ((values, 1.0 - values), (values,))
     try:
         cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
         expected = adjusted_cdf(cc.dist0)
     except (DegenerateClassError, DomainError) as exc:
-        with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
-            recal_methods._refreshed_f0("two_param_qmm", feature, values)
+        for args in complements:
+            with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
+                recal_methods._refreshed_f0("two_param_qmm", feature, *args)
         return
     d0 = cc.dist0.probs
     if d0[0] == 0.0 or d0[-1] == 0.0:
-        with pytest.raises(
-            DomainError, match=r"^two_param_qmm: class-0 CDF refresh has values outside \(0, 1\)"
-        ):
-            recal_methods._refreshed_f0("two_param_qmm", feature, values)
+        for args in complements:
+            with pytest.raises(
+                DomainError,
+                match=r"^two_param_qmm: class-0 CDF refresh has values outside \(0, 1\)",
+            ):
+                recal_methods._refreshed_f0("two_param_qmm", feature, *args)
         return
-    f0, z = recal_methods._refreshed_f0("two_param_qmm", feature, values)
+    f0, z = recal_methods._refreshed_f0("two_param_qmm", feature, *complements[0])
+    bare_f0, bare_z = recal_methods._refreshed_f0("two_param_qmm", feature, *complements[1])
+    assert bare_f0.tobytes() == f0.tobytes() and bare_z.tobytes() == z.tobytes()
     assert f0.dtype == expected.dtype and f0.tobytes() == expected.tobytes()
     upper = int(np.count_nonzero(expected <= 0.5))
     # one call on the whole support, as the library makes it, so that both
@@ -542,8 +553,8 @@ class TestRocQmm:
             roc_qmm(scenario.source, scenario.target)
 
     @pytest.mark.parametrize("seed", [None, 3, 11, "tail"])
-    def test_default_curve_within_1e9_of_tight_reference(self, example_scenario, seed):
-        """The default stop on the CDF change lands within 1e-9 of a run
+    def test_default_curve_within_1e12_of_tight_reference(self, example_scenario, seed):
+        """The default stop on the CDF change lands within 1e-12 of a run
         converged to 1e-14, on the worked example (seed None), on two
         explicit supports and on the saturated [-4, 4] geometry."""
         if seed is None:
@@ -558,7 +569,7 @@ class TestRocQmm:
         tight = roc_qmm(src, tgt, SolverSettings(tol_fixed_point=1e-14, max_iter=2000))
         assert default.diagnostics.converged and tight.diagnostics.converged
         np.testing.assert_allclose(
-            default.posterior.values, tight.posterior.values, rtol=0, atol=1e-9
+            default.posterior.values, tight.posterior.values, rtol=0, atol=1e-12
         )
 
 
@@ -572,7 +583,7 @@ QMM_2D_BOUNDS = {
     MethodId.PLATT: 1e-6,
     MethodId.LOGISTIC_CSPD: 1e-6,
     MethodId.NORMAL_CSPD: 1e-6,
-    MethodId.TWO_PARAM_QMM: 1e-9,
+    MethodId.TWO_PARAM_QMM: 1e-10,
 }
 
 
@@ -821,11 +832,12 @@ class TestWarmStartedAlternation:
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         two_param_qmm(example_scenario.source, example_scenario.target)
         # a cold solve takes 4 probes at every outer step of the example
-        assert probes == [4, 4, 3, 3, 2, 2, 2, 2, 2, 2, 2]
+        assert probes == [4, 4, 3, 2, 1]
 
 
 class TestSaturatedBinomialTail:
-    """Errors on the saturated binomial geometry name the method and stage."""
+    """The saturated binomial geometry: two_param_qmm cannot match the source
+    AUC and says so; roc_qmm converges on it."""
 
     @pytest.fixture()
     def scenario(self):
@@ -837,10 +849,295 @@ class TestSaturatedBinomialTail:
         low, high = err.value.attainable_auc_range
         assert low <= high < scenario.source.implied_auc
 
-    def test_roc_qmm_refresh_names_the_method_and_stage(self, scenario):
-        # c is about 4.83, so the link at step 1 rounds 97 of the 257
-        # posteriors to exactly 1, where the class-0 mass is then exactly 0
-        with pytest.raises(
-            DomainError, match=r"^roc_qmm: class-0 CDF refresh has values outside \(0, 1\)"
-        ):
-            roc_qmm(scenario.source, scenario.target)
+    def test_roc_qmm_converges_past_rejected_newton_iterates(self, monkeypatch, scenario):
+        """c is about 4.83, so the link rounds about 97 of the 257 posteriors
+        to exactly 1; the class-0 masses from expit(-eta) stay positive there,
+        where 1 - v gave 0 and a refresh error. Far from the fixed point the
+        Newton iterates raise the residual, and the steps go back to the
+        plain iterate until the residual is small; the run converges in
+        fewer evaluations than the 70 plain steps."""
+        proposals, accepted = [], 0
+        newton_iterate = recal_methods._newton_iterate
+
+        def counting(probs, z, *rest):
+            nonlocal accepted
+            accepted += any(z is proposal for proposal in proposals)
+            proposals.append(newton_iterate(probs, z, *rest))
+            return proposals[-1]
+
+        monkeypatch.setattr(recal_methods, "_newton_iterate", counting)
+        result = roc_qmm(scenario.source, scenario.target)
+        diag = result.diagnostics
+        assert diag.converged and diag.residual_fixed_point <= 1e-10
+        assert all(z is not None for z in proposals)
+        assert len(proposals) - 1 - accepted >= 10  # rejected, the last one aside
+        assert diag.iterations < 70
+        assert abs(result.achieved_mean - 0.0157489) <= 1e-6
+        assert abs(result.implied_auc - 0.9990087) <= 1e-6
+        assert np.all(np.diff(result.posterior.values) >= 0.0)
+
+
+def _captured_fit(monkeypatch, method, src, tgt):
+    """The fit that ``method`` hands to fixed_point_f0 on (src, tgt)."""
+    captured = []
+    driver = recal_methods.fixed_point_f0
+
+    def capturing(name, target, settings, fit):
+        captured.append(fit)
+        return driver(name, target, settings, fit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(recal_methods, "fixed_point_f0", capturing)
+        method(src, tgt)
+    return captured[0]
+
+
+def _first_state(fit, tgt, method="roc_qmm"):
+    """(z, fit, F, G(z), phi(G(z))) at the start of the alternation."""
+    z = recal_methods._class0_cdf("initial", tgt.feature_dist.probs)[1]
+    fitted = fit(z)
+    f0, refreshed = recal_methods._refreshed_f0(method, tgt.feature_dist, fitted[2], fitted[4])
+    return z, fitted, f0, refreshed, recal_methods._cdf_residual(z, refreshed)[1]
+
+
+class TestNewtonStep:
+    """The Newton iterate of the class-0 fixed point and its safeguards."""
+
+    @pytest.mark.parametrize("method", [roc_qmm, two_param_qmm], ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("case", ["example", "tail"])
+    def test_step_solves_the_finite_difference_newton_system(
+        self, monkeypatch, example_scenario, method, case
+    ):
+        """z + d with (I - J) d = G(z) - z, J the central-difference Jacobian
+        of the method's own map at its starting z, below and above the
+        F = 1/2 split."""
+        if case == "example":
+            src, tgt = example_scenario.source, example_scenario.target
+        else:
+            src, tgt = saturated_tail_scenario(65)
+        fit = _captured_fit(monkeypatch, method, src, tgt)
+        z, fitted, f0, refreshed, phi = _first_state(fit, tgt, method.__name__)
+        probs = tgt.feature_dist.probs
+        step = recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) - z
+
+        def g_of(point):
+            values = fit(point)
+            return recal_methods._refreshed_f0("m", tgt.feature_dist, values[2], values[4])[1]
+
+        jacobian = np.empty((z.size, z.size))
+        for j in range(z.size):
+            h = np.zeros(z.size)
+            h[j] = 1e-5
+            jacobian[:, j] = (g_of(z + h) - g_of(z - h)) / 2e-5
+        expected = np.linalg.solve(np.eye(z.size) - jacobian, refreshed - z)
+        np.testing.assert_allclose(step, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+    def test_sided_solve_matches_a_dense_solve(self):
+        """Rows below the split solve I + K M diag(g), rows from it on
+        I - K M' diag(g), for every split including none."""
+        rng = np.random.default_rng(5)
+        n = 9
+        k, g = rng.uniform(0.5, 3.0, n), rng.uniform(0.0, 0.4, n)
+        rhs = rng.normal(size=(3, n))
+        lower = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+        for upper in (0, 1, 4, n - 1, n):
+            dense = np.eye(n)
+            dense[:upper, :upper] += (k[:, None] * lower * g)[:upper, :upper]
+            dense[upper:, upper:] -= (k[:, None] * lower.T * g)[upper:, upper:]
+            y = rhs.copy()
+            assert recal_methods._sided_solve(k, g, y, upper)
+            np.testing.assert_allclose(y, np.linalg.solve(dense, rhs.T).T, rtol=1e-12, atol=1e-12)
+
+    def _example_state(self, monkeypatch, example_scenario):
+        src, tgt = example_scenario.source, example_scenario.target
+        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        return tgt.feature_dist.probs, *_first_state(fit, tgt)
+
+    @pytest.mark.parametrize("phi_end", [0.0, 5e-324])
+    def test_overflowing_density_weight_gives_the_plain_step(
+        self, monkeypatch, example_scenario, phi_end
+    ):
+        """1 / phi(G(z)) overflows past |G(z)| ~ 37.6: no Newton iterate."""
+        probs, z, fitted, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
+        phi = phi.copy()
+        phi[-1] = phi_end
+        assert recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) is None
+
+    def test_underflowing_cumprod_gives_the_plain_step(self):
+        """a_i = 1/2 over 2,000 points, or a_i = 0 at x_i = 1."""
+        rhs = np.ones((2, 2000))
+        assert not recal_methods._sided_solve(np.ones(2000), np.full(2000, 2.0 / 3.0), rhs, 2000)
+        assert not recal_methods._sided_solve(np.ones(3), np.full(3, 2.0), rhs[:, :3], 3)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0.0]], [[np.inf]], [[1.0, 2.0], [2.0, 4.0]], [[1.0, np.nan], [0.0, 1.0]]],
+        ids=["zero", "inf", "rank_one", "nan"],
+    )
+    def test_singular_small_system_gives_the_plain_step(self, matrix):
+        assert recal_methods._closed_form_solve(matrix, [1.0] * len(matrix)) is None
+
+    def test_closed_form_solve(self):
+        a, b = [[2.0, 1.0], [1.0, 3.0]], [1.0, 2.0]
+        np.testing.assert_allclose(recal_methods._closed_form_solve(a, b), np.linalg.solve(a, b))
+        assert recal_methods._closed_form_solve([[4.0]], [2.0]) == [0.5]
+
+    def test_singular_moment_jacobian_gives_no_rows(self):
+        """At slope 0 the curve is constant and its AUC does not move with
+        (alpha, beta), so there are no refit rows and the step is plain, as
+        on the uninformative source of
+        test_uninformative_source_constant_transform."""
+        tgt = TargetSpec(DiscreteScoreDist([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]), 0.07)
+        values = np.full(3, 0.07)
+        z = np.array([-1.0, 0.0, 1.0])
+        assert recal_methods._refit_rows(tgt, z, values, 1.0 - values) is None
+
+    def test_non_finite_iterate_gives_the_plain_step(self, monkeypatch, example_scenario):
+        probs, z, fitted, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
+        refreshed = refreshed.copy()
+        refreshed[3] = np.nan
+        assert recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) is None
+
+    def test_iterate_that_steps_back_takes_its_running_maximum(
+        self, monkeypatch, example_scenario
+    ):
+        """At slope 0 the Newton iterate is G(z) itself; one that falls
+        between two points becomes its running maximum."""
+        probs, z, fitted, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
+        fitted = (0.0, *fitted[1:])
+        refreshed = refreshed.copy()
+        refreshed[[5, 6]] = refreshed[[6, 5]]
+        raw = (refreshed - z) + z
+        assert np.any(np.diff(raw) < 0.0)
+        z_new = recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi)
+        assert z_new.tobytes() == np.maximum.accumulate(raw).tobytes()
+
+    @staticmethod
+    def _plain(fit):
+        """The same map with no derivative: every step is plain."""
+        return lambda z: (*fit(z)[:5], None)
+
+    def test_newton_iterate_raising_goes_back_to_the_plain_iterate(
+        self, monkeypatch, example_scenario
+    ):
+        """A fit that raises a RecalError at every Newton iterate: a step
+        evaluates G there, rejects it and takes the plain iterate, and the
+        next step is plain, so the run has the plain run's bits at 3
+        evaluations every 2 steps."""
+        src, tgt = example_scenario.source, example_scenario.target
+        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        plain = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, self._plain(fit))
+        refreshed = []
+
+        def failing(z):
+            if refreshed and not any(np.array_equal(z, r) for r in refreshed):
+                raise DomainError("m: not at a plain iterate")
+            out = fit(z)
+            refreshed.append(
+                recal_methods._refreshed_f0("m", tgt.feature_dist, out[2], out[4])[1]
+            )
+            return out
+
+        z, diag, _ = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, failing)
+        steps = plain[1].iterations - 1
+        assert diag.converged and diag.iterations == 1 + steps + (steps + 1) // 2
+        assert z.tobytes() == plain[0].tobytes()
+
+    def test_newton_iterate_whose_residual_rises_is_rejected(self, monkeypatch, example_scenario):
+        src, tgt = example_scenario.source, example_scenario.target
+        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        plain = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, self._plain(fit))
+        monkeypatch.setattr(recal_methods, "_newton_iterate", lambda probs, z, *rest: z + 0.5)
+        z, diag, _ = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, fit)
+        steps = plain[1].iterations - 1
+        assert diag.converged and diag.iterations == 1 + steps + (steps + 1) // 2
+        assert z.tobytes() == plain[0].tobytes()
+        # max_iter counts the rejected evaluations too
+        capped = recal_methods.fixed_point_f0("m", tgt, SolverSettings(max_iter=4), fit)[1]
+        assert capped.iterations == 4 and not capped.converged
+
+    def test_error_at_a_plain_iterate_names_the_method_and_stage(
+        self, monkeypatch, example_scenario
+    ):
+        src, tgt = example_scenario.source, example_scenario.target
+        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        calls = []
+
+        def failing(z):
+            calls.append(z)
+            if len(calls) > 1:
+                raise DomainError("m: class-0 CDF refresh has values outside (0, 1)")
+            return fit(z)
+
+        with pytest.raises(DomainError, match=r"^m: class-0 CDF refresh"):
+            recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, failing)
+        assert len(calls) == 3  # the Newton iterate, then the plain one
+
+
+@pytest.mark.parametrize("method", [roc_qmm, two_param_qmm], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("case", ["example", "tail"])
+def test_newton_and_plain_steps_reach_the_same_fixed_point(
+    monkeypatch, example_scenario, method, case
+):
+    """fixed_point_f0 drives each method's map twice: with its derivative
+    at the defaults, and without it (every step plain) at fixed-point
+    tolerance 1e-14. Both land on the same fixed point within the method's
+    tight-reference bound, Newton in at most 6 evaluations."""
+    if case == "example":
+        src, tgt = example_scenario.source, example_scenario.target
+    else:
+        src, tgt = saturated_tail_scenario()
+    newton = method(src, tgt)
+    driver = recal_methods.fixed_point_f0
+
+    def plain(name, target, settings, fit):
+        return driver(name, target, settings, lambda z: (*fit(z)[:5], None))
+
+    monkeypatch.setattr(recal_methods, "fixed_point_f0", plain)
+    reference = method(src, tgt, replace(TIGHT_SETTINGS, tol_mean=1e-9, tol_auc=1e-6))
+    assert newton.diagnostics.converged and reference.diagnostics.converged
+    assert newton.diagnostics.iterations <= 6 < reference.diagnostics.iterations
+    bound = 1e-12 if method is roc_qmm else QMM_2D_BOUNDS[MethodId.TWO_PARAM_QMM]
+    np.testing.assert_allclose(
+        newton.posterior.values, reference.posterior.values, rtol=0, atol=bound
+    )
+
+
+def _binormal_label_shift_law(n, p=0.1, q=0.3, shift=1.5):
+    """Support linspace(-8, 8, n), class-conditionals phi(s) and phi(s - shift),
+    source prior p and a target that is their q-mixture, so label shift is
+    the truth."""
+    s = np.linspace(-8.0, 8.0, n)
+    f0, f1 = np.exp(-0.5 * s**2), np.exp(-0.5 * (s - shift) ** 2)
+    f0, f1 = f0 / f0.sum(), f1 / f1.sum()
+    src_probs = p * f1 + (1.0 - p) * f0
+    src = SourceModel(DiscreteScoreDist(s, src_probs), PosteriorCurve(s, p * f1 / src_probs), p)
+    return src, TargetSpec(DiscreteScoreDist(s, q * f1 + (1.0 - q) * f0), q)
+
+
+def test_consistency_oracle_recovers_the_label_shift_law():
+    """On a binormal label-shift law every method that holds the truth in
+    its family recovers it: fjs and the logistic CSPD to their solver
+    tolerance; roc_qmm, whose ROC shape is the binormal one, with an error
+    that falls ~16 times as n quadruples; two_param_qmm as measured, then to
+    2e-10. Both QMMs take at most 7 outer steps."""
+    sizes = (65, 257, 1025, 4097)
+    errors = {m: [] for m in (MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM)}
+    for n in sizes:
+        src, tgt = _binormal_label_shift_law(n)
+        truth = label_shift_correct(src, tgt).posterior.values
+        weights = tgt.feature_dist.probs
+        for method in (MethodId.FJS, MethodId.LOGISTIC_CSPD, *errors):
+            result = run_method(method, src, tgt)
+            assert result.diagnostics.converged
+            error = float(np.dot(weights, np.abs(result.posterior.values - truth)))
+            if method in errors:
+                errors[method].append(error)
+                assert result.diagnostics.iterations <= 7
+            else:
+                assert error <= DEFAULT_SETTINGS.tol_mean
+    roc = errors[MethodId.ROC_QMM]
+    assert 2.5e-3 <= roc[0] <= 2.7e-3
+    assert all(14.0 <= a / b <= 18.0 for a, b in zip(roc, roc[1:]))
+    two = errors[MethodId.TWO_PARAM_QMM]
+    assert two[0] <= 1.3e-5 and two[1] <= 5e-8 and max(two[2:]) <= 2e-10
