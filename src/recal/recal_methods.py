@@ -119,22 +119,31 @@ def _finish(
     )
 
 
-def _match_mean(method, tgt, curve_at, lo, hi, param, settings, widen=True) -> RecalResult:
+def _match_mean(method, tgt, curve_at, rate, lo, hi, param, settings, widen=True) -> RecalResult:
     """Solve mean(curve_at(t)) = q under the target features for the one
-    parameter t, reported as ``param``: a bisection from [lo, hi], widened
-    unless ``widen`` is False, with one diagnostics iteration per mean
-    evaluation."""
+    parameter t, reported as ``param``: :func:`bisect_root` from [lo, hi],
+    widened unless ``widen`` is False, with Newton steps on the mean's
+    derivative sum(w * rate(t, v)), where ``rate`` gives dv/dt from the
+    values v = curve_at(t) already evaluated there. One diagnostics
+    iteration per mean evaluation."""
     q = tgt.prior
     weights = tgt.feature_dist.probs
     evals = 0
+    last = None  # (t, curve_at(t)) of the last mean evaluation
 
     def mean_resid(t: float) -> float:
-        nonlocal evals
+        nonlocal evals, last
         evals += 1
-        return float(np.dot(weights, curve_at(t))) - q
+        last = t, curve_at(t)
+        return float(np.dot(weights, last[1])) - q
 
-    t = bisect_root(mean_resid, lo, hi, settings.tol_mean, widen=widen)
-    values = curve_at(t)
+    def mean_slope(t: float) -> float:
+        if t != last[0]:
+            mean_resid(t)
+        return float(np.dot(weights, rate(t, last[1])))
+
+    t = bisect_root(mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, widen=widen)
+    values = last[1] if t == last[0] else curve_at(t)
     residual = abs(float(np.dot(weights, values)) - q)
     diag = SolveDiagnostics(
         iterations=evals,
@@ -149,16 +158,17 @@ def capped_scaling(
 ) -> RecalResult:
     """Scale the source posterior by t, capping at 1, so the mean hits q.
 
-    The capped mean is continuous and non-decreasing in t with range (0, 1],
-    so a bracketed bisection always finds t; it is -q at t = 0, so the search
-    never goes below 0. The cap can flatten the curve at value 1 but nowhere
-    else.
+    The capped mean is continuous, piecewise linear and non-decreasing in t
+    with range (0, 1], so the bracketed search always finds t; it is -q at
+    t = 0, so the search never goes below 0. Its derivative is the weighted
+    sum of eta over the points the cap leaves free. The cap can flatten the
+    curve at value 1 but nowhere else.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     eta = src.posterior.values
     return _match_mean(
         MethodId.CAPPED_SCALING, tgt, lambda t: np.minimum(t * eta, 1.0),
-        0.0, 2.0, "t", settings,
+        lambda t, values: np.where(values < 1.0, eta, 0.0), 0.0, 2.0, "t", settings,
     )
 
 
@@ -203,9 +213,10 @@ def fjs_recalibrate(
     """Recalibrate under factorizable joint shift.
 
     The class-0 density weight rho is the unique root of the mean equation
-    and always lies inside :func:`fjs_bounds`; the bisection runs on that
-    closed interval with no expansion, and a missing sign change is surfaced
-    as infeasibility rather than hidden.
+    and always lies inside :func:`fjs_bounds`; the search runs on that
+    closed interval with no expansion, with Newton steps on the derivative
+    dv/drho = v (1 - v) / rho, and a missing sign change is surfaced as
+    infeasibility rather than hidden.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, "fjs")
@@ -215,6 +226,7 @@ def fjs_recalibrate(
     try:
         return _match_mean(
             MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
+            lambda rho, values: values * (1.0 - values) / rho,
             lower, upper, "rho", settings, widen=False,
         )
     except NoRootError as exc:
@@ -376,8 +388,7 @@ def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
     """The Newton iterate z + d for the class-0 fixed point z = G(z), or None
     where the plain iterate G(z) is to be taken: where the fit gives no
     ``rows``, 1 / phi overflows, a cumprod underflows, the small system is
-    singular or the iterate is not finite. An iterate that steps back
-    becomes its running maximum.
+    singular, or the iterate is not finite or steps back somewhere.
 
     ``fitted`` = (alpha, beta, v, diag, expit(-eta), rows) is the fit at z,
     v = expit(eta) with eta = alpha z + beta; F, G(z) and phi(G(z)) come from
@@ -428,10 +439,8 @@ def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
         for coef, col in zip(sol, cols):
             step -= coef * col
         step += z
-    if not np.isfinite(step).all():
+    if not np.isfinite(step).all() or (step[1:] < step[:-1]).any():
         return None
-    if (step[1:] < step[:-1]).any():
-        np.maximum.accumulate(step, out=step)
     return step
 
 
@@ -566,9 +575,13 @@ def two_param_qmm(
     Each outer step of :func:`fixed_point_f0` solves (a, b) against the
     targets (q, source implied AUC) at the current class-0 CDF, then refreshes
     the CDF from the resulting posterior exactly as the ROC-based scheme does.
-    From the second step on the inner solve is warm-started from the previous
-    step's (alpha, beta); it meets the same tolerances as a cold solve, which
-    keeps the fit within the joint tolerance of the cold alternation's. An
+    From the second step on the inner solve is warm-started at the previous
+    fit's tangent prediction alpha (1 + r0 . dz), beta + alpha r1 . dz, with
+    dz the move of the probit z and r the refit rows of
+    :func:`_refit_rows`, or at the previous (alpha, beta) where there are no
+    rows or the predicted alpha is not positive. It meets the same
+    tolerances as a cold solve, which keeps the fit within the joint
+    tolerance of the cold alternation's. An
     inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
     stops when the CDF values and (a, b) are jointly stable to
@@ -584,13 +597,26 @@ def two_param_qmm(
     inner_settings = replace(
         settings, tol_mean=min(settings.tol_mean, 1e-12), tol_auc=min(settings.tol_auc, 1e-11)
     )
-    warm_start = None
+    last = None  # (z, alpha, beta, refit rows) of the last fit
     steps = 0
 
     def fit(z: np.ndarray):
-        nonlocal warm_start, steps
+        nonlocal last, steps
         steps += 1
         fam = rob_logit_family(z)
+        warm_start = None
+        if last is not None:  # the last fit's tangent prediction, else that fit
+            z_last, alpha, beta, rows = last
+            warm_start = alpha, beta
+            if rows is not None:
+                dz = fam.x - z_last
+                with np.errstate(all="ignore"):  # a row that overflowed predicts nothing
+                    predicted = (
+                        alpha * (1.0 + float(np.dot(rows[0], dz))),
+                        beta + alpha * float(np.dot(rows[1], dz)),
+                    )
+                if 0.0 < predicted[0] < math.inf and math.isfinite(predicted[1]):
+                    warm_start = predicted
         try:
             alpha, beta, values, inner = solve_qmm_2d(
                 fam, auc_src, tgt, inner_settings, warm_start=warm_start
@@ -600,9 +626,9 @@ def two_param_qmm(
                 f"two_param_qmm: inner (a, b) solve at outer step {steps}: {exc}",
                 attainable_auc_range=exc.attainable_auc_range,
             ) from exc
-        warm_start = (alpha, beta)  # the next solve starts here
         complement = fam.link(-(alpha * fam.x + beta))
-        return alpha, beta, values, inner, complement, _refit_rows(tgt, fam.x, values, complement)
+        last = fam.x, alpha, beta, _refit_rows(tgt, fam.x, values, complement)
+        return alpha, beta, values, inner, complement, last[3]
 
     _, diag, (alpha, beta, values, inner, *_) = fixed_point_f0("two_param_qmm", tgt, settings, fit)
     converged = (

@@ -85,14 +85,15 @@ def bisect_root(
     derivative ``fprime``, Newton steps run from there, each at most half as
     long as [lo, hi], while the derivative is positive and |f| shrinks. A
     point where f is not finite is overshoot, moved halfway back toward the
-    nearest probe until f is finite there. The first sign change seen is the
-    bracket; until one is seen, without ``fprime`` or once Newton stalls,
-    the search walks from the probes toward the root's side, to that end of
-    [lo, hi] and then by a width that doubles each round. With ``widen``
-    False every probe stays inside [lo, hi]. A needed widening that
-    ``widen`` forbids, an empty interval, ``MAX_EXPANSIONS`` rounds or
-    widening after an overshoot raise :class:`NoRootError`, which carries
-    the probed interval. In the bracket each step is the midpoint, or with
+    nearest probe until f is finite there or no float lies between. The
+    first sign change seen is the bracket; until one is seen, without
+    ``fprime`` or once Newton stalls, the search walks from the probes
+    toward the root's side, to that end of [lo, hi] and then by a width
+    that doubles each round. With ``widen`` False every probe stays inside
+    [lo, hi]. A needed widening that ``widen`` forbids, an empty interval,
+    ``MAX_EXPANSIONS`` rounds, widening after an overshoot or an overshoot
+    that cannot move closer raise :class:`NoRootError`, which carries the
+    probed interval. In the bracket each step is the midpoint, or with
     ``fprime`` Newton from the last point where that stays inside the
     bracket, the derivative is positive and the step halves the one before
     (``rtsafe`` in *Numerical Recipes*); overshoot replaces the upper end. A
@@ -130,8 +131,11 @@ def bisect_root(
                 trial = near[0] + width if up else near[0] - width
                 width, expansions = 2.0 * width, expansions + 1
         ft = float(f(trial))
-        while not math.isfinite(ft) and near is not None and trial != near[0]:
-            edge, trial = True, 0.5 * (near[0] + trial)
+        while not math.isfinite(ft) and near is not None:
+            mid = 0.5 * (near[0] + trial)
+            if mid == near[0] or mid == trial:  # adjacent floats: nothing between
+                break
+            edge, trial = True, mid
             ft = float(f(trial))
         if not math.isfinite(ft):
             raise NoRootError(f"f is not finite at {trial!r}", probed_interval=(lo, hi))
@@ -270,11 +274,19 @@ def solve_qmm_2d(
     matches, an :class:`InfeasibleError` reports the AUC range attained over
     the probed slopes.
 
-    ``iterations`` counts probes. ``bracket`` is the tightest sign change of
-    the AUC residual over the probed slopes, widened to hold alpha, or
-    (alpha, alpha) if the search converged without one. ``warm_start =
-    (alpha, beta)`` starts both searches there; an ``alpha`` outside the
-    slope range or with an unhealthy probe gives the cold solve.
+    ``warm_start = (alpha, beta)`` with alpha in the slope range first takes
+    joint Newton steps on (alpha, beta), each from one link evaluation, one
+    AUC merge and the 2 x 2 Jacobian of the mean and the AUC, kept only
+    while max(|mean residual| / tol_mean, |AUC residual| / (SLOPE_TOL_FRACTION
+    * tol_auc)), the two stops of the nested search, shrinks. Where that
+    reaches 1 the solve returns there; otherwise the nested search starts
+    from the last kept point. A start whose probe is unhealthy gives the
+    cold solve, as does an ``alpha`` outside the slope range.
+
+    ``iterations`` counts probes, each joint Newton point as one. ``bracket``
+    is the tightest sign change of the AUC residual over the probed slopes,
+    widened to hold alpha, or (alpha, alpha) if the search converged without
+    one.
     """
     weights, q = target.feature_dist.probs, target.prior
     x = family.x
@@ -285,7 +297,54 @@ def solve_qmm_2d(
     tol_auc = settings.tol_auc
     wx = weights * x
     weights_cdf = target.feature_dist.mid_cdf  # the AUC's prefix sum over increasing values
+    slope_tol = SLOPE_TOL_FRACTION * tol_auc
+    # a constant transform (slope 0) has AUC exactly 1/2; families that admit
+    # it get that exact solution
+    constant = family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc
     evals = 0
+
+    def joint_steps(alpha: float, beta: float):
+        """Newton steps on (alpha, beta) jointly, each kept only while the
+        residual max(|mean - q| / tol_mean, |AUC - target| / slope_tol)
+        shrinks and alpha stays in the slope range. Returns the last kept
+        (alpha, beta) and, once that residual is at most 1, the solve's
+        (alpha, beta, values, diagnostics) there, else None."""
+        nonlocal evals
+        kept, size = (alpha, beta), math.inf
+        for _ in range(MAX_BISECT_ITER):
+            if not (1.0 / SLOPE_LIMIT <= alpha <= SLOPE_LIMIT and math.isfinite(beta)):
+                break
+            evals += 1
+            z = alpha * x + beta
+            values = family.link(z)
+            resid_mean = float(np.dot(weights, values)) - q
+            try:
+                merged = _merged(weights, values, weights_cdf)
+            except DegenerateClassError:
+                break
+            resid_auc = merged[3] - source_auc_target
+            trial = max(abs(resid_mean) / settings.tol_mean, abs(resid_auc) / slope_tol)
+            if not trial < size:
+                break
+            kept, size = (alpha, beta), trial
+            if size <= 1.0:
+                return kept, (alpha, beta, values, SolveDiagnostics(
+                    iterations=evals, converged=True, residual_mean=abs(resid_mean),
+                    residual_auc=abs(resid_auc), bracket=(alpha, alpha), implied_auc=merged[3],
+                ))
+            # the 2 x 2 Jacobian of (mean, AUC) in (alpha, beta)
+            pdf = family.link_pdf(z, values)
+            moved = _merged_gradient(weights, values, merged) * pdf
+            pdf *= weights
+            m_a, m_b = float(np.dot(pdf, x)), float(pdf.sum())
+            a_a, a_b = float(np.dot(moved, x)), float(moved.sum())
+            det = m_a * a_b - m_b * a_a
+            if not (det != 0.0 and math.isfinite(det)):
+                break
+            alpha -= (a_b * resid_mean - m_b * resid_auc) / det
+            beta -= (m_a * resid_auc - a_a * resid_mean) / det
+        return kept, None
+
     start, beta_start = 0.0, None  # first log slope probed; the last probe's intercept
     if warm_start is not None:
         alpha0, beta0 = (float(v) for v in warm_start)
@@ -294,6 +353,10 @@ def solve_qmm_2d(
                 "solve_qmm_2d: warm_start needs a finite alpha >= 0 and a finite beta"
             )
         if 1.0 / SLOPE_LIMIT <= alpha0 <= SLOPE_LIMIT:
+            if not constant:
+                (alpha0, beta0), solved = joint_steps(alpha0, beta0)
+                if solved is not None:
+                    return solved
             start, beta_start = math.log(alpha0), beta0
 
     # log slope -> (alpha, auc, beta, |mean residual|, link values, link argument, AUC merge)
@@ -374,11 +437,10 @@ def solve_qmm_2d(
         moved = _merged_gradient(weights, values, merged) * pdf
         return alpha * (float(np.dot(moved, x)) + dbeta * float(moved.sum()))
 
-    if family.slope_may_vanish and abs(0.5 - source_auc_target) <= tol_auc:
-        # a constant transform (slope 0) has AUC exactly 1/2; families that
-        # admit it get that exact solution. An unhealthy probe reads as not
-        # converged; without an intercept root, or when the constant would
-        # need q / sum(weights) outside (0, 1), there is no curve to return.
+    if constant:
+        # an unhealthy probe reads as not converged; without an intercept
+        # root, or when the constant would need q / sum(weights) outside
+        # (0, 1), there is no curve to return
         t, bracket = -math.inf, (0.0, 0.0)
         if not 0.0 < q < float(weights.sum()) or not probe(t) and fits[t][4] is None:
             raise InfeasibleError(f"{family.name}: mean equation insoluble at slope 0")
@@ -393,8 +455,7 @@ def solve_qmm_2d(
             )
         try:
             t = bisect_root(
-                residual, start - 2.0, start + 2.0, SLOPE_TOL_FRACTION * tol_auc,
-                fprime=auc_slope, x0=start,
+                residual, start - 2.0, start + 2.0, slope_tol, fprime=auc_slope, x0=start,
             )
         except NoRootError:
             aucs = [fit[1] for fit in fits.values() if math.isfinite(fit[1])]

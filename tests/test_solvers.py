@@ -48,6 +48,23 @@ class TestBisectRoot:
         # f > 0 everywhere, so the walk widens below lo only
         assert lo < -1.0 and hi == 1.0
 
+    @pytest.mark.parametrize("edge", [1.0, 1.0000000000000002, 1.3, 1.3000000000000003])
+    def test_overshoot_next_to_the_last_finite_probe_raises(self, edge):
+        """f is finite only up to ``edge``, so the halving back from each
+        overshoot ends on the float just above the last finite probe, where
+        the midpoint rounds to one of the two ends (either, by the ends'
+        last bits). The search stops there instead of halving forever."""
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            assert calls < 5000
+            return -1.0 if x <= edge else np.nan
+
+        with pytest.raises(NoRootError, match="^f is not finite at"):
+            bisect_root(f, 0.0, 2.0, 1e-12)
+
     def test_closed_interval_without_expansion(self):
         with pytest.raises(NoRootError):
             bisect_root(lambda x: x - 5.0, 0.0, 1.0, 1e-9, widen=False)
@@ -324,13 +341,17 @@ class TestSolveQmm2d:
 
     def test_platt_with_half_auc_target_collapses(self):
         """Target AUC 1/2 is met exactly by a constant transform: zero slope
-        and intercept at the log-odds of the target prior."""
+        and intercept at the log-odds of the target prior, also from a warm
+        start, which takes no joint Newton steps there."""
         target, curve = _toy_problem(q=0.07)
-        a, b, values, diag = solve_qmm_2d(platt_family(curve.values), 0.5, target)
-        assert diag.converged
-        assert a == 0.0
-        assert abs(b - logit(0.07)) <= 1e-6
-        np.testing.assert_allclose(values, 0.07, atol=1e-9)
+        for warm_start in (None, (1.0, 0.0)):
+            a, b, values, diag = solve_qmm_2d(
+                platt_family(curve.values), 0.5, target, warm_start=warm_start
+            )
+            assert diag.converged and diag.iterations == 1  # the slope-0 probe
+            assert a == 0.0 and diag.bracket == (0.0, 0.0)
+            assert abs(b - logit(0.07)) <= 1e-6
+            np.testing.assert_allclose(values, 0.07, atol=1e-9)
 
     def test_example_logistic_cspd_row(self, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
@@ -735,8 +756,9 @@ class TestSolveQmm2dWarmStart:
             platt_family(curve.values), auc, target, warm_start=(alpha0, b_cold)
         )
         assert diag.converged and diag.bracket == cold.bracket
-        # only the unhealthy warm probe costs one probe more
-        assert diag.iterations - cold.iterations == (alpha0 == 1e10)
+        # only a warm slope inside the range costs more: one joint Newton
+        # point, whose saturated link has no Jacobian, and its unhealthy probe
+        assert diag.iterations - cold.iterations == (2 if alpha0 == 1e10 else 0)
         assert abs(a - a_cold) <= 1e-9 * a_cold and abs(b - b_cold) <= 1e-9 * abs(b_cold)
 
     @pytest.mark.parametrize(
