@@ -2,11 +2,15 @@
 
 Rounding happens only at presentation time: the table keeps full precision
 internally, prints 3 decimals for display and writes 12 significant digits
-to CSV. CSV output is UTF-8 with '.' decimals and LF line endings.
+to CSV. CSV output is UTF-8 with '.' decimals and LF line endings. The
+curve CSV's numbers are the bytes of ``"%.12g" % x``, rendered by a numpy
+kernel (:func:`_g12_fields`) that rounds exactly for 1e-11 <= |x| < 1e12
+and formats zeros, non-finite values and the rest by ``"%.12g"`` itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -32,9 +36,14 @@ TABLE_CSV_HEADER = "method,mean_probs,auc,mean_functional"
 CURVES_CSV_HEADER = "series,support,value"
 # one CSV line per row: the label, then each number at 12 significant digits
 _TABLE_CSV_LINE = "{},{:.12g},{:.12g},{:.12g}\n".format
-# the cells after a curve's series name: the support point, and the value
-# left as a %-field, so a series' lines are one template filled in one step
-_CURVE_POINT_CELLS = ",{:.12g},%.12g\n".format
+# a curves.csv number is a field of _FIELD bytes padded with _PAD, a byte
+# that UTF-8 never uses; lines go out in blocks of at most _BLOCK lines and
+# about _BLOCK_BYTES bytes
+_FIELD = 24
+_PAD = 0xFF
+_BLOCK = 1 << 14
+_BLOCK_BYTES = 1 << 22
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
 
 def _check_concave_on_grid(grid: np.ndarray, values: np.ndarray) -> None:
@@ -226,27 +235,185 @@ def export_curves(
     ]
 
 
+@functools.cache
+def _g12_tables():
+    """The lookup tables of :func:`_g12_fields`, built on first use.
+
+    Four map an index to bytes of a field, with c = 24 * negative + e + 11
+    the class of a number of decimal exponent e:
+    - bytes 0-7 by (c, first digit, point shown): the sign, the "0.000" of
+      exponents -4..-1, the digit and the point;
+    - 4 digits by g, or by g + 10,000 with their trailing zeros padded;
+    - the last 3 digits by g < 1,000, padded so, then a pad;
+    - bytes 20-23 by e + 11: the exponent, where there is one.
+    Then 10**s for 0 <= s <= 22, exact in float64, and its Veltkamp split.
+    """
+    ascii_digits = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    head = np.full((48, 10, 2, 8), _PAD, dtype=np.uint8)
+    exponent = np.full((24, 4), _PAD, dtype=np.uint8)
+    for e in range(-11, 13):
+        if -4 <= e < 0:
+            text = np.frombuffer(b"0." + b"0" * (-e - 1), dtype=np.uint8)
+            head[e + 11, ..., :text.size] = head[e + 35, ..., 1:text.size + 1] = text
+        elif e < -4 or e == 12:
+            exponent[e + 11] = np.frombuffer(b"e%+03d" % e, dtype=np.uint8)
+    head[24:, ..., 0] = ord("-")
+    head[..., 6] = ascii_digits[:, None]
+    head[:, :, 1, 7] = ord(".")
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # indexed by the digits of g
+    for i in range(4):
+        digits[..., i] = ascii_digits.reshape([10 if j == i else 1 for j in range(4)])
+    padded = digits.copy()
+    padded[..., 0, 3] = padded[..., 0, 0, 2:] = padded[:, 0, 0, 0, 1:] = _PAD
+    padded[0, 0, 0, 0] = _PAD
+    digits, padded = digits.reshape(-1, 4), padded.reshape(-1, 4)
+    group3 = np.column_stack([padded[:1000, 1:], np.full(1000, _PAD, dtype=np.uint8)])
+    p10 = np.array([float(10**s) for s in range(23)])
+    p10_hi = _SPLIT * p10 - (_SPLIT * p10 - p10)
+    return (
+        head.view(np.uint64).ravel(),
+        np.concatenate([digits, padded]).view(np.uint32).ravel(),
+        group3.view(np.uint32).ravel(),
+        exponent.view(np.uint32).ravel(),
+        p10, p10_hi, p10 - p10_hi,
+    )
+
+
+def _g12_fields(x: np.ndarray) -> np.ndarray:
+    """``"%.12g" % v`` for each v of the float64 array x, as the rows of an
+    (x.size, _FIELD) uint8 matrix; a row without its _PAD bytes is the text.
+
+    For 1e-11 <= |v| < 1e12 and e = floor(log10 |v|), the digits are
+    N = |v| * 10**(11 - e) rounded half to even. The power is exact, so the
+    float product hi is within half an ulp of the exact one, and only where
+    hi is a half-integer can that error change N: there the exact remainder
+    of Dekker's two-product decides, and a zero remainder is a true tie. A
+    field is the bytes: 0-5 the sign and "0.000", 6 the first digit, 7 the
+    point, 8-18 the other digits, 19 a pad and 20-23 the exponent, gathered
+    from :func:`_g12_tables`. Zeros, values out of that range or not
+    finite, and a log10 off by one (hi outside [1e11, 1e12)) are formatted
+    by "%.12g" one at a time.
+    """
+    head, group4, group3, exponent, p10, p10_hi, p10_lo = _g12_tables()
+    out = np.empty((x.size, _FIELD), dtype=np.uint8)
+    a = np.abs(x)
+    in_range = (a >= 1e-11) & (a < 1e12)
+    y = np.where(in_range, a, 1.0)  # placeholders, formatted by the fallback
+    e = np.clip(np.floor(np.log10(y)), -11, 11).astype(np.intp)
+    scale = 11 - e
+    hi = y * p10[scale]
+    n = np.rint(hi)
+    ties = np.flatnonzero(np.abs(hi - n) == 0.5)
+    if ties.size:
+        y_t, hi_t, s = y[ties], hi[ties], scale[ties]
+        y_hi = _SPLIT * y_t - (_SPLIT * y_t - y_t)
+        y_lo = y_t - y_hi
+        err = ((y_hi * p10_hi[s] - hi_t) + y_hi * p10_lo[s] + y_lo * p10_hi[s]) + y_lo * p10_lo[s]
+        n[ties] = np.where(err == 0.0, n[ties], hi_t + np.copysign(0.5, err))
+    in_decade = (hi >= 1e11) & (hi < 1e12)
+    carry = n == 1e12  # 1e11 one decade up
+    e += carry
+    n = np.where(in_decade & ~carry, n, 1e11)
+    d0 = np.floor(n / 1e11)
+    tail = n - d0 * 1e11
+    g1 = np.floor(tail / 1e7)
+    rest = tail - g1 * 1e7
+    g2 = np.floor(rest / 1e3)
+    g3 = (rest - g2 * 1e3).astype(np.intp)
+    g2 = g2.astype(np.intp)
+    cls = np.signbit(x) * 24 + (e + 11)
+    point = (tail != 0.0) & ((e >= 0) | (e < -4))
+    out.view(np.uint64)[:, 0] = head[(cls * 10 + d0.astype(np.intp)) * 2 + point]
+    words = out.view(np.uint32)
+    words[:, 2] = group4[g1.astype(np.intp) + 10_000 * ((g2 == 0) & (g3 == 0))]
+    words[:, 3] = group4[g2 + 10_000 * (g3 == 0)]
+    words[:, 4] = group3[g3]
+    words[:, 5] = exponent[e + 11]
+    whole = np.flatnonzero((e >= 1) & (e <= 11))
+    if whole.size:
+        # digits 1..e join the integer part: they move left over the point,
+        # keep their zeros, and the point follows them if a nonzero digit does
+        f, at = out[whole], 7 + e[whole, None]
+        cols = np.arange(7, 19)
+        moved = np.where(cols < at, f[:, 8:20], f[:, 7:19])
+        moved[(cols < at) & (moved == _PAD)] = ord("0")
+        fraction = np.fmod(n[whole], p10[11 - e[whole]]) != 0.0
+        moved[cols == at] = np.where(fraction, ord("."), _PAD)
+        f[:, 7:19] = moved
+        out[whole] = f
+    fallback = np.flatnonzero(~(in_range & in_decade))
+    if fallback.size:
+        texts = b"".join((b"%.12g" % v).ljust(_FIELD, b"\xff") for v in x[fallback].tolist())
+        out[fallback] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, _FIELD)
+    return out
+
+
 def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
     """CSV rendering of (series, support, values) triples at 12 significant
     digits, one line per point; a row (series, s, v) is a one-point series.
 
     Each distinct support is formatted once, keyed on its bits, so -0.0
-    prints as -0 even beside an otherwise equal support holding 0.0.
+    prints as -0 even beside an otherwise equal support holding 0.0. Numbers
+    are ``"%.12g"`` from :func:`_g12_fields`. Lines are built in blocks of
+    at most _BLOCK lines, consecutive series sharing one, as a byte matrix
+    whose rows are [name | , | support | , | value | LF] padded with _PAD.
     """
-    point_cells: dict[bytes, list[str]] = {}
-    parts = [CURVES_CSV_HEADER + "\n"]
-    for name, support, values in series:
+    names, values, support_rows = [], [], []
+    first_row: dict[bytes, int] = {}  # support bits -> its first stacked row
+    supports = []
+    stacked = 0
+    for name, support, vals in series:
         support = np.asarray(support, dtype=float).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if support.size != values.size:
+        vals = np.asarray(vals, dtype=float).ravel()
+        if support.size != vals.size:
             raise StructuralError(
                 f"curve series {name!r} has {support.size} support points "
-                f"but {values.size} values"
+                f"but {vals.size} values"
             )
         key = support.tobytes()
-        if key not in point_cells:
-            # "" first, so joining on the series name puts it before every point
-            point_cells[key] = ["", *map(_CURVE_POINT_CELLS, support.tolist())]
-        label = f"{name}".replace("%", "%%")
-        parts.append(label.join(point_cells[key]) % tuple(values.tolist()))
+        if key not in first_row:
+            first_row[key] = stacked
+            stacked += support.size
+            supports.append(support)
+        names.append(f"{name}".encode("utf-8", "surrogatepass"))
+        values.append(vals)
+        support_rows.append(first_row[key])
+    parts = [CURVES_CSV_HEADER + "\n"]
+    if not stacked:
+        return parts[0]
+    support_fields = np.concatenate(
+        [_g12_fields(s[a:a + _BLOCK]) for s in supports for a in range(0, s.size, _BLOCK)]
+    )
+    per_block = max(1, min(_BLOCK, _BLOCK_BYTES // (max(map(len, names)) + 2 * _FIELD + 3)))
+    runs, lines = [], 0  # (series, first point, stop point) of the block so far
+    for i, vals in enumerate(values):
+        start = 0
+        while start < vals.size:
+            stop = min(vals.size, start + per_block - lines)
+            runs.append((i, start, stop))
+            lines += stop - start
+            start = stop
+            if lines == per_block:
+                parts.append(_csv_block(runs, lines, names, values, support_fields, support_rows))
+                runs, lines = [], 0
+    if runs:
+        parts.append(_csv_block(runs, lines, names, values, support_fields, support_rows))
     return "".join(parts)
+
+
+def _csv_block(runs, lines, names, values, support_fields, support_rows) -> str:
+    """The CSV lines of the runs (series, first point, stop point)."""
+    name_width = max(len(names[i]) for i, _, _ in runs)
+    value_col = name_width + _FIELD + 2
+    m = np.empty((lines, value_col + _FIELD + 1), dtype=np.uint8)
+    m[:, name_width] = m[:, value_col - 1] = ord(",")
+    m[:, -1] = ord("\n")
+    row = 0
+    for i, start, stop in runs:
+        end = row + stop - start
+        m[row:end, :name_width] = np.frombuffer(names[i].ljust(name_width, b"\xff"), np.uint8)
+        first = support_rows[i]
+        m[row:end, name_width + 1:value_col - 1] = support_fields[first + start:first + stop]
+        row = end
+    m[:, value_col:-1] = _g12_fields(np.concatenate([values[i][a:b] for i, a, b in runs]))
+    return m.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")

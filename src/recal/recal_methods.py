@@ -119,12 +119,14 @@ def _finish(
     )
 
 
-def _match_mean(method, tgt, curve_at, rate, lo, hi, param, settings, widen=True) -> RecalResult:
+def _match_mean(
+    method, tgt, curve_at, rate, lo, hi, param, settings, widen=True, x0=None
+) -> RecalResult:
     """Solve mean(curve_at(t)) = q under the target features for the one
-    parameter t, reported as ``param``: :func:`bisect_root` from [lo, hi],
-    widened unless ``widen`` is False, with Newton steps on the mean's
-    derivative sum(w * rate(t, v)), where ``rate`` gives dv/dt from the
-    values v = curve_at(t) already evaluated there. One diagnostics
+    parameter t, reported as ``param``: :func:`bisect_root` from [lo, hi]
+    and ``x0``, widened unless ``widen`` is False, with Newton steps on the
+    mean's derivative sum(w * rate(t, v)), where ``rate`` gives dv/dt from
+    the values v = curve_at(t) already evaluated there. One diagnostics
     iteration per mean evaluation."""
     q = tgt.prior
     weights = tgt.feature_dist.probs
@@ -142,7 +144,9 @@ def _match_mean(method, tgt, curve_at, rate, lo, hi, param, settings, widen=True
             mean_resid(t)
         return float(np.dot(weights, rate(t, last[1])))
 
-    t = bisect_root(mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, widen=widen)
+    t = bisect_root(
+        mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=x0, widen=widen
+    )
     values = last[1] if t == last[0] else curve_at(t)
     residual = abs(float(np.dot(weights, values)) - q)
     diag = SolveDiagnostics(
@@ -158,17 +162,23 @@ def capped_scaling(
 ) -> RecalResult:
     """Scale the source posterior by t, capping at 1, so the mean hits q.
 
-    The capped mean is continuous, piecewise linear and non-decreasing in t
-    with range (0, 1], so the bracketed search always finds t; it is -q at
-    t = 0, so the search never goes below 0. Its derivative is the weighted
-    sum of eta over the points the cap leaves free. The cap can flatten the
-    curve at value 1 but nowhere else.
+    The capped mean is continuous, piecewise linear, concave and
+    non-decreasing in t with range (0, 1], so the bracketed search always
+    finds t; it is -q at t = 0, so the search never goes below 0. Its
+    derivative is the weighted sum of eta over the points the cap leaves
+    free. The search starts at t0 = q / sum(w * eta), the root when nothing
+    is capped and below it otherwise, so its Newton steps climb to the root
+    from below; it runs on [0, 2 * t0], or on [0, 2] where 2 * t0 is not
+    finite. The cap can flatten the curve at value 1 but nowhere else.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     eta = src.posterior.values
+    mean = float(np.dot(tgt.feature_dist.probs, eta))
+    t0 = tgt.prior / mean if mean > 0.0 else math.inf
+    hi, x0 = (2.0 * t0, t0) if math.isfinite(2.0 * t0) else (2.0, None)
     return _match_mean(
         MethodId.CAPPED_SCALING, tgt, lambda t: np.minimum(t * eta, 1.0),
-        lambda t, values: np.where(values < 1.0, eta, 0.0), 0.0, 2.0, "t", settings,
+        lambda t, values: np.where(values < 1.0, eta, 0.0), 0.0, hi, "t", settings, x0=x0,
     )
 
 
@@ -214,9 +224,10 @@ def fjs_recalibrate(
 
     The class-0 density weight rho is the unique root of the mean equation
     and always lies inside :func:`fjs_bounds`; the search runs on that
-    closed interval with no expansion, with Newton steps on the derivative
-    dv/drho = v (1 - v) / rho, and a missing sign change is surfaced as
-    infeasibility rather than hidden.
+    closed interval with no expansion, from rho = 1 (label shift, the root
+    whenever the target is a mixture of the source classes) clamped into it,
+    with Newton steps on the derivative dv/drho = v (1 - v) / rho, and a
+    missing sign change is surfaced as infeasibility rather than hidden.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, "fjs")
@@ -227,7 +238,7 @@ def fjs_recalibrate(
         return _match_mean(
             MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
             lambda rho, values: values * (1.0 - values) / rho,
-            lower, upper, "rho", settings, widen=False,
+            lower, upper, "rho", settings, widen=False, x0=min(max(1.0, lower), upper),
         )
     except NoRootError as exc:
         raise InfeasibleError(

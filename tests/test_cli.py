@@ -92,7 +92,7 @@ class TestRunCommand:
         )
         run_cli(
             "run", "--scenario", fixture_path, "--methods", "capped_scaling,fjs",
-            "--tol-mean", "1e-6", "--out", str(loose_dir),
+            "--tol-mean", "1e-5", "--out", str(loose_dir),
         )
 
         def rounded_table(path):
@@ -107,17 +107,18 @@ class TestRunCommand:
         loose = json.loads((loose_dir / "diagnostics.json").read_text())["methods"]
         assert loose["fjs"]["iterations"] < tight["fjs"]["iterations"]
         # Newton lands on capped scaling's piecewise-linear mean exactly, so
-        # only a tolerance above its last step's residual (1.4e-3 on the
-        # example) stops it earlier, and that moves the table's third decimal
+        # only a tolerance above the residual at its start t0 = q / E[eta]
+        # (2.3e-3 on the example) stops it earlier, and that moves the
+        # table's third decimal
         coarse_dir = tmp_path / "coarse"
         run_cli(
             "run", "--scenario", fixture_path, "--methods", "capped_scaling,fjs",
-            "--tol-mean", "2e-3", "--out", str(coarse_dir),
+            "--tol-mean", "3e-3", "--out", str(coarse_dir),
         )
         coarse = json.loads((coarse_dir / "diagnostics.json").read_text())["methods"]
         for method in ("capped_scaling", "fjs"):
             assert coarse[method]["iterations"] < loose[method]["iterations"]
-            assert coarse[method]["converged"] and coarse[method]["residual_mean"] <= 2e-3
+            assert coarse[method]["converged"] and coarse[method]["residual_mean"] <= 3e-3
 
     def test_deterministic_byte_identical_outputs(self, tmp_path, fixture_path):
         dir_a = tmp_path / "a"

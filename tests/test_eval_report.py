@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -379,3 +380,92 @@ class TestExportCurves:
         assert lines[0] == "series,support,value"
         assert len(lines) == 1 + sum(values.size for _, _, values in series) + 1
         assert lines[1].startswith("source_pmf,0,")
+
+
+def csv_numbers(values):
+    """The (support, value) cells of the curve CSV of one series whose
+    support and values are both ``values``."""
+    x = np.asarray(values, dtype=float)
+    return [line.split(",")[1:] for line in curves_to_csv([("", x, x)]).split("\n")[1:-1]]
+
+
+def assert_numbers_match_percent_format(values):
+    for v, cells in zip(np.asarray(values, dtype=float).tolist(), csv_numbers(values)):
+        assert cells == ["%.12g" % v] * 2, v
+
+
+@st.composite
+def decimal_ties(draw):
+    # odd / 2**m is odd * 5**m * 10**-m exactly: with odd * 5**m of 13 digits
+    # (ending in 5) it lies halfway between two 12-digit decimals
+    m = draw(st.integers(1, 18))
+    odd = draw(st.integers(-(-10**12 // 5**m) // 2, (10**13 - 1) // 5**m // 2)) * 2 + 1
+    return odd / 2**m
+
+
+kernel_floats = st.builds(
+    lambda v, negative: -v if negative else v,
+    st.one_of(
+        st.floats(1e-11, 1e12, exclude_max=True),
+        decimal_ties(),
+        st.builds(
+            lambda p, way: float(np.nextafter(10.0**p, way)),
+            st.integers(-12, 12), st.sampled_from([0.0, 10.0**13]),
+        ),
+        st.sampled_from([10.0**p for p in range(-12, 13)] + [999999999999.5]),
+        any_float,
+    ),
+    st.booleans(),
+)
+
+
+class TestCurveNumbers:
+    """The curve CSV's vectorised rendering against ``"%.12g" % x``."""
+
+    def test_ties_powers_of_ten_and_the_carry(self):
+        values = [999999999999.5, 99999999999.95, 0.5, 2.5, 1e-11, 1e12, 12.5, 100.0, 1e-5]
+        values += [float(np.nextafter(10.0**p, w)) for p in range(-12, 13) for w in (0.0, 1e13)]
+        assert_numbers_match_percent_format(values + [-v for v in values])
+        assert csv_numbers([999999999999.5])[0] == ["1e+12", "1e+12"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_floats, min_size=1, max_size=40))
+    def test_matches_percent_format(self, values):
+        assert_numbers_match_percent_format(values)
+
+    def test_seeded_sweep_of_the_whole_exponent_range(self):
+        rng = np.random.default_rng(24)
+        n = 60_000
+        values = np.concatenate([
+            np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1025, n)),
+            np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-37, 41, n)),
+            rng.integers(1, 10**12, n) * 10.0 ** rng.integers(-23, 1, n),
+        ])
+        values[rng.random(values.size) < 0.5] *= -1.0
+        # every bit pattern: both signs, subnormals, infinities and NaNs
+        values = np.concatenate([values, rng.integers(0, 2**64, n, dtype=np.uint64).view(float)])
+        text = curves_to_csv([("", values, values)])
+        assert text == reference_csv("series,support,value", [("", v, v) for v in values.tolist()])
+
+    def test_csv_of_the_large_support_is_byte_identical(self):
+        support = np.linspace(-3.0, 3.0, 65_537)
+        # 5,778 points are exact ties at 12 digits, rounded half to even
+        digits = (Decimal(v).normalize().as_tuple().digits for v in support.tolist())
+        assert sum(len(d) == 13 and d[-1] == 5 for d in digits) == 5_778
+        pmf = np.exp(-0.5 * support**2)
+        series = [
+            ("source_pmf", support, pmf / pmf.sum()),
+            ("posterior_source", support, 1.0 / (1.0 + np.exp(-1.2 * support + 2.0))),
+            ("support", support, support),
+        ]
+        rows = [(name, s, v) for name, x, y in series for s, v in zip(x.tolist(), y.tolist())]
+        assert curves_to_csv(series) == reference_csv("series,support,value", rows)
+
+    def test_csv_of_the_worked_example_is_byte_identical(self, example_scenario, example_results):
+        series = export_curves(example_scenario.source, example_scenario.target, example_results)
+        # 1,320 copies span two line blocks, one block boundary inside a series;
+        # a long name makes blocks of fewer lines
+        series = [(f"{name}{i}", s, v) for i in range(120) for name, s, v in series]
+        series.append(("n" * 100_000, series[0][1], series[0][2]))
+        rows = [(name, s, v) for name, x, y in series for s, v in zip(x.tolist(), y.tolist())]
+        assert curves_to_csv(series) == reference_csv("series,support,value", rows)
