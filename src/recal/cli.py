@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .errors import RecalError
 from .eval_report import (
+    _write_slices,
     build_results_table,
     curves_to_csv,
     export_curves,
@@ -148,11 +149,12 @@ def main(argv=None) -> int:
         results = run_methods(scenario)
         texts = _render(args.command, scenario, results)
         if out is None:
-            sys.stdout.write("".join(texts.values()))
+            _write_slices(sys.stdout, *texts.values())
         else:
             Path(out).mkdir(parents=True, exist_ok=True)
             for name, text in texts.items():
-                (Path(out) / name).write_text(text, encoding="utf-8", newline="\n")
+                with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
+                    _write_slices(f, text)
     except RecalError as exc:
         print(f"recal: error: {exc}", file=sys.stderr)
         return 1

@@ -44,6 +44,9 @@ _PAD = 0xFF
 _BLOCK = 1 << 14
 _BLOCK_BYTES = 1 << 22
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+# outputs are written in slices of this many characters, so that at most one
+# slice is ever held encoded beside the text
+_SLICE = 1 << 20
 
 
 def _check_concave_on_grid(grid: np.ndarray, values: np.ndarray) -> None:
@@ -357,6 +360,9 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
     are ``"%.12g"`` from :func:`_g12_fields`. Lines are built in blocks of
     at most _BLOCK lines, consecutive series sharing one, as a byte matrix
     whose rows are [name | , | support | , | value | LF] padded with _PAD.
+    The text grows by ``+=`` one block at a time: CPython resizes a str that
+    nothing else references in place (a realloc, not a copy), so the peak is
+    the output plus one block.
     """
     names, values, support_rows = [], [], []
     first_row: dict[bytes, int] = {}  # support bits -> its first stacked row
@@ -378,9 +384,9 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
         names.append(f"{name}".encode("utf-8", "surrogatepass"))
         values.append(vals)
         support_rows.append(first_row[key])
-    parts = [CURVES_CSV_HEADER + "\n"]
+    text = CURVES_CSV_HEADER + "\n"
     if not stacked:
-        return parts[0]
+        return text
     support_fields = np.concatenate(
         [_g12_fields(s[a:a + _BLOCK]) for s in supports for a in range(0, s.size, _BLOCK)]
     )
@@ -394,11 +400,11 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
             lines += stop - start
             start = stop
             if lines == per_block:
-                parts.append(_csv_block(runs, lines, names, values, support_fields, support_rows))
+                text += _csv_block(runs, lines, names, values, support_fields, support_rows)
                 runs, lines = [], 0
     if runs:
-        parts.append(_csv_block(runs, lines, names, values, support_fields, support_rows))
-    return "".join(parts)
+        text += _csv_block(runs, lines, names, values, support_fields, support_rows)
+    return text
 
 
 def _csv_block(runs, lines, names, values, support_fields, support_rows) -> str:
@@ -417,3 +423,11 @@ def _csv_block(runs, lines, names, values, support_fields, support_rows) -> str:
         row = end
     m[:, value_col:-1] = _g12_fields(np.concatenate([values[i][a:b] for i, a, b in runs]))
     return m.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
+
+
+def _write_slices(stream, *texts: str) -> None:
+    """Write each text to the text stream ``stream`` in slices of _SLICE
+    characters, so that no encoded copy of a whole text is made."""
+    for text in texts:
+        for start in range(0, len(text), _SLICE):
+            stream.write(text[start:start + _SLICE])

@@ -265,10 +265,13 @@ def parametric_cspd_qmm(
 
     ``family`` picks the transform: a sigmoid of an affine map of the raw
     posterior values (Platt), or an affine map in logit or probit space
-    composed with the matching distribution function.
+    composed with the matching distribution function. The CSPDs' logit and
+    probit need the posterior strictly inside (0, 1); Platt's raw values do
+    not, so a posterior of 0 or 1 is refused for the CSPDs alone.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
-    _require_interior(src, family.value)
+    if family is not MethodId.PLATT:
+        _require_interior(src, family.value)
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
     fam = _PARAMETRIC_FAMILIES[family](src.posterior.values)

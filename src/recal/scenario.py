@@ -56,7 +56,7 @@ from .dist_core import (
     vasicek_mixture_dist,
 )
 from .errors import RecalError, ScenarioError
-from .eval_report import FunctionalSpec
+from .eval_report import FunctionalSpec, _write_slices
 from .recal_methods import CANONICAL_ORDER, MethodId, RecalResult, run_method
 from .solvers import DEFAULT_SETTINGS, SolverSettings
 
@@ -358,9 +358,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def write_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as f:
+        _write_slices(f, json.dumps(scenario_to_dict(scenario), indent=2), "\n")
 
 
 def example_scenario_path() -> Path:

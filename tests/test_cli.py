@@ -3,7 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from recal import example_scenario_path
+from recal import (
+    FunctionalSpec,
+    MethodId,
+    Scenario,
+    SolverSettings,
+    curves_to_csv,
+    eval_report,
+    example_scenario_path,
+    export_curves,
+    run_methods,
+    write_scenario,
+)
 from recal.cli import main
 from conftest import (
     COUNT_KEYS,
@@ -232,6 +243,22 @@ class TestCurvesCommand:
         assert (tmp_path / "curves.csv").exists()
 
 
+    def test_text_longer_than_a_slice_is_written_whole(self, tmp_path, capsysbinary):
+        """A curve text that spans several write slices comes out byte for
+        byte as curves_to_csv renders it, into --out and on stdout."""
+        src, tgt = saturated_tail_scenario(16_385)
+        methods = (MethodId.LABEL_SHIFT, MethodId.FJS)
+        scenario = Scenario(src, tgt, methods, FunctionalSpec.sqrt(), SolverSettings())
+        path = tmp_path / "scenario.json"
+        write_scenario(scenario, path)
+        text = curves_to_csv(export_curves(src, tgt, run_methods(scenario)))
+        assert len(text) > 2 * eval_report._SLICE
+        assert run_cli("curves", "--scenario", str(path), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "curves.csv").read_bytes() == text.encode("utf-8")
+        capsysbinary.readouterr()
+        assert run_cli("curves", "--scenario", str(path)) == 0
+        assert capsysbinary.readouterr().out == text.encode("utf-8")
+
     def test_non_convergence_exits_two(self, fixture_path, capsys):
         code = run_cli(
             "curves", "--scenario", fixture_path, "--methods", "roc_qmm", "--max-iter", "1"
@@ -336,15 +363,19 @@ class TestUsageErrors:
     "method, message",
     [
         ("two_param_qmm", "two_param_qmm: inner (a, b) solve"),
+        ("platt", "platt: target AUC 0.9996824811356723 lies outside the AUC range"),
     ],
 )
 def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method, message):
+    """The source AUC lies above what the method attains: an input error
+    (exit 1) whose message names the method, with no traceback."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(SATURATED_BINOMIAL_SCENARIO), encoding="utf-8")
     code = run_cli("table", "--scenario", str(path), "--methods", method)
-    assert code in (1, 2)
+    assert code == 1
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith(f"recal: error: {message}")
     assert "Traceback" not in captured.err + captured.out
 
 

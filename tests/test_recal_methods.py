@@ -368,13 +368,12 @@ class TestLabelShift:
             assert abs(result.achieved_mean - q) <= 1e-10
             assert abs(result.implied_auc - src.implied_auc) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "method", ["label_shift", "fjs", "platt", "logistic_cspd", "normal_cspd"]
-    )
+    @pytest.mark.parametrize("method", ["label_shift", "fjs", "logistic_cspd", "normal_cspd"])
     @pytest.mark.parametrize("end", [0.0, 1.0])
     def test_interior_required(self, end, method):
         """Every method that needs the source posterior strictly inside
-        (0, 1) refuses a value of 0 or 1 with the one shared message."""
+        (0, 1) refuses a value of 0 or 1 with the one shared message. Platt
+        does not: its regressor is the raw posterior, finite at 0 and 1."""
         src_dist = DiscreteScoreDist([0.0, 1.0], [0.5, 0.5])
         values = [0.0, 0.8] if end == 0.0 else [0.2, 1.0]
         src = SourceModel(src_dist, PosteriorCurve([0.0, 1.0], values), 0.5 * sum(values))
@@ -901,8 +900,8 @@ class TestWarmStartedAlternation:
 
 
 class TestSaturatedBinomialTail:
-    """The saturated binomial geometry: two_param_qmm cannot match the source
-    AUC and says so; roc_qmm converges on it."""
+    """The saturated binomial geometry: Platt and two_param_qmm cannot match
+    the source AUC and say so; roc_qmm converges on it."""
 
     @pytest.fixture()
     def scenario(self):
@@ -913,6 +912,18 @@ class TestSaturatedBinomialTail:
             two_param_qmm(scenario.source, scenario.target)
         low, high = err.value.attainable_auc_range
         assert low <= high < scenario.source.implied_auc
+
+    def test_platt_reports_the_attainable_auc_range(self, scenario):
+        """The source posterior rounds to 1 at the top of the support. Platt
+        regresses on the raw values, so it runs its solve there and reports
+        the AUC range its probed slopes attain, which ends below the source
+        AUC 0.99968248."""
+        with pytest.raises(InfeasibleError, match=r"^platt: target AUC") as err:
+            run_method(MethodId.PLATT, scenario.source, scenario.target)
+        low, high = err.value.attainable_auc_range
+        assert abs(low - 0.5000000003) <= 1e-10
+        assert abs(high - 0.99951294) <= 1e-8
+        assert high < scenario.source.implied_auc
 
     def test_roc_qmm_converges_past_rejected_newton_iterates(self, monkeypatch, scenario):
         """c is about 4.83, so the link rounds about 97 of the 257 posteriors

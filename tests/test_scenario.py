@@ -8,11 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recal import (
+    FunctionalSpec,
     MethodId,
     RecalError,
+    Scenario,
     ScenarioError,
     SolverSettings,
     capped_scaling,
+    eval_report,
     example_scenario_path,
     parse_scenario,
     worked_example_scenario,
@@ -22,7 +25,7 @@ from recal import (
     write_scenario,
 )
 from recal.scenario import _vector
-from conftest import COUNT_KEYS, example_with_count
+from conftest import COUNT_KEYS, example_with_count, saturated_tail_scenario
 
 TOO_BIG = 10**400  # a JSON integer past the float range
 
@@ -329,6 +332,20 @@ class TestRoundTrip:
         assert back.target.prior == example_scenario.target.prior
         assert back.methods == example_scenario.methods
         assert back.settings == example_scenario.settings
+
+    def test_text_longer_than_a_slice_is_written_whole(self, tmp_path):
+        """A scenario whose JSON spans several write slices is written byte
+        for byte as json.dumps renders it, with one trailing LF."""
+        src, tgt = saturated_tail_scenario(16_385)
+        scenario = Scenario(src, tgt, (MethodId.FJS,), FunctionalSpec.sqrt(), SolverSettings())
+        path = tmp_path / "large.json"
+        write_scenario(scenario, path)
+        text = json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+        assert len(text) > 2 * eval_report._SLICE
+        assert path.read_bytes() == text.encode("utf-8")
+        np.testing.assert_array_equal(
+            parse_scenario(path).target.feature_dist.probs, tgt.feature_dist.probs
+        )
 
     def test_setting_without_a_file_key_is_refused_not_dropped(self, example_scenario):
         tight = replace(example_scenario, settings=SolverSettings(tol_fixed_point=1e-14))
