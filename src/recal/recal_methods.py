@@ -127,7 +127,9 @@ def _match_mean(
     and ``x0``, widened unless ``widen`` is False, with Newton steps on the
     mean's derivative sum(w * rate(t, v)), where ``rate`` gives dv/dt from
     the values v = curve_at(t) already evaluated there. One diagnostics
-    iteration per mean evaluation."""
+    iteration per mean evaluation. A search that finds no sign change
+    raises an :class:`InfeasibleError` naming the method and the interval
+    it searched."""
     q = tgt.prior
     weights = tgt.feature_dist.probs
     evals = 0
@@ -144,9 +146,16 @@ def _match_mean(
             mean_resid(t)
         return float(np.dot(weights, rate(t, last[1])))
 
-    t = bisect_root(
-        mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=x0, widen=widen
-    )
+    try:
+        t = bisect_root(
+            mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=x0, widen=widen
+        )
+    except NoRootError as exc:
+        lo, hi = exc.probed_interval
+        raise InfeasibleError(
+            f"{method.value}: no sign change of the mean equation in {param} over "
+            f"[{lo!r}, {hi!r}]"
+        ) from exc
     values = last[1] if t == last[0] else curve_at(t)
     residual = abs(float(np.dot(weights, values)) - q)
     diag = SolveDiagnostics(
@@ -163,13 +172,16 @@ def capped_scaling(
     """Scale the source posterior by t, capping at 1, so the mean hits q.
 
     The capped mean is continuous, piecewise linear, concave and
-    non-decreasing in t with range (0, 1], so the bracketed search always
-    finds t; it is -q at t = 0, so the search never goes below 0. Its
-    derivative is the weighted sum of eta over the points the cap leaves
-    free. The search starts at t0 = q / sum(w * eta), the root when nothing
-    is capped and below it otherwise, so its Newton steps climb to the root
-    from below; it runs on [0, 2 * t0], or on [0, 2] where 2 * t0 is not
-    finite. The cap can flatten the curve at value 1 but nowhere else.
+    non-decreasing in t. It is 0 at t = 0 and rises to the target mass
+    sum(w) over the points with eta > 0, so the search finds t for any q up
+    to that mass; a q above it cannot be reached, and the search raises an
+    :class:`InfeasibleError` naming this method. The mean residual is -q at
+    t = 0, so the search never goes below 0. Its derivative is the weighted
+    sum of eta over the points the cap leaves free. The search starts at
+    t0 = q / sum(w * eta), the root when nothing is capped and below it
+    otherwise, so its Newton steps climb to the root from below; it runs on
+    [0, 2 * t0], or on [0, 2] where 2 * t0 is not finite. The cap can
+    flatten the curve at value 1 but nowhere else.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     eta = src.posterior.values
@@ -234,17 +246,11 @@ def fjs_recalibrate(
     p, q = src.prior, tgt.prior
     eta = src.posterior.values
     lower, upper = fjs_bounds(src, tgt)
-    try:
-        return _match_mean(
-            MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
-            lambda rho, values: values * (1.0 - values) / rho,
-            lower, upper, "rho", settings, widen=False, x0=min(max(1.0, lower), upper),
-        )
-    except NoRootError as exc:
-        raise InfeasibleError(
-            f"fjs: no sign change of the mean equation over the weight bounds "
-            f"[{lower!r}, {upper!r}]"
-        ) from exc
+    return _match_mean(
+        MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
+        lambda rho, values: values * (1.0 - values) / rho,
+        lower, upper, "rho", settings, widen=False, x0=min(max(1.0, lower), upper),
+    )
 
 
 _PARAMETRIC_FAMILIES = {

@@ -81,90 +81,68 @@ def bisect_root(
     """Root search for a non-decreasing scalar function: returns x with
     |f(x)| <= tol or bracket width <= tol * max(1, |x|).
 
-    The search starts at ``x0`` (else the midpoint of [lo, hi]). With the
-    derivative ``fprime``, Newton steps run from there, each at most half as
-    long as [lo, hi], while the derivative is positive and |f| shrinks. A
-    point where f is not finite is overshoot, moved halfway back toward the
-    nearest probe until f is finite there or no float lies between. The
-    first sign change seen is the bracket; until one is seen, without
-    ``fprime`` or once Newton stalls, the search walks from the probes
-    toward the root's side, to that end of [lo, hi] and then by a width
-    that doubles each round. With ``widen`` False every probe stays inside
-    [lo, hi]. A needed widening that ``widen`` forbids, an empty interval,
-    ``MAX_EXPANSIONS`` rounds, widening after an overshoot or an overshoot
-    that cannot move closer raise :class:`NoRootError`, which carries the
-    probed interval. In the bracket each step is the midpoint, or with
+    One loop keeps the probe nearest the root on each side, with f < 0
+    below it and f > 0 above; a probe where f is not finite counts as the
+    end on the side the search was moving toward. The search starts at
+    ``x0`` (else the midpoint of [lo, hi]), where f must be finite. Until
+    both ends are seen, each step is the Newton step on ``fprime``, clamped
+    to +-``width``. A clamped step, or one with no positive derivative or
+    too short to move, goes ``width`` toward the root's side and doubles it.
+    ``width`` starts at half of [lo, hi], so the walk from the midpoint
+    probes hi, then hi + (hi - lo), and so on. With ``widen`` False each
+    step is clamped into [lo, hi]. A step that cannot move or more than
+    ``MAX_EXPANSIONS`` doublings raise :class:`NoRootError`, which carries
+    the probed interval. In the bracket each step is the midpoint, or with
     ``fprime`` Newton from the last point where that stays inside the
     bracket, the derivative is positive and the step halves the one before
-    (``rtsafe`` in *Numerical Recipes*); overshoot replaces the upper end. A
-    width stop returns the end with the smaller |f|.
+    (``rtsafe``, *Numerical Recipes* section 9.4). A width stop returns the
+    end with the smaller |f|; a bracket that closes on an end where f is not
+    finite raises :class:`NoRootError`.
     """
     if not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
-    width, cap, expansions = hi - lo, 0.5 * (hi - lo), 0
     if x0 is None or not (widen or lo <= x0 <= hi):
         x0 = 0.5 * (lo + hi)
     x, fx = x0, float(f(x0))
-    neg = pos = None  # (x, f(x)) of the probes nearest the root with f < 0 / f > 0
-    newton, edge = fprime is not None and math.isfinite(fx), False
+    if not math.isfinite(fx):
+        raise NoRootError(f"f is not finite at {x!r}", probed_interval=(lo, hi))
+    width, expansions, up = 0.5 * (hi - lo), 0, True
+    neg = pos = None  # (x, f(x)) of the probes nearest the root below / above it
     for _ in range(MAX_BISECT_ITER):
         if abs(fx) <= tol:
             return x
-        if fx < 0.0 and (neg is None or x > neg[0]):
-            neg = (x, fx)
-        elif fx > 0.0 and (pos is None or x < pos[0]):
-            pos = (x, fx)
-        if neg and pos:
-            break
-        up = pos is None
-        near = neg if up else pos  # None only when f is not finite at x0
-        slope = float(fprime(x)) if newton else math.nan
-        trial = x - min(max(fx / slope, -cap), cap) if slope > 0.0 else None
-        if trial is None or not (widen or lo <= trial <= hi):
-            newton, trial = False, hi if up else lo
-            if near is not None and (trial <= near[0] if up else trial >= near[0]):
-                if edge or width == 0.0 or expansions >= MAX_EXPANSIONS or not widen:
-                    raise NoRootError(
-                        f"no sign change over [{lo!r}, {hi!r}] after {expansions} "
-                        "expansions", probed_interval=(lo, hi),
-                    )
-                trial = near[0] + width if up else near[0] - width
-                width, expansions = 2.0 * width, expansions + 1
-        ft = float(f(trial))
-        while not math.isfinite(ft) and near is not None:
-            mid = 0.5 * (near[0] + trial)
-            if mid == near[0] or mid == trial:  # adjacent floats: nothing between
-                break
-            edge, trial = True, mid
-            ft = float(f(trial))
-        if not math.isfinite(ft):
-            raise NoRootError(f"f is not finite at {trial!r}", probed_interval=(lo, hi))
-        newton = newton and abs(ft) < abs(fx)
-        lo, hi, x, fx = min(lo, trial), max(hi, trial), trial, ft
-    else:
-        raise NoRootError("no sign change found", probed_interval=(lo, hi))
-    (lo, flo), (hi, fhi) = neg, pos
-    step_before = hi - lo
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
+        if fx < 0.0 or not (fx > 0.0 or up):
+            neg = x, fx
+        else:
+            pos = x, fx
         slope = float(fprime(x)) if fprime is not None and math.isfinite(fx) else math.nan
-        if slope > 0.0:
-            step = fx / slope
-            if lo < x - step < hi and 2.0 * abs(step) <= step_before:
-                mid = x - step
-        step_before = abs(x - mid)
-        if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
-            break
-        x, fx = mid, float(f(mid))
-        if abs(fx) <= tol:
-            return x
-        if fx < 0.0:
-            lo, flo = x, fx
-        else:  # also where f is not finite
-            hi, fhi = x, fx
-        if (hi - lo) <= tol * max(1.0, abs(x)):
-            break
-    return hi if abs(fhi) < abs(flo) else lo
+        step = fx / slope if slope > 0.0 else math.nan
+        if neg is None or pos is None:
+            up = pos is None
+            if not abs(step) <= width or x - step == x:
+                step, width, expansions = -width if up else width, 2.0 * width, expansions + 1
+            trial = x - step if widen else min(max(x - step, lo), hi)
+            if trial == x or expansions > MAX_EXPANSIONS:
+                break
+            lo, hi = min(lo, trial), max(hi, trial)
+        else:
+            if pos[0] - neg[0] <= tol * max(1.0, abs(x)):
+                break
+            trial = x - step
+            if not (neg[0] < trial < pos[0] and 2.0 * abs(step) <= step_before):
+                trial = 0.5 * (neg[0] + pos[0])
+            if not neg[0] < trial < pos[0]:  # the ends are adjacent floats
+                break
+        step_before, x, fx = abs(x - trial), trial, float(f(trial))
+    if neg is None or pos is None:
+        raise NoRootError(
+            f"no sign change over [{lo!r}, {hi!r}] within {MAX_EXPANSIONS} expansions",
+            probed_interval=(lo, hi),
+        )
+    for end in (neg, pos):
+        if not math.isfinite(end[1]):
+            raise NoRootError(f"f is not finite at {end[0]!r}", probed_interval=(lo, hi))
+    return pos[0] if abs(pos[1]) < abs(neg[1]) else neg[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +243,13 @@ def solve_qmm_2d(
     (a probe) the intercept solves the strictly monotone mean equation,
     derivative the link's pdf, starting where the last slope derivative
     predicts it, else at the last intercept. The slope solves the AUC
-    residual in log(alpha) from unit slope, Newton steps capped at 2, with
-    derivative dA/dalpha = sum_k dA/dv_k pdf_k (x_k + dbeta/dalpha) along
-    the mean equation, dbeta/dalpha = -sum(w pdf x) / sum(w pdf) and dA/dv
-    from :func:`implied_auc_gradient`. A probe whose intercept cannot pin
-    the mean or whose values saturate a class is unhealthy, as is a slope
-    outside [2**-60, 2**60]; the search treats it as overshoot. If no slope
+    residual in log(alpha) from unit slope, Newton steps clamped to a width
+    that starts at 2 and doubles, with derivative dA/dalpha = sum_k dA/dv_k
+    pdf_k (x_k + dbeta/dalpha) along the mean equation, dbeta/dalpha =
+    -sum(w pdf x) / sum(w pdf) and dA/dv from :func:`implied_auc_gradient`.
+    A probe whose intercept cannot pin the mean or whose values saturate a
+    class is unhealthy, as is a slope outside [2**-60, 2**60]; the search
+    counts it as an end on the side it was moving toward. If no slope
     matches, an :class:`InfeasibleError` reports the AUC range attained over
     the probed slopes.
 

@@ -158,6 +158,33 @@ ZERO_END_MASS_SCENARIO = {
 }
 
 
+def three_point_scenario(posterior, target_probs, q):
+    """An explicit scenario on the support [0, 1, 2] with source probs
+    [0.5, 0.3, 0.2]."""
+    support = [0.0, 1.0, 2.0]
+    return {
+        "source": {"support": support, "probs": [0.5, 0.3, 0.2], "posterior": posterior},
+        "target": {
+            "feature": {"type": "explicit", "support": support, "probs": target_probs},
+            "prior": q,
+        },
+        "methods": "all",
+        "functional": "sqrt",
+    }
+
+
+def far_root_scenario(q):
+    """Capped scaling's root lies far above its start t0 = q / sum(w eta):
+    t ~ 2.93e5 from t0 ~ 40 at q = 0.3, and t ~ 505 and ~ 1,010 from
+    t0 ~ 1.4 at q = 0.0105 and 0.011."""
+    return three_point_scenario([1e-6, 0.5, 1.0], [0.99, 0.005, 0.005], q)
+
+
+# the capped mean never exceeds the target mass 0.1 over the points with
+# eta > 0, so no scale reaches q = 0.3
+UNATTAINABLE_Q_SCENARIO = three_point_scenario([0.0, 0.5, 1.0], [0.9, 0.05, 0.05], 0.3)
+
+
 def logistic_scenario(s, slope, prior, shift, scale, q):
     """Source features N(0, 1) over the support s with the posterior
     expit(slope * s + b), b chosen for the source prior, and target features

@@ -19,6 +19,7 @@ from recal.cli import main
 from conftest import (
     COUNT_KEYS,
     SATURATED_BINOMIAL_SCENARIO,
+    UNATTAINABLE_Q_SCENARIO,
     ZERO_END_MASS_SCENARIO,
     example_with_count,
     saturated_tail_scenario,
@@ -376,6 +377,19 @@ def test_saturated_binomial_tail_error_names_the_method(tmp_path, capsys, method
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"recal: error: {message}")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_unattainable_capped_scaling_target_is_an_input_error(tmp_path, capsys):
+    """No scale lifts the capped mean to q: an input error (exit 1) whose
+    message names capped_scaling, with no traceback."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(UNATTAINABLE_Q_SCENARIO), encoding="utf-8")
+    code = run_cli("table", "--scenario", str(path), "--methods", "capped_scaling")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recal: error: capped_scaling: no sign change")
     assert "Traceback" not in captured.err + captured.out
 
 

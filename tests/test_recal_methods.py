@@ -17,7 +17,9 @@ from recal import (
     DomainError,
     InfeasibleError,
     MethodId,
+    NoRootError,
     PosteriorCurve,
+    RecalError,
     SolverSettings,
     SourceModel,
     TargetSpec,
@@ -44,7 +46,9 @@ from conftest import (
     CELL_TOL,
     REFERENCE_TABLE,
     SATURATED_BINOMIAL_SCENARIO,
+    UNATTAINABLE_Q_SCENARIO,
     ZERO_END_MASS_SCENARIO,
+    far_root_scenario,
     logistic_scenario,
     mixture_target,
     random_source,
@@ -65,6 +69,19 @@ def workgen_scenarios(monkeypatch):
     params = [(257, p) for seed in (1, 2, 7919) for p in workgen.small_batch_params(seed)]
     params += [(4097, workgen.large_params(seed)) for seed in (1, 2, 7919)]
     return [scenario_from_dict(workgen.scenario_dict(n, p)) for n, p in params]
+
+
+def exact_capped_scale(eta, w, q):
+    """The capped-scaling root in closed form: with the points capped from
+    the largest posterior down, the capped mean is linear in t between
+    consecutive thresholds 1 / eta, and the piece that holds the root gives
+    t exactly."""
+    order = np.argsort(-eta, kind="stable")
+    eta, w = eta[order], w[order]
+    for k in range(eta.size + 1):  # the k largest capped
+        t = (q - math.fsum(w[:k])) / math.fsum(w[k:] * eta[k:])
+        if (k == 0 or t * eta[k - 1] >= 1.0) and (k == eta.size or t * eta[k] < 1.0):
+            return t
 
 
 def method_row(result, tgt):
@@ -93,6 +110,24 @@ def test_saturated_tail_runs_every_method(method):
     if method is MethodId.TWO_PARAM_QMM:
         assert abs(result.achieved_mean - tgt.prior) <= 1e-9
         assert abs(result.implied_auc - src.implied_auc) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [far_root_scenario(0.3), UNATTAINABLE_Q_SCENARIO],
+    ids=["far_root", "unattainable_q"],
+)
+@pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+def test_no_bare_no_root_error_escapes(method, scenario):
+    """On the capped-scaling far-root and unattainable-q inputs every method
+    returns a result or raises an error that names it, never a bare
+    NoRootError."""
+    sc = scenario_from_dict(scenario)
+    try:
+        run_method(method, sc.source, sc.target)
+    except RecalError as exc:
+        assert not isinstance(exc, NoRootError)
+        assert str(exc).startswith(f"{method.value}: ")
 
 
 @pytest.mark.parametrize("method", ["roc_qmm", "two_param_qmm"])
@@ -313,20 +348,42 @@ class TestCappedScaling:
         capped mean is linear in t between consecutive thresholds 1 / eta, so
         the piece that holds the root solves for t exactly. Newton lands on
         it, on the worked example and the benchmark's seeded scenarios."""
-
-        def exact_root(eta, w, q):
-            order = np.argsort(-eta, kind="stable")
-            eta, w = eta[order], w[order]
-            for k in range(eta.size + 1):  # the k largest capped
-                t = (q - math.fsum(w[:k])) / math.fsum(w[k:] * eta[k:])
-                if (k == 0 or t * eta[k - 1] >= 1.0) and (k == eta.size or t * eta[k] < 1.0):
-                    return t
-
         for scenario in [example_scenario, *workgen_scenarios(monkeypatch)]:
             src, tgt = scenario.source, scenario.target
             result = capped_scaling(src, tgt)
-            t = exact_root(src.posterior.values, tgt.feature_dist.probs, tgt.prior)
+            t = exact_capped_scale(src.posterior.values, tgt.feature_dist.probs, tgt.prior)
             assert result.params["t"] == pytest.approx(t, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.3, 0.0105, 0.011])
+    def test_far_root_is_the_closed_form_root(self, q):
+        """The root lies 360 to 7,300 times t0 above the start t0. Each
+        clamped Newton step doubles the width, so a few mean evaluations
+        reach it; a width fixed at t0 ran out of steps."""
+        scenario = scenario_from_dict(far_root_scenario(q))
+        src, tgt = scenario.source, scenario.target
+        result = capped_scaling(src, tgt)
+        t = exact_capped_scale(src.posterior.values, tgt.feature_dist.probs, q)
+        assert result.diagnostics.converged
+        assert result.params["t"] == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert result.diagnostics.iterations <= 16
+
+    def test_saturated_binomial_root_in_few_evaluations(self):
+        """t0 ~ 7.6e7 and the root ~ 1.07e10: a width fixed at t0 took 141
+        mean evaluations."""
+        scenario = scenario_from_dict(SATURATED_BINOMIAL_SCENARIO)
+        src, tgt = scenario.source, scenario.target
+        result = capped_scaling(src, tgt)
+        t = exact_capped_scale(src.posterior.values, tgt.feature_dist.probs, tgt.prior)
+        assert result.diagnostics.converged
+        assert result.params["t"] == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert result.diagnostics.iterations <= 12
+
+    def test_unattainable_q_names_the_method(self):
+        """The capped mean never exceeds 0.1, the target mass over eta > 0,
+        so q = 0.3 has no scale; the error names the method."""
+        scenario = scenario_from_dict(UNATTAINABLE_Q_SCENARIO)
+        with pytest.raises(InfeasibleError, match=r"^capped_scaling: no sign change"):
+            capped_scaling(scenario.source, scenario.target)
 
 
 class TestLabelShift:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,7 +172,56 @@ class TestBisectRootWalk:
             assert np.float64(second).tobytes() == np.float64(first).tobytes()
 
 
+@st.composite
+def _far_root_problems(draw):
+    """A non-decreasing f with its derivative, (lo, hi, x0) and a root up to
+    1e12 widths hi - lo from x0, on either side: a line, a saturating tanh,
+    an asinh that is flat far from its root, or a cube root that is steep at
+    it. Each is linear or bends away from its tangents toward the root, so
+    a Newton step from far away is exact, lands beyond the root or is
+    clamped. An exponential searched from its steep side is not: its Newton
+    steps stay about one unit long."""
+    lo = draw(st.floats(-50.0, 50.0))
+    width = draw(st.floats(1e-3, 100.0))
+    hi = lo + width
+    x0 = draw(st.floats(lo, hi))
+    distance = width * 10.0 ** draw(st.floats(0.0, 12.0))
+    r = x0 + draw(st.sampled_from([-1.0, 1.0])) * distance
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shape = draw(st.sampled_from(["linear", "tanh", "asinh", "cbrt"]))
+    if shape == "linear":
+        f, fprime = (lambda x: s * (x - r)), (lambda x: s)
+    elif shape == "tanh":
+        f = lambda x: math.tanh(s * (x - r))
+        fprime = lambda x: s * (1.0 - math.tanh(s * (x - r)) ** 2)
+    elif shape == "asinh":
+        f = lambda x: math.asinh(s * (x - r))
+        fprime = lambda x: s / math.hypot(1.0, s * (x - r))
+    else:
+        f = lambda x: float(np.cbrt(x - r)) + 1e-3 * (x - r)
+        fprime = lambda x: abs(x - r) ** (-2.0 / 3.0) / 3.0 + 1e-3 if x != r else math.inf
+    return f, fprime, lo, hi, x0, distance / width
+
+
 class TestBisectRootNewton:
+    @settings(max_examples=200, deadline=None)
+    @given(_far_root_problems(), st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_far_root_in_logarithmic_evaluations(self, problem, tol):
+        """Each clamped step doubles the width, so reaching a root d widths
+        away takes O(log2 d) evaluations; the bracket then shrinks to the
+        tolerance in O(log2(1 / tol)) more."""
+        f, fprime, lo, hi, x0, widths = problem
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        root = bisect_root(counted, lo, hi, tol, fprime=fprime, x0=x0)
+        assert _meets_contract(f, root, tol)
+        assert calls <= 2.0 * math.log2(2.0 + widths) + math.log2(1.0 / tol) + 10.0
+
     @settings(max_examples=300, deadline=None)
     @given(_mean_equations(), st.sampled_from([1e-9, 1e-12]))
     def test_matches_midpoint_path_within_tol(self, equation, tol):
