@@ -173,6 +173,8 @@ def _merged_gradient(probs, values, merged) -> np.ndarray:
     """:func:`implied_auc_gradient` from the :func:`_merged` result of ``values``."""
     u, pbar, f, auc = merged
     var = pbar * (1.0 - pbar)
+    if not var >= 2.0**-1022:  # a subnormal variance overflows the division: no gradient
+        return np.full(len(values), np.nan)
     per_mass = (f - (pbar + auc * (1.0 - 2.0 * pbar))) / var
     if u is not values:
         per_mass = per_mass[np.searchsorted(u, values)]

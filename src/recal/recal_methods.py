@@ -19,7 +19,7 @@ from . import _special as sp
 # adjusted_cdf and class_conditionals are not called here; they stay importable
 # under this module's name because perfbench/layers.py wraps them there
 from .auc_engine import (  # noqa: F401
-    _merged, _merged_gradient, adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf,
+    _merged, adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf,
 )
 from .dist_core import (
     PROB_SUM_TOL,
@@ -34,6 +34,8 @@ from .solvers import (
     DEFAULT_SETTINGS,
     SolveDiagnostics,
     SolverSettings,
+    _closed_form_solve,
+    _moment_rows,
     bisect_root,
     logistic_cspd_family,
     normal_cspd_family,
@@ -43,7 +45,8 @@ from .solvers import (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 
 class MethodId(enum.Enum):
@@ -85,17 +88,24 @@ class RecalResult:
     diagnostics: SolveDiagnostics
 
 
-def _require_inside_unit(values, message: str) -> None:
-    """Raise a :class:`DomainError` with ``message`` unless every value lies
-    strictly inside (0, 1), where its probit is finite."""
-    if not (np.all(values > 0.0) and np.all(values < 1.0)):
-        raise DomainError(message)
-
-
 def _require_interior(src: SourceModel, method: str) -> None:
-    _require_inside_unit(
-        src.posterior.values, f"{method}: source posterior values must lie strictly inside (0, 1)"
-    )
+    """Refuse a source posterior outside (0, 1), where its probit is not finite."""
+    values = src.posterior.values
+    if not (np.all(values > 0.0) and np.all(values < 1.0)):
+        raise DomainError(f"{method}: source posterior values must lie strictly inside (0, 1)")
+
+
+def _source_auc(method: str, src: SourceModel, tgt: TargetSpec) -> float:
+    """The source implied AUC, strictly inside (0, 1), on the target's
+    support; each error names ``method``."""
+    _require_shared_support(src.support, tgt.support, "source and target")
+    try:
+        auc_src = src.implied_auc
+    except DegenerateClassError as exc:
+        raise DegenerateClassError(f"{method}: source implied AUC: {exc}") from exc
+    if not 0.0 < auc_src < 1.0:
+        raise DomainError(f"{method}: source implied AUC must lie strictly inside (0, 1)")
+    return auc_src
 
 
 def _finish(
@@ -108,7 +118,10 @@ def _finish(
     curve = PosteriorCurve(tgt.support, values)
     auc = diagnostics.implied_auc  # the AUC a QMM solve's accepted probe computed
     if auc is None:
-        auc = implied_auc_values(tgt.feature_dist.probs, curve.values)
+        try:
+            auc = implied_auc_values(tgt.feature_dist.probs, curve.values)
+        except DegenerateClassError as exc:
+            raise DegenerateClassError(f"{method.value}: recalibrated curve: {exc}") from exc
     return RecalResult(
         method=method,
         posterior=curve,
@@ -194,6 +207,14 @@ def capped_scaling(
     )
 
 
+def _require_fjs_inputs(src: SourceModel, tgt: TargetSpec, method: str) -> None:
+    """A shared support, an interior posterior and a finite q / p (FJS scales by it)."""
+    _require_shared_support(src.support, tgt.support, "source and target")
+    _require_interior(src, method)
+    if not math.isfinite(float(tgt.prior) / float(src.prior)):
+        raise DomainError(f"{method}: q / p = {tgt.prior!r} / {src.prior!r} is not finite")
+
+
 def _fjs_values(eta: np.ndarray, p: float, q: float, rho: float) -> np.ndarray:
     # rho = 1 is label shift, bit for bit: (1.0 / 1.0) * c == c
     num = (q / p) * eta
@@ -211,22 +232,26 @@ def label_shift_correct(
     the corresponding mixture of the source class conditionals; whatever mean
     obtains is recorded, never forced.
     """
-    _require_shared_support(src.support, tgt.support, "source and target")
-    _require_interior(src, "label_shift")
+    _require_fjs_inputs(src, tgt, "label_shift")
     values = _fjs_values(src.posterior.values, src.prior, tgt.prior, 1.0)
     diag = SolveDiagnostics(iterations=0, converged=True)
     return _finish(MethodId.LABEL_SHIFT, tgt, values, {}, diag)
 
 
 def fjs_bounds(src: SourceModel, tgt: TargetSpec) -> tuple[float, float]:
-    """Closed interval that always contains the factorizable-shift weight."""
+    """Closed interval that always contains the factorizable-shift weight: the
+    Jensen bounds, in order (rounding swaps them where they meet, at a constant
+    posterior) and clipped into the normal float range, where 1 / rho is finite."""
     p = src.prior
     eta = src.posterior.values
     weights = tgt.feature_dist.probs
     odds = eta / (1.0 - eta)
-    lower = p / ((1.0 - p) * float(np.dot(weights, odds)))
-    upper = p / (1.0 - p) * float(np.dot(weights, 1.0 / odds))
-    return lower, upper
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lower = float(p / ((1.0 - p) * np.dot(weights, odds)))
+        upper = float(p / (1.0 - p) * np.dot(weights, 1.0 / odds))
+    upper = _HUGE if math.isnan(upper) else upper  # 1 / odds overflowed at a zero mass
+    lower, upper = min(max(lower, _TINY), _HUGE), min(max(upper, _TINY), _HUGE)
+    return (lower, upper) if lower <= upper else (upper, lower)
 
 
 def fjs_recalibrate(
@@ -241,8 +266,7 @@ def fjs_recalibrate(
     with Newton steps on the derivative dv/drho = v (1 - v) / rho, and a
     missing sign change is surfaced as infeasibility rather than hidden.
     """
-    _require_shared_support(src.support, tgt.support, "source and target")
-    _require_interior(src, "fjs")
+    _require_fjs_inputs(src, tgt, "fjs")
     p, q = src.prior, tgt.prior
     eta = src.posterior.values
     lower, upper = fjs_bounds(src, tgt)
@@ -275,13 +299,13 @@ def parametric_cspd_qmm(
     probit need the posterior strictly inside (0, 1); Platt's raw values do
     not, so a posterior of 0 or 1 is refused for the CSPDs alone.
     """
-    _require_shared_support(src.support, tgt.support, "source and target")
     if family is not MethodId.PLATT:
         _require_interior(src, family.value)
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
+    auc_src = _source_auc(family.value, src, tgt)
     fam = _PARAMETRIC_FAMILIES[family](src.posterior.values)
-    a, b, values, diag = solve_qmm_2d(fam, src.implied_auc, tgt, settings)
+    a, b, values, diag = solve_qmm_2d(fam, auc_src, tgt, settings)
     return _finish(family, tgt, values, {"a": float(a), "b": float(b)}, diag)
 
 
@@ -307,32 +331,26 @@ def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f0, z
 
 
-def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, complement=None):
-    """The class-0 CDF and its probit (:func:`_class0_cdf`) implied by a
-    posterior over the target features: class-0 masses p (1 - v) / (1 - pbar).
-    ``complement`` is 1 - v where the fit holds it to full relative
-    precision, as expit(-eta) of its link argument eta, which stays positive
-    where v rounds to 1; without it, 1 - v. F then has the bits of
-    ``adjusted_cdf(class_conditionals(feature, curve).dist0)``, with the
-    checks of that path: the posterior mean must leave both classes
-    non-empty (:class:`DegenerateClassError`) and the class-0 mass must sum
-    to 1 within ``PROB_SUM_TOL`` (:class:`DomainError`). Each error names
-    the method and the stage."""
+def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, complement):
+    """(F, z, d0): the class-0 masses d0 = p (1 - v) / (1 - pbar) implied by a
+    posterior v over the target features, their CDF F and its probit z
+    (:func:`_class0_cdf`). ``complement`` is 1 - v, which the fits hold as
+    expit(-eta), positive where v rounds to 1. Where it has the bits of 1 - v,
+    F has those of ``adjusted_cdf(class_conditionals(feature, curve).dist0)``,
+    with the checks of that path: a mean that leaves a class empty
+    (:class:`DegenerateClassError`), a class-0 mass off 1 by more than
+    ``PROB_SUM_TOL`` (:class:`DomainError`); each names the method and stage."""
     stage = f"{method}: class-0 CDF refresh"
     probs = feature.probs
     pbar = float(np.dot(probs, values))
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(f"{stage}: posterior mean {pbar!r} leaves one class empty")
-    if complement is None:
-        d0 = 1.0 - values
-        d0 *= probs
-    else:
-        d0 = complement * probs
+    d0 = complement * probs
     d0 /= 1.0 - pbar
     mass = float(d0.sum())
     if abs(mass - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
-    return _class0_cdf(stage, d0)
+    return (*_class0_cdf(stage, d0), d0)
 
 
 def _cdf_residual(z: np.ndarray, refreshed: np.ndarray) -> tuple[float, np.ndarray]:
@@ -390,29 +408,15 @@ def _sided_solve(k, g, rhs, upper) -> bool:
     return True
 
 
-def _closed_form_solve(a, b):
-    """a^-1 b for a 1 x 1 or 2 x 2 matrix ``a`` (nested lists of floats) by
-    Cramer's rule, or None where ``a`` is singular or its determinant is not
-    finite."""
-    if len(b) == 1:
-        det, sol = a[0][0], b
-    else:
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        sol = (a[1][1] * b[0] - a[0][1] * b[1], a[0][0] * b[1] - a[1][0] * b[0])
-    if not (det != 0.0 and math.isfinite(det)):
-        return None
-    return [x / det for x in sol]
-
-
-def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
+def _newton_iterate(z, fitted, d0, f0, refreshed, phi):
     """The Newton iterate z + d for the class-0 fixed point z = G(z), or None
-    where the plain iterate G(z) is to be taken: where the fit gives no
-    ``rows``, 1 / phi overflows, a cumprod underflows, the small system is
+    where the plain iterate G(z) is to be taken: where the fit's ``rows`` are
+    None, 1 / phi overflows, a cumprod underflows, the small system is
     singular, or the iterate is not finite or steps back somewhere.
 
-    ``fitted`` = (alpha, beta, v, diag, expit(-eta), rows) is the fit at z,
-    v = expit(eta) with eta = alpha z + beta; F, G(z) and phi(G(z)) come from
-    its refresh. With class-0 masses d0 and g = alpha d0 v, the Jacobian of G
+    ``fitted`` = (alpha, beta, v = expit(eta), diag, expit(-eta), rows) is the
+    fit at z; d0, F, G(z) and phi(G(z)) come from its refresh, d0 the class-0
+    masses. With g = alpha d0 v, the Jacobian of G
     is K (-M diag(g) + low rank), K = diag(1 / phi) and M the mid-cumsum,
     which above the F = 1/2 split runs from the right with its sign flipped,
     as the two-sided probit does (:func:`_sided_solve`). A fixed (alpha,
@@ -421,15 +425,13 @@ def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
     (dalpha/dz, dbeta/dz) / alpha and the rank-2 term (T - I) [z, 1] rows.
     Sherman-Morrison or Woodbury adds it, with the 1 x 1 or 2 x 2 system of
     :func:`_closed_form_solve`."""
-    if len(fitted) < 6 or fitted[5] is None:
+    alpha, _, values, _, _, rows = fitted
+    if rows is None:
         return None
-    alpha, _, values, _, complement, rows = fitted
     with np.errstate(all="ignore"):
         k = 1.0 / phi
         if not (math.isfinite(k[0]) and math.isfinite(k[-1])):  # G(z) is monotone
             return None
-        g = complement * probs
-        g /= 1.0 - float(np.dot(probs, values))  # the class-0 masses d0, until g
         upper = int(np.searchsorted(f0, 0.5, "right"))
         y = np.empty((3 if rows else 2, z.size))
         np.subtract(refreshed, z, out=y[0])
@@ -438,9 +440,9 @@ def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
             y[2] = 1.0
         else:  # K times -F below the split and the survival sums S above it
             np.negative(f0[:upper], out=y[1, :upper])
-            y[1, upper:] = mid_cdf(g[upper:][::-1])[::-1]
+            y[1, upper:] = mid_cdf(d0[upper:][::-1])[::-1]
             y[1] *= k
-        g *= alpha
+        g = d0 * alpha
         g *= values
         if not _sided_solve(k, g, y, upper):
             return None
@@ -466,54 +468,48 @@ def _newton_iterate(probs, z, fitted, f0, refreshed, phi):
 
 def fixed_point_f0(method, tgt, settings, fit):
     """Solve the class-0 fixed point z = G(z) of :func:`roc_qmm` and
-    :func:`two_param_qmm`. G calls ``fit(z) -> (alpha, beta, values, diag)``
-    at the probit z of the class-0 CDF F and refreshes F and z from
-    ``values``; the start is the target features' own CDF.
+    :func:`two_param_qmm`, from the target features' own CDF. G calls
+    ``fit(z) -> (alpha, beta, values, diag, complement, rows)``, values =
+    expit(alpha z + beta) and complement = expit(-(alpha z + beta)), and
+    refreshes F, z and the class-0 masses from them (:func:`_refreshed_f0`).
 
-    A fit of the form values = expit(alpha z + beta) may also return
-    expit(-(alpha z + beta)), which the refresh takes for 1 - values, and
-    the ``rows`` of :func:`_newton_iterate`. Each step then tries the Newton
-    iterate and keeps it where G there raises no :class:`RecalError` and the
-    residual max |G(z) - z| phi(G(z)) falls below the last iterate's. Where
-    it is rejected, this step and the next take the plain iterate G(z);
-    where there is none, this step alone does. A fit that returns neither
-    takes the plain iterate at every step.
+    Each step tries the Newton iterate of :func:`_newton_iterate` (none
+    where ``rows`` is None) and keeps it where G there raises no
+    :class:`RecalError` and max |G(z) - z| phi(G(z)) falls below the last
+    iterate's; a rejected one makes this step and the next plain, G(z).
 
     The loop stops when the sup-norm change over F and (alpha, beta) between
-    the fits at the last two iterates is at most ``settings.tol_fixed_point``
-    (measured from the second on, so ``residual_fixed_point`` is None until
-    then), or after ``max_iter`` evaluations of G, rejected ones included,
-    which ``iterations`` counts. Returns G at the last iterate, the
-    diagnostics and the fit there. ``max_iter`` below 1 raises a
+    the last two fits is at most ``settings.tol_fixed_point`` (None before
+    the second), or after ``max_iter`` evaluations of G, rejected ones
+    included, which ``iterations`` counts. Returns G at the last iterate,
+    the diagnostics and the fit there. ``max_iter`` below 1 raises a
     :class:`DomainError`; an error at the start or at a plain iterate
     propagates, naming ``method`` and the stage."""
     if settings.max_iter < 1:
         raise DomainError(f"{method}: max_iter must be at least 1")
-    probs = tgt.feature_dist.probs
     evals = 0
 
     def evaluate(z):
-        """(fit, F, G(z), residual, phi(G(z))) at z."""
+        """(fit, F, G(z), class-0 masses, residual, phi(G(z))) at z."""
         nonlocal evals
         evals += 1
         fitted = fit(z)
-        complement = fitted[4] if len(fitted) > 4 else None
-        f0, refreshed = _refreshed_f0(method, tgt.feature_dist, fitted[2], complement)
-        return (fitted, f0, refreshed, *_cdf_residual(z, refreshed))
+        f0, refreshed, d0 = _refreshed_f0(method, tgt.feature_dist, fitted[2], fitted[4])
+        return (fitted, f0, refreshed, d0, *_cdf_residual(z, refreshed))
 
-    z = _class0_cdf(f"{method}: initial class-0 CDF", probs)[1]
-    fitted, f0, refreshed, resid, phi = evaluate(z)
+    z = _class0_cdf(f"{method}: initial class-0 CDF", tgt.feature_dist.probs)[1]
+    fitted, f0, refreshed, d0, resid, phi = evaluate(z)
     delta, converged, rejected = None, False, False
     while not converged and evals < settings.max_iter:
         trial = None
-        z_new = None if rejected else _newton_iterate(probs, z, fitted, f0, refreshed, phi)
+        z_new = None if rejected else _newton_iterate(z, fitted, d0, f0, refreshed, phi)
         rejected = False
         if z_new is not None:
             try:
                 trial = evaluate(z_new)
             except RecalError:
                 pass
-            if trial is None or not trial[3] < resid:
+            if trial is None or not trial[4] < resid:
                 if evals == settings.max_iter:
                     break
                 trial, rejected = None, True
@@ -524,18 +520,10 @@ def fixed_point_f0(method, tgt, settings, fit):
         change = f0_new - f0
         delta = float(np.abs(change, out=change).max())
         delta = max(delta, abs(fitted_new[0] - fitted[0]), abs(fitted_new[1] - fitted[1]))
-        z, (fitted, f0, refreshed, resid, phi) = z_new, trial
+        z, (fitted, f0, refreshed, d0, resid, phi) = z_new, trial
         converged = delta <= settings.tol_fixed_point
     diag = SolveDiagnostics(iterations=evals, converged=converged, residual_fixed_point=delta)
     return refreshed, diag, fitted
-
-
-def _source_auc(method: str, src: SourceModel, tgt: TargetSpec) -> float:
-    """The source implied AUC, strictly inside (0, 1), on the target's support."""
-    _require_shared_support(src.support, tgt.support, "source and target")
-    auc_src = src.implied_auc
-    _require_inside_unit(auc_src, f"{method}: source implied AUC must lie strictly inside (0, 1)")
-    return auc_src
 
 
 def roc_qmm(
@@ -567,21 +555,14 @@ def roc_qmm(
 
 def _refit_rows(tgt: TargetSpec, z, values, complement):
     """(dalpha/dz, dbeta/dz) / alpha of the (alpha, beta) that hold the mean
-    and the AUC of values = expit(alpha z + beta) fixed as z moves, from the
-    implicit function theorem on the 2 x 2 moment Jacobian, with dA/dv from
-    the AUC gradient; None where that Jacobian is singular."""
+    and the AUC of values = expit(alpha z + beta) as z moves: by the implicit
+    function theorem, r in -J r = rows of :func:`_moment_rows`; None where J
+    is singular."""
     weights = tgt.feature_dist.probs
-    slope = values * complement  # dv/d(alpha z + beta)
-    mean_rows = weights * slope
-    auc_rows = _merged_gradient(weights, values, _merged(weights, values, tgt.feature_dist.mid_cdf))
-    auc_rows *= slope
-    m_z, m_1 = float(np.dot(mean_rows, z)), float(mean_rows.sum())
-    a_z, a_1 = float(np.dot(auc_rows, z)), float(auc_rows.sum())
-    det = m_z * a_1 - m_1 * a_z
-    if not (det != 0.0 and math.isfinite(det)):
-        return None
+    merged = _merged(weights, values, tgt.feature_dist.mid_cdf)
+    *rows, jacobian = _moment_rows(weights, values, merged, values * complement, z)
     with np.errstate(over="ignore"):  # a row that overflows gives a non-finite iterate
-        return (m_1 * auc_rows - a_1 * mean_rows) / det, (a_z * mean_rows - m_z * auc_rows) / det
+        return _closed_form_solve([[-d for d in row] for row in jacobian], rows)
 
 
 def two_param_qmm(
@@ -597,12 +578,11 @@ def two_param_qmm(
     the CDF from the resulting posterior exactly as the ROC-based scheme does.
     From the second step on the inner solve is warm-started at the previous
     fit's tangent prediction alpha (1 + r0 . dz), beta + alpha r1 . dz, with
-    dz the move of the probit z and r the refit rows of
-    :func:`_refit_rows`, or at the previous (alpha, beta) where there are no
-    rows or the predicted alpha is not positive. It meets the same
-    tolerances as a cold solve, which keeps the fit within the joint
-    tolerance of the cold alternation's. An
-    inner solve that finds the targets infeasible raises an
+    dz the move of the probit z and r the refit rows of :func:`_refit_rows`,
+    or at the previous (alpha, beta) where there are no rows or the predicted
+    alpha is not positive. It meets the same tolerances as a cold solve,
+    which keeps the fit within the joint tolerance of the cold alternation's.
+    An inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
     stops when the CDF values and (a, b) are jointly stable to
     ``settings.tol_fixed_point``. The solver fits sigmoid(alpha * ndtri(F0)

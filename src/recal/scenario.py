@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -74,6 +75,18 @@ class Scenario:
     methods: tuple[MethodId, ...]
     functional: FunctionalSpec
     settings: SolverSettings
+
+
+@contextmanager
+def _at(path: str):
+    """Re-raise a :class:`RecalError` of the block, other than a
+    :class:`ScenarioError`, as ``ScenarioError(f"{path}: {exc}")``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except RecalError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -138,7 +151,7 @@ def _binomial_spec(obj: dict, path: str) -> tuple[int, float]:
 def _parse_source(obj: dict) -> SourceModel:
     if not isinstance(obj, dict):
         raise ScenarioError("source: expected an object")
-    try:
+    with _at("source"):
         if "class0" in obj or "class1" in obj:
             _check_keys(obj, "source", ("class0", "class1", "prior"))
             trials0, sp0 = _binomial_spec(obj["class0"], "source.class0")
@@ -174,10 +187,6 @@ def _parse_source(obj: dict) -> SourceModel:
                 )
             prior = prior_given
         return SourceModel(feature, curve, prior)
-    except ScenarioError:
-        raise
-    except RecalError as exc:
-        raise ScenarioError(f"source: {exc}") from exc
 
 
 def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
@@ -187,7 +196,7 @@ def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
     if not isinstance(feat, dict) or "type" not in feat:
         raise ScenarioError("target.feature.type: missing key 'type'")
     kind = feat["type"]
-    try:
+    with _at("target.feature"):
         if kind == "binomial":
             _check_keys(feat, "target.feature", ("type", "trials", "success_prob"))
             dist = binomial_dist(
@@ -218,18 +227,12 @@ def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
             )
         else:
             raise ScenarioError(f"target.feature.type: unknown type {kind!r}")
-    except ScenarioError:
-        raise
-    except RecalError as exc:
-        raise ScenarioError(f"target.feature: {exc}") from exc
     if not np.array_equal(dist.support, source_support):
         raise ScenarioError(
             "target.feature: support must be identical to the source support"
         )
-    try:
+    with _at("target"):
         return TargetSpec(dist, prior)
-    except RecalError as exc:
-        raise ScenarioError(f"target: {exc}") from exc
 
 
 def _parse_methods(value) -> tuple[MethodId, ...]:
@@ -251,19 +254,14 @@ def _parse_methods(value) -> tuple[MethodId, ...]:
 
 def _parse_functional(value) -> FunctionalSpec:
     if isinstance(value, str):
-        try:
+        with _at("functional"):
             return FunctionalSpec.from_id(value)
-        except RecalError as exc:
-            raise ScenarioError(f"functional: {exc}") from exc
     _check_keys(value, "functional", ("id", "grid", "values"))
     if value["id"] != "tabulated":
         raise ScenarioError(f"functional.id: unknown functional id {value['id']!r}")
-    try:
-        return FunctionalSpec.tabulated(
-            _vector(value, "functional", "grid"), _vector(value, "functional", "values")
-        )
-    except RecalError as exc:
-        raise ScenarioError(f"functional: {exc}") from exc
+    grid, values = _vector(value, "functional", "grid"), _vector(value, "functional", "values")
+    with _at("functional"):
+        return FunctionalSpec.tabulated(grid, values)
 
 
 def _parse_settings(
@@ -309,13 +307,15 @@ def scenario_from_dict(obj: dict) -> Scenario:
 def parse_scenario(path) -> Scenario:
     """Read and fully validate a scenario file; errors name the offending key."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    try:
-        obj = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario file nests arrays or objects too deeply to parse") from None
     return scenario_from_dict(obj)
 
 

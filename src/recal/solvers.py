@@ -90,14 +90,14 @@ def bisect_root(
     too short to move, goes ``width`` toward the root's side and doubles it.
     ``width`` starts at half of [lo, hi], so the walk from the midpoint
     probes hi, then hi + (hi - lo), and so on. With ``widen`` False each
-    step is clamped into [lo, hi]. A step that cannot move or more than
-    ``MAX_EXPANSIONS`` doublings raise :class:`NoRootError`, which carries
-    the probed interval. In the bracket each step is the midpoint, or with
-    ``fprime`` Newton from the last point where that stays inside the
-    bracket, the derivative is positive and the step halves the one before
-    (``rtsafe``, *Numerical Recipes* section 9.4). A width stop returns the
-    end with the smaller |f|; a bracket that closes on an end where f is not
-    finite raises :class:`NoRootError`.
+    step is clamped into [lo, hi]. A step that cannot move or leaves the
+    float range, or more than ``MAX_EXPANSIONS`` doublings, raise
+    :class:`NoRootError`, which carries the probed interval. In the bracket
+    each step is the midpoint, or with ``fprime`` Newton from the last point
+    where that stays inside the bracket, the derivative is positive and the
+    step halves the one before (``rtsafe``, *Numerical Recipes* section
+    9.4). A width stop returns the end with the smaller |f|; a bracket that
+    closes on an end where f is not finite raises :class:`NoRootError`.
     """
     if not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
@@ -122,7 +122,7 @@ def bisect_root(
             if not abs(step) <= width or x - step == x:
                 step, width, expansions = -width if up else width, 2.0 * width, expansions + 1
             trial = x - step if widen else min(max(x - step, lo), hi)
-            if trial == x or expansions > MAX_EXPANSIONS:
+            if trial == x or not math.isfinite(trial) or expansions > MAX_EXPANSIONS:
                 break
             lo, hi = min(lo, trial), max(hi, trial)
         else:
@@ -143,6 +143,29 @@ def bisect_root(
         if not math.isfinite(end[1]):
             raise NoRootError(f"f is not finite at {end[0]!r}", probed_interval=(lo, hi))
     return pos[0] if abs(pos[1]) < abs(neg[1]) else neg[0]
+
+
+def _closed_form_solve(a, b):
+    """a^-1 b for a 1 x 1 or 2 x 2 matrix ``a`` (nested lists of floats) by
+    Cramer's rule, or None where its determinant is 0 or not finite; the
+    entries of ``b`` may be floats or arrays of one shape."""
+    det = a[0][0] if len(b) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if not (det != 0.0 and math.isfinite(det)):
+        return None
+    if len(b) == 2:
+        b = (a[1][1] * b[0] - a[0][1] * b[1], a[0][0] * b[1] - a[1][0] * b[0])
+    return [x / det for x in b]
+
+
+def _moment_rows(weights, values, merged, pdf, x):
+    """(w pdf, dA/dv pdf, J): the derivatives of the mean and the AUC of values
+    = link(alpha x + beta) in each link argument, from the link's ``pdf``
+    (overwritten by the first) and the :func:`_merged` result of ``values``,
+    and their 2 x 2 Jacobian J in (alpha, beta), one row per moment."""
+    auc_rows = _merged_gradient(weights, values, merged)
+    auc_rows *= pdf
+    pdf *= weights
+    return pdf, auc_rows, [[float(np.dot(r, x)), float(r.sum())] for r in (pdf, auc_rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,17 +334,11 @@ def solve_qmm_2d(
                     iterations=evals, converged=True, residual_mean=abs(resid_mean),
                     residual_auc=abs(resid_auc), bracket=(alpha, alpha), implied_auc=merged[3],
                 ))
-            # the 2 x 2 Jacobian of (mean, AUC) in (alpha, beta)
-            pdf = family.link_pdf(z, values)
-            moved = _merged_gradient(weights, values, merged) * pdf
-            pdf *= weights
-            m_a, m_b = float(np.dot(pdf, x)), float(pdf.sum())
-            a_a, a_b = float(np.dot(moved, x)), float(moved.sum())
-            det = m_a * a_b - m_b * a_a
-            if not (det != 0.0 and math.isfinite(det)):
+            jacobian = _moment_rows(weights, values, merged, family.link_pdf(z, values), x)[2]
+            step = _closed_form_solve(jacobian, (resid_mean, resid_auc))
+            if step is None:
                 break
-            alpha -= (a_b * resid_mean - m_b * resid_auc) / det
-            beta -= (m_a * resid_auc - a_a * resid_mean) / det
+            alpha, beta = alpha - step[0], beta - step[1]
         return kept, None
 
     start, beta_start = 0.0, None  # first log slope probed; the last probe's intercept

@@ -158,12 +158,11 @@ ZERO_END_MASS_SCENARIO = {
 }
 
 
-def three_point_scenario(posterior, target_probs, q):
-    """An explicit scenario on the support [0, 1, 2] with source probs
-    [0.5, 0.3, 0.2]."""
-    support = [0.0, 1.0, 2.0]
+def explicit_scenario(posterior, source_probs, target_probs, q):
+    """An explicit scenario on the support [0, 1, ..., n - 1]."""
+    support = [float(i) for i in range(len(posterior))]
     return {
-        "source": {"support": support, "probs": [0.5, 0.3, 0.2], "posterior": posterior},
+        "source": {"support": support, "probs": source_probs, "posterior": posterior},
         "target": {
             "feature": {"type": "explicit", "support": support, "probs": target_probs},
             "prior": q,
@@ -171,6 +170,12 @@ def three_point_scenario(posterior, target_probs, q):
         "methods": "all",
         "functional": "sqrt",
     }
+
+
+def three_point_scenario(posterior, target_probs, q):
+    """An explicit scenario on the support [0, 1, 2] with source probs
+    [0.5, 0.3, 0.2]."""
+    return explicit_scenario(posterior, [0.5, 0.3, 0.2], target_probs, q)
 
 
 def far_root_scenario(q):
@@ -183,6 +188,56 @@ def far_root_scenario(q):
 # the capped mean never exceeds the target mass 0.1 over the points with
 # eta > 0, so no scale reaches q = 0.3
 UNATTAINABLE_Q_SCENARIO = three_point_scenario([0.0, 0.5, 1.0], [0.9, 0.05, 0.05], 0.3)
+
+
+# masses k / 151 whose dot with a posterior of ones is 0.9999999999999999,
+# while the merged posterior mean the AUC takes is exactly 1
+_MASSES_ROUNDING_BELOW_1 = [
+    k / 151 for k in (16, 0, 0, 16, 0, 32, 16, 0, 0, 16, 0, 15, 0, 0, 0, 24, 16)
+]
+
+# inputs on which a method let a RuntimeWarning or a ZeroDivisionError out, or
+# raised an error that did not name it: id -> (method, scenario)
+METHOD_REPROS = {
+    # fjs_bounds rounded to (1.0, 0.9999999999999999) around the root rho = 1
+    "fjs_constant_posterior": ("fjs", explicit_scenario([0.01], [1.0], [1.0], 0.3)),
+    # 1 / odds overflowed in fjs_bounds
+    "fjs_subnormal_posterior": (
+        "fjs", explicit_scenario([1e-320, 0.5, 0.9], [1 / 3] * 3, [1 / 3] * 3, 0.3)
+    ),
+    # 1 / odds overflowed where the target has no mass, and 0 * inf made the
+    # upper bound NaN; the root lies below the float range
+    "fjs_overflow_at_a_zero_mass": (
+        "fjs",
+        explicit_scenario(
+            [1e-317, 1e-312, 0.999999999999995], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], 1e-10
+        ),
+    ),
+    # both FJS bounds underflowed to 0, where 1 / rho divides by zero; the
+    # root, ~1e-324, lies below the float range
+    "fjs_bounds_underflow": (
+        "fjs", explicit_scenario([1e-308, 1.0 - 2.0**-53], [1.0, 0.0], [0.0, 1.0], 0.3)
+    ),
+    # the search stops within tol_mean on an all-zero curve, whose AUC is undefined
+    "capped_scaling_all_zero_curve": (
+        "capped_scaling", explicit_scenario([0.0, 0.4], [0.5, 0.5], [1.0, 0.0], 1e-12)
+    ),
+    # q lies above the reachable 0.1, and the walk doubled t past the float range
+    "capped_scaling_walk_past_the_float_range": (
+        "capped_scaling", explicit_scenario([0.0, 8e-301], [0.5, 0.5], [0.9, 0.1], 0.5)
+    ),
+    # q / p overflowed, and the curve was NaN
+    "label_shift_subnormal_prior": ("label_shift", explicit_scenario([1e-320], [1.0], [1.0], 0.3)),
+    # a probe's curve has a subnormal mean, and its AUC gradient overflowed
+    "normal_cspd_subnormal_curve_mean": (
+        "normal_cspd", explicit_scenario([1e-317, 0.99999], [0.1, 0.9], [1.0, 0.0], 1e-11)
+    ),
+    # the source implied AUC raised a DegenerateClassError that named no method
+    "platt_source_mean_rounds_to_1": (
+        "platt",
+        explicit_scenario([1.0] * 17, _MASSES_ROUNDING_BELOW_1, _MASSES_ROUNDING_BELOW_1, 0.3),
+    ),
+}
 
 
 def logistic_scenario(s, slope, prior, shift, scale, q):

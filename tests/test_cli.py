@@ -18,6 +18,7 @@ from recal import (
 from recal.cli import main
 from conftest import (
     COUNT_KEYS,
+    METHOD_REPROS,
     SATURATED_BINOMIAL_SCENARIO,
     UNATTAINABLE_Q_SCENARIO,
     ZERO_END_MASS_SCENARIO,
@@ -390,6 +391,41 @@ def test_unattainable_capped_scaling_target_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recal: error: capped_scaling: no sign change")
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "scenario file is not UTF-8: "),
+        (b"[" * 200000 + b"]" * 200000, "scenario file nests arrays or objects too deeply"),
+    ],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_malformed_scenario_file_is_an_input_error(tmp_path, capsys, content, message):
+    """A file that is not UTF-8 or nests past the recursion limit: exit 1
+    with the reason, and no traceback."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    code = run_cli("table", "--scenario", str(path))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"recal: error: {message}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(METHOD_REPROS))
+def test_method_repro_exits_cleanly(tmp_path, capsys, case):
+    """Each input that once let a warning or an unnamed error out of a
+    method exits 0, 1 or 2 through `recal run`; an error names the method."""
+    method, scenario = METHOD_REPROS[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = run_cli("run", "--scenario", str(path), "--methods", method, "--out", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert captured.err.startswith(f"recal: error: {method}: ")
     assert "Traceback" not in captured.err + captured.out
 
 

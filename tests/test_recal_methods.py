@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit, ndtri
 
@@ -20,6 +22,7 @@ from recal import (
     NoRootError,
     PosteriorCurve,
     RecalError,
+    RecalResult,
     SolverSettings,
     SourceModel,
     TargetSpec,
@@ -44,6 +47,7 @@ from recal import (
 )
 from conftest import (
     CELL_TOL,
+    METHOD_REPROS,
     REFERENCE_TABLE,
     SATURATED_BINOMIAL_SCENARIO,
     UNATTAINABLE_Q_SCENARIO,
@@ -130,6 +134,123 @@ def test_no_bare_no_root_error_escapes(method, scenario):
         assert str(exc).startswith(f"{method.value}: ")
 
 
+# the outcome on each of METHOD_REPROS: the params a converged result has,
+# or the error type and the start of its message
+REPRO_OUTCOMES = {
+    "fjs_constant_posterior": {"rho": 1.0},
+    "fjs_subnormal_posterior": {},
+    "fjs_bounds_underflow": (InfeasibleError, "fjs: no sign change of the mean equation in rho"),
+    "fjs_overflow_at_a_zero_mass": (
+        InfeasibleError, "fjs: no sign change of the mean equation in rho"
+    ),
+    "capped_scaling_all_zero_curve": (
+        DegenerateClassError,
+        "capped_scaling: recalibrated curve: posterior mean 0.0 leaves one class empty",
+    ),
+    "capped_scaling_walk_past_the_float_range": (
+        InfeasibleError, "capped_scaling: no sign change of the mean equation in t"
+    ),
+    "label_shift_subnormal_prior": (
+        DomainError, "label_shift: q / p = 0.3 / 1e-320 is not finite"
+    ),
+    "normal_cspd_subnormal_curve_mean": (InfeasibleError, "normal_cspd: target AUC"),
+    "platt_source_mean_rounds_to_1": (
+        DegenerateClassError,
+        "platt: source implied AUC: posterior mean 1.0 leaves one class empty",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METHOD_REPROS))
+def test_repro_gives_a_result_or_an_error_naming_the_method(case):
+    """Each input once let a warning, a ZeroDivisionError or an error that
+    named no method out; it now gives a converged result or an error that
+    names the method and the stage, with no warning."""
+    method, scenario = METHOD_REPROS[case]
+    sc = scenario_from_dict(scenario)
+    expected = REPRO_OUTCOMES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0], match=f"^{re.escape(expected[1])}"):
+                run_method(MethodId(method), sc.source, sc.target)
+            return
+        result = run_method(MethodId(method), sc.source, sc.target)
+    assert result.diagnostics.converged
+    assert abs(result.achieved_mean - sc.target.prior) <= DEFAULT_SETTINGS.tol_mean
+    assert {key: result.params[key] for key in expected} == expected
+
+
+def _masses(draw, n):
+    """n masses summing to 1, some of them 0 in some draws."""
+    masses = st.one_of(st.floats(1e-6, 1.0), st.just(0.0))
+    weights = np.array(draw(st.lists(masses, min_size=n, max_size=n)))
+    if not weights.sum() > 0.0:
+        weights[-1] = 1.0
+    return weights / weights.sum()
+
+
+@st.composite
+def explicit_inputs(draw):
+    """A source and a target on an explicit support of 1 to 40 points, with
+    zero masses, and a sorted or constant posterior that takes exact 0 and 1,
+    values down to 1e-320 and values within 1e-9 of 1; q from 1e-12 to
+    1 - 1e-6."""
+    n = draw(st.integers(1, 40))
+    value = st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(1e-320, 1e-300),
+        st.floats(1.0 - 1e-9, 1.0),
+        st.sampled_from([0.0, 1.0, 1e-320, 1.0 - 2.0**-53]),
+    )
+    if draw(st.booleans()):
+        posterior = np.full(n, draw(value))
+    else:
+        posterior = np.sort(draw(st.lists(value, min_size=n, max_size=n)))
+    support = np.arange(n, dtype=float)
+    feature = DiscreteScoreDist(support, _masses(draw, n))
+    target = feature if draw(st.booleans()) else DiscreteScoreDist(support, _masses(draw, n))
+    prior = float(np.dot(feature.probs, posterior))
+    assume(0.0 < prior < 1.0)
+    src = SourceModel(feature, PosteriorCurve(support, posterior), prior)
+    return src, TargetSpec(target, draw(st.floats(1e-12, 1.0 - 1e-6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_inputs())
+def test_every_method_gives_a_result_or_an_error_naming_it(inputs):
+    """On small explicit scenarios every method returns a result or raises a
+    RecalError whose message starts with its name, and no warning escapes."""
+    src, tgt = inputs
+    for method in MethodId:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert isinstance(run_method(method, src, tgt), RecalResult)
+            except RecalError as exc:
+                assert str(exc).startswith(f"{method.value}: "), str(exc)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("fjs_constant_posterior", (0.9999999999999999, 1.0)),
+        # p / ((1 - p) E[odds]) = (1.4 / 3) / ((1.6 / 3) (10 / 3)) = 0.2625
+        ("fjs_subnormal_posterior", (pytest.approx(0.2625, rel=1e-15), np.finfo(float).max)),
+        ("fjs_bounds_underflow", (np.finfo(float).tiny,) * 2),
+        ("fjs_overflow_at_a_zero_mass", (np.finfo(float).tiny, np.finfo(float).max)),
+    ],
+)
+def test_fjs_bounds_are_ordered_and_inside_the_normal_range(case, expected):
+    """Rounding swapped the bounds of a constant posterior; 1 / odds
+    overflowed to inf past a subnormal posterior value, with a warning, and
+    to NaN at a zero mass; a subnormal prior underflowed the bounds to 0."""
+    sc = scenario_from_dict(METHOD_REPROS[case][1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fjs_bounds(sc.source, sc.target) == expected
+
+
 @pytest.mark.parametrize("method", ["roc_qmm", "two_param_qmm"])
 @pytest.mark.parametrize("fill", [0.0, 1.0])
 def test_degenerate_class0_cdf_refresh_names_method_and_stage(method, fill):
@@ -138,7 +259,7 @@ def test_degenerate_class0_cdf_refresh_names_method_and_stage(method, fill):
         DegenerateClassError,
         match=f"^{method}: class-0 CDF refresh: posterior mean {fill!r} leaves one class empty",
     ):
-        recal_methods._refreshed_f0(method, feature, np.full(3, fill))
+        recal_methods._refreshed_f0(method, feature, np.full(3, fill), np.full(3, 1.0 - fill))
 
 
 @st.composite
@@ -167,31 +288,28 @@ def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
     Its probit z has the bits of the running maximum of the library's ndtri
     applied to F where F <= 1/2 and to the survival sums above, negated
     there; it does not decrease, and is not finite exactly where a zero
-    class-0 mass sits at an end of the support."""
+    class-0 mass sits at an end of the support. The class-0 masses it
+    returns are those of the object route."""
     feature, values = inputs
-    # the class-0 posterior 1 - v, given as the fits give expit(-eta), or
-    # left to the refresh
-    complements = ((values, 1.0 - values), (values,))
+    # the class-0 posterior 1 - v, given as the fits give expit(-eta)
+    args = (values, 1.0 - values)
     try:
         cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
         expected = adjusted_cdf(cc.dist0)
     except (DegenerateClassError, DomainError) as exc:
-        for args in complements:
-            with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
-                recal_methods._refreshed_f0("two_param_qmm", feature, *args)
+        with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
+            recal_methods._refreshed_f0("two_param_qmm", feature, *args)
         return
     d0 = cc.dist0.probs
     if d0[0] == 0.0 or d0[-1] == 0.0:
-        for args in complements:
-            with pytest.raises(
-                DomainError,
-                match=r"^two_param_qmm: class-0 CDF refresh has values outside \(0, 1\)",
-            ):
-                recal_methods._refreshed_f0("two_param_qmm", feature, *args)
+        with pytest.raises(
+            DomainError,
+            match=r"^two_param_qmm: class-0 CDF refresh has values outside \(0, 1\)",
+        ):
+            recal_methods._refreshed_f0("two_param_qmm", feature, *args)
         return
-    f0, z = recal_methods._refreshed_f0("two_param_qmm", feature, *complements[0])
-    bare_f0, bare_z = recal_methods._refreshed_f0("two_param_qmm", feature, *complements[1])
-    assert bare_f0.tobytes() == f0.tobytes() and bare_z.tobytes() == z.tobytes()
+    f0, z, masses = recal_methods._refreshed_f0("two_param_qmm", feature, *args)
+    assert masses.tobytes() == d0.tobytes()
     assert f0.dtype == expected.dtype and f0.tobytes() == expected.tobytes()
     upper = int(np.count_nonzero(expected <= 0.5))
     # one call on the whole support, as the library makes it, so that both
@@ -277,9 +395,10 @@ def test_refreshed_f0_leaves_its_inputs_unchanged():
     probs = rng.uniform(0.1, 1.0, 100)
     feature = DiscreteScoreDist(np.arange(100.0), probs / probs.sum())
     values = np.sort(rng.uniform(0.05, 0.95, 100))
-    kept_probs, kept_values = feature.probs.tobytes(), values.tobytes()
-    recal_methods._refreshed_f0("two_param_qmm", feature, values)
-    assert feature.probs.tobytes() == kept_probs and values.tobytes() == kept_values
+    complement = 1.0 - values
+    kept = feature.probs.tobytes(), values.tobytes(), complement.tobytes()
+    recal_methods._refreshed_f0("two_param_qmm", feature, values, complement)
+    assert (feature.probs.tobytes(), values.tobytes(), complement.tobytes()) == kept
 
 
 def test_two_sided_probit_stays_finite_where_the_cdf_rounds_to_1():
@@ -287,7 +406,7 @@ def test_two_sided_probit_stays_finite_where_the_cdf_rounds_to_1():
     +inf; z takes the probit of the survival sums [2e-20, 5e-21] instead,
     from the library's ndtri on the array it passes."""
     feature = DiscreteScoreDist([0.0, 1.0, 2.0], [1.0, 2e-20, 1e-20])
-    f0, z = recal_methods._refreshed_f0("two_param_qmm", feature, np.full(3, 0.5))
+    f0, z, _ = recal_methods._refreshed_f0("two_param_qmm", feature, *np.full((2, 3), 0.5))
     assert f0.tolist() == [0.5, 1.0, 1.0]
     probit = _special.ndtri(np.array([0.5, 2e-20, 5e-21]))
     assert z.tolist() == [0.0, -probit[1], -probit[2]]
@@ -992,10 +1111,10 @@ class TestSaturatedBinomialTail:
         proposals, accepted = [], 0
         newton_iterate = recal_methods._newton_iterate
 
-        def counting(probs, z, *rest):
+        def counting(z, *rest):
             nonlocal accepted
             accepted += any(z is proposal for proposal in proposals)
-            proposals.append(newton_iterate(probs, z, *rest))
+            proposals.append(newton_iterate(z, *rest))
             return proposals[-1]
 
         monkeypatch.setattr(recal_methods, "_newton_iterate", counting)
@@ -1026,11 +1145,14 @@ def _captured_fit(monkeypatch, method, src, tgt):
 
 
 def _first_state(fit, tgt, method="roc_qmm"):
-    """(z, fit, F, G(z), phi(G(z))) at the start of the alternation."""
+    """(z, fit, class-0 masses, F, G(z), phi(G(z))) at the start of the
+    alternation, in the argument order of _newton_iterate."""
     z = recal_methods._class0_cdf("initial", tgt.feature_dist.probs)[1]
     fitted = fit(z)
-    f0, refreshed = recal_methods._refreshed_f0(method, tgt.feature_dist, fitted[2], fitted[4])
-    return z, fitted, f0, refreshed, recal_methods._cdf_residual(z, refreshed)[1]
+    f0, refreshed, d0 = recal_methods._refreshed_f0(
+        method, tgt.feature_dist, fitted[2], fitted[4]
+    )
+    return z, fitted, d0, f0, refreshed, recal_methods._cdf_residual(z, refreshed)[1]
 
 
 class TestNewtonStep:
@@ -1049,9 +1171,8 @@ class TestNewtonStep:
         else:
             src, tgt = saturated_tail_scenario(65)
         fit = _captured_fit(monkeypatch, method, src, tgt)
-        z, fitted, f0, refreshed, phi = _first_state(fit, tgt, method.__name__)
-        probs = tgt.feature_dist.probs
-        step = recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) - z
+        z, fitted, d0, f0, refreshed, phi = _first_state(fit, tgt, method.__name__)
+        step = recal_methods._newton_iterate(z, fitted, d0, f0, refreshed, phi) - z
 
         def g_of(point):
             values = fit(point)
@@ -1084,17 +1205,17 @@ class TestNewtonStep:
     def _example_state(self, monkeypatch, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
         fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
-        return tgt.feature_dist.probs, *_first_state(fit, tgt)
+        return _first_state(fit, tgt)
 
     @pytest.mark.parametrize("phi_end", [0.0, 5e-324])
     def test_overflowing_density_weight_gives_the_plain_step(
         self, monkeypatch, example_scenario, phi_end
     ):
         """1 / phi(G(z)) overflows past |G(z)| ~ 37.6: no Newton iterate."""
-        probs, z, fitted, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
+        z, fitted, d0, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
         phi = phi.copy()
         phi[-1] = phi_end
-        assert recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) is None
+        assert recal_methods._newton_iterate(z, fitted, d0, f0, refreshed, phi) is None
 
     def test_underflowing_cumprod_gives_the_plain_step(self):
         """a_i = 1/2 over 2,000 points, or a_i = 0 at x_i = 1."""
@@ -1126,23 +1247,23 @@ class TestNewtonStep:
         assert recal_methods._refit_rows(tgt, z, values, 1.0 - values) is None
 
     def test_non_finite_iterate_gives_the_plain_step(self, monkeypatch, example_scenario):
-        probs, z, fitted, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
+        z, fitted, d0, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
         refreshed = refreshed.copy()
         refreshed[3] = np.nan
-        assert recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) is None
+        assert recal_methods._newton_iterate(z, fitted, d0, f0, refreshed, phi) is None
 
     def test_iterate_that_steps_back_gives_the_plain_step(self, monkeypatch, example_scenario):
         """At slope 0 the Newton iterate is G(z) itself; one that falls
         between two points gives no Newton iterate, while the same G(z) in
         order gives one."""
-        probs, z, fitted, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
+        z, fitted, d0, f0, refreshed, phi = self._example_state(monkeypatch, example_scenario)
         fitted = (0.0, *fitted[1:])
-        z_new = recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi)
+        z_new = recal_methods._newton_iterate(z, fitted, d0, f0, refreshed, phi)
         assert z_new.tobytes() == ((refreshed - z) + z).tobytes()
         refreshed = refreshed.copy()
         refreshed[[5, 6]] = refreshed[[6, 5]]
         assert np.any(np.diff((refreshed - z) + z) < 0.0)
-        assert recal_methods._newton_iterate(probs, z, fitted, f0, refreshed, phi) is None
+        assert recal_methods._newton_iterate(z, fitted, d0, f0, refreshed, phi) is None
 
     @staticmethod
     def _plain(fit):
@@ -1179,7 +1300,7 @@ class TestNewtonStep:
         src, tgt = example_scenario.source, example_scenario.target
         fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
         plain = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, self._plain(fit))
-        monkeypatch.setattr(recal_methods, "_newton_iterate", lambda probs, z, *rest: z + 0.5)
+        monkeypatch.setattr(recal_methods, "_newton_iterate", lambda z, *rest: z + 0.5)
         z, diag, _ = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, fit)
         steps = plain[1].iterations - 1
         assert diag.converged and diag.iterations == 1 + steps + (steps + 1) // 2

@@ -252,6 +252,65 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="cannot read"):
             parse_scenario(tmp_path / "nope.json")
 
+    def test_file_that_is_not_utf8_reported(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ScenarioError, match="^scenario file is not UTF-8: 'utf-8' codec"):
+            parse_scenario(path)
+
+    def test_json_nested_past_the_recursion_limit_reported(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(
+            ScenarioError, match="^scenario file nests arrays or objects too deeply to parse$"
+        ):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("source", "probs"), [0.5, 0.6], "source: probs must sum to 1 within 1e-12"),
+            (
+                ("source",),
+                {"class0": {"trials": 3}, "class1": {"trials": 3, "success_prob": 0.5},
+                 "prior": 0.3},
+                "source.class0: missing key 'success_prob'",
+            ),
+            (
+                ("target", "feature", "support"),
+                [1.0, 0.0],
+                "target.feature: support must be strictly increasing (no duplicates)",
+            ),
+            (
+                ("target", "feature"),
+                {"type": "binomial", "trials": 0, "success_prob": 0.5},
+                "target.feature.trials: must be an integer in [1, 65536]",
+            ),
+            (("functional",), "nope", "functional: unknown functional id 'nope'"),
+            (
+                ("functional",),
+                {"id": "tabulated", "grid": [0.0, 1.0], "values": [0.0, 0.4, 0.5]},
+                "functional: tabulated functional needs matching grid and values",
+            ),
+            (
+                ("functional",),
+                {"id": "tabulated", "grid": "x", "values": [0.0, 0.5]},
+                "functional.grid: expected a non-empty array of numbers",
+            ),
+        ],
+    )
+    def test_library_errors_carry_the_key_path_once(self, path, value, message):
+        """A library error is prefixed with the key path it met; an error
+        that names its own key passes through unprefixed."""
+        obj = minimal_dict()
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(obj)
+        assert str(err.value) == message
+
 
 def vector_reference_accepts(value):
     # the element-by-element rule

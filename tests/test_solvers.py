@@ -581,8 +581,9 @@ class TestFixedPointF0:
     SETTINGS = SolverSettings(tol_fixed_point=1e-12)
 
     def fixed(self, z):
-        """A fit that returns the same (alpha, beta) and curve at every z."""
-        return 1.0, 0.5, self.CURVE, None
+        """A fit that returns the same (alpha, beta) and curve at every z,
+        with no Newton step."""
+        return 1.0, 0.5, self.CURVE, None, 1.0 - self.CURVE, None
 
     def test_identity_converges_immediately(self):
         """A fit that ignores z refreshes the same CDF at every step, so the
@@ -603,7 +604,7 @@ class TestFixedPointF0:
         f = np.cumsum(p) - p / 2
         probit = _special.ndtri(np.append(f[:3], p[3] / 2))
         np.testing.assert_array_equal(zs[0], np.append(probit[:3], -probit[3]))
-        _, refreshed = recal_methods._refreshed_f0("m", self.FEATURE, self.CURVE)
+        refreshed = recal_methods._refreshed_f0("m", self.FEATURE, self.CURVE, 1.0 - self.CURVE)[1]
         np.testing.assert_array_equal(zs[1], refreshed)
         np.testing.assert_array_equal(out, refreshed)
         assert fitted[:2] == (1.0, 0.5) and fitted[2] is self.CURVE
@@ -619,7 +620,7 @@ class TestFixedPointF0:
 
         def drifting(z):  # alpha moves by 1 every step
             steps.append(z)
-            return float(len(steps)), 0.5, self.CURVE, None
+            return float(len(steps)), 0.5, self.CURVE, None, 1.0 - self.CURVE, None
 
         five_steps = SolverSettings(tol_fixed_point=1e-12, max_iter=5)
         out, diag, fitted = fixed_point_f0("m", self.TARGET, five_steps, drifting)
