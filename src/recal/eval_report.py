@@ -6,6 +6,7 @@ to CSV. CSV output is UTF-8 with '.' decimals and LF line endings. The
 curve CSV's numbers are the bytes of ``"%.12g" % x``, rendered by a numpy
 kernel (:func:`_g12_fields`) that rounds exactly for 1e-11 <= |x| < 1e12
 and formats zeros, non-finite values and the rest by ``"%.12g"`` itself.
+Its lines are built one series at a time, in blocks of about 1 MiB.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .dist_core import (
     _require_shared_support,
     mean_under,
 )
-from .errors import DomainError, StructuralError
+from .errors import DegenerateClassError, DomainError, StructuralError
 from .recal_methods import CANONICAL_ORDER, DISPLAY_LABELS, RecalResult
 
 CONCAVITY_SLACK = 1e-12
@@ -37,12 +38,10 @@ CURVES_CSV_HEADER = "series,support,value"
 # one CSV line per row: the label, then each number at 12 significant digits
 _TABLE_CSV_LINE = "{},{:.12g},{:.12g},{:.12g}\n".format
 # a curves.csv number is a field of _FIELD bytes padded with _PAD, a byte
-# that UTF-8 never uses; lines go out in blocks of at most _BLOCK lines and
-# about _BLOCK_BYTES bytes
+# that UTF-8 never uses; a series goes out in blocks of ~_BLOCK_BYTES bytes
 _FIELD = 24
 _PAD = 0xFF
-_BLOCK = 1 << 14
-_BLOCK_BYTES = 1 << 22
+_BLOCK_BYTES = 1 << 20
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # outputs are written in slices of this many characters, so that at most one
 # slice is ever held encoded beside the text
@@ -168,14 +167,20 @@ def build_results_table(
     source features, then each method evaluated under the target features.
 
     Method rows are ordered canonically regardless of input order; values are
-    stored at full precision and rounded only when rendered.
+    stored at full precision and rounded only when rendered. A source whose
+    AUC is undefined raises a :class:`DegenerateClassError` naming the
+    Source row.
     """
     results = _checked_in_order(source, target, results)
+    try:
+        source_auc = source.implied_auc
+    except DegenerateClassError as exc:
+        raise DegenerateClassError(f"results table: Source row: {exc}") from exc
     rows = [
         TableRow(
             label="Source",
             mean_probs=mean_under(source.feature_dist, source.posterior),
-            auc=source.implied_auc,
+            auc=source_auc,
             mean_functional=functional_mean(
                 source.feature_dist, source.posterior, functional
             ),
@@ -357,17 +362,15 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
 
     Each distinct support is formatted once, keyed on its bits, so -0.0
     prints as -0 even beside an otherwise equal support holding 0.0. Numbers
-    are ``"%.12g"`` from :func:`_g12_fields`. Lines are built in blocks of
-    at most _BLOCK lines, consecutive series sharing one, as a byte matrix
-    whose rows are [name | , | support | , | value | LF] padded with _PAD.
+    are ``"%.12g"`` from :func:`_g12_fields`. Each series is built in blocks
+    of about _BLOCK_BYTES bytes, one series per block (:func:`_csv_block`);
+    a caller that exports many short series pays one kernel call per series.
     The text grows by ``+=`` one block at a time: CPython resizes a str that
     nothing else references in place (a realloc, not a copy), so the peak is
     the output plus one block.
     """
-    names, values, support_rows = [], [], []
-    first_row: dict[bytes, int] = {}  # support bits -> its first stacked row
-    supports = []
-    stacked = 0
+    text = CURVES_CSV_HEADER + "\n"
+    formatted: dict[bytes, np.ndarray] = {}  # support bits -> its number fields
     for name, support, vals in series:
         support = np.asarray(support, dtype=float).ravel()
         vals = np.asarray(vals, dtype=float).ravel()
@@ -376,52 +379,31 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
                 f"curve series {name!r} has {support.size} support points "
                 f"but {vals.size} values"
             )
+        if not vals.size:
+            continue
+        prefix = f"{name},".encode("utf-8", "surrogatepass")
+        lines = max(1, _BLOCK_BYTES // (len(prefix) + 2 * _FIELD + 2))
         key = support.tobytes()
-        if key not in first_row:
-            first_row[key] = stacked
-            stacked += support.size
-            supports.append(support)
-        names.append(f"{name}".encode("utf-8", "surrogatepass"))
-        values.append(vals)
-        support_rows.append(first_row[key])
-    text = CURVES_CSV_HEADER + "\n"
-    if not stacked:
-        return text
-    support_fields = np.concatenate(
-        [_g12_fields(s[a:a + _BLOCK]) for s in supports for a in range(0, s.size, _BLOCK)]
-    )
-    per_block = max(1, min(_BLOCK, _BLOCK_BYTES // (max(map(len, names)) + 2 * _FIELD + 3)))
-    runs, lines = [], 0  # (series, first point, stop point) of the block so far
-    for i, vals in enumerate(values):
-        start = 0
-        while start < vals.size:
-            stop = min(vals.size, start + per_block - lines)
-            runs.append((i, start, stop))
-            lines += stop - start
-            start = stop
-            if lines == per_block:
-                text += _csv_block(runs, lines, names, values, support_fields, support_rows)
-                runs, lines = [], 0
-    if runs:
-        text += _csv_block(runs, lines, names, values, support_fields, support_rows)
+        if key not in formatted:
+            formatted[key] = np.concatenate(
+                [_g12_fields(support[a:a + lines]) for a in range(0, support.size, lines)]
+            )
+        fields = formatted[key]
+        for a in range(0, vals.size, lines):
+            text += _csv_block(prefix, fields[a:a + lines], vals[a:a + lines])
     return text
 
 
-def _csv_block(runs, lines, names, values, support_fields, support_rows) -> str:
-    """The CSV lines of the runs (series, first point, stop point)."""
-    name_width = max(len(names[i]) for i, _, _ in runs)
-    value_col = name_width + _FIELD + 2
-    m = np.empty((lines, value_col + _FIELD + 1), dtype=np.uint8)
-    m[:, name_width] = m[:, value_col - 1] = ord(",")
+def _csv_block(prefix: bytes, support_fields: np.ndarray, values: np.ndarray) -> str:
+    """The CSV lines of one series' slice: a byte matrix whose rows are
+    [prefix | support | , | value | LF], its numbers padded with _PAD."""
+    value_col = len(prefix) + _FIELD + 1
+    m = np.empty((values.size, value_col + _FIELD + 1), dtype=np.uint8)
+    m[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
+    m[:, len(prefix):value_col - 1] = support_fields
+    m[:, value_col - 1] = ord(",")
+    m[:, value_col:-1] = _g12_fields(values)
     m[:, -1] = ord("\n")
-    row = 0
-    for i, start, stop in runs:
-        end = row + stop - start
-        m[row:end, :name_width] = np.frombuffer(names[i].ljust(name_width, b"\xff"), np.uint8)
-        first = support_rows[i]
-        m[row:end, name_width + 1:value_col - 1] = support_fields[first + start:first + stop]
-        row = end
-    m[:, value_col:-1] = _g12_fields(np.concatenate([values[i][a:b] for i, a, b in runs]))
     return m.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
 

@@ -155,8 +155,6 @@ def _match_mean(
         return float(np.dot(weights, last[1])) - q
 
     def mean_slope(t: float) -> float:
-        if t != last[0]:
-            mean_resid(t)
         return float(np.dot(weights, rate(t, last[1])))
 
     try:

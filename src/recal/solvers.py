@@ -98,6 +98,8 @@ def bisect_root(
     step halves the one before (``rtsafe``, *Numerical Recipes* section
     9.4). A width stop returns the end with the smaller |f|; a bracket that
     closes on an end where f is not finite raises :class:`NoRootError`.
+    Each ``fprime(x)`` call comes right after ``f(x)`` at the same x, with
+    no call between them, so ``fprime`` may reuse what ``f`` computed there.
     """
     if not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
@@ -281,9 +283,8 @@ def solve_qmm_2d(
     AUC merge and the 2 x 2 Jacobian of the mean and the AUC, kept only
     while max(|mean residual| / tol_mean, |AUC residual| / (SLOPE_TOL_FRACTION
     * tol_auc)), the two stops of the nested search, shrinks. Where that
-    reaches 1 the solve returns there; otherwise the nested search starts
-    from the last kept point. A start whose probe is unhealthy gives the
-    cold solve, as does an ``alpha`` outside the slope range.
+    reaches 1 the solve returns there; otherwise the solve is the cold one,
+    as it is for an ``alpha`` outside the slope range.
 
     ``iterations`` counts probes, each joint Newton point as one. ``bracket``
     is the tightest sign change of the AUC residual over the probed slopes,
@@ -308,11 +309,11 @@ def solve_qmm_2d(
     def joint_steps(alpha: float, beta: float):
         """Newton steps on (alpha, beta) jointly, each kept only while the
         residual max(|mean - q| / tol_mean, |AUC - target| / slope_tol)
-        shrinks and alpha stays in the slope range. Returns the last kept
-        (alpha, beta) and, once that residual is at most 1, the solve's
-        (alpha, beta, values, diagnostics) there, else None."""
+        shrinks and alpha stays in the slope range. Returns the solve's
+        (alpha, beta, values, diagnostics) once that residual is at most 1,
+        else None."""
         nonlocal evals
-        kept, size = (alpha, beta), math.inf
+        size = math.inf
         for _ in range(MAX_BISECT_ITER):
             if not (1.0 / SLOPE_LIMIT <= alpha <= SLOPE_LIMIT and math.isfinite(beta)):
                 break
@@ -328,36 +329,34 @@ def solve_qmm_2d(
             trial = max(abs(resid_mean) / settings.tol_mean, abs(resid_auc) / slope_tol)
             if not trial < size:
                 break
-            kept, size = (alpha, beta), trial
+            size = trial
             if size <= 1.0:
-                return kept, (alpha, beta, values, SolveDiagnostics(
+                return alpha, beta, values, SolveDiagnostics(
                     iterations=evals, converged=True, residual_mean=abs(resid_mean),
                     residual_auc=abs(resid_auc), bracket=(alpha, alpha), implied_auc=merged[3],
-                ))
+                )
             jacobian = _moment_rows(weights, values, merged, family.link_pdf(z, values), x)[2]
             step = _closed_form_solve(jacobian, (resid_mean, resid_auc))
             if step is None:
                 break
             alpha, beta = alpha - step[0], beta - step[1]
-        return kept, None
+        return None
 
-    start, beta_start = 0.0, None  # first log slope probed; the last probe's intercept
     if warm_start is not None:
         alpha0, beta0 = (float(v) for v in warm_start)
         if not (0.0 <= alpha0 < math.inf and math.isfinite(beta0)):
             raise DomainError(
                 "solve_qmm_2d: warm_start needs a finite alpha >= 0 and a finite beta"
             )
-        if 1.0 / SLOPE_LIMIT <= alpha0 <= SLOPE_LIMIT:
-            if not constant:
-                (alpha0, beta0), solved = joint_steps(alpha0, beta0)
-                if solved is not None:
-                    return solved
-            start, beta_start = math.log(alpha0), beta0
+        if not constant and 1.0 / SLOPE_LIMIT <= alpha0 <= SLOPE_LIMIT:
+            solved = joint_steps(alpha0, beta0)
+            if solved is not None:
+                return solved
 
     # log slope -> (alpha, auc, beta, |mean residual|, link values, link argument, AUC merge)
     fits = {}
     tangent = None
+    beta_start = None  # the last probe's intercept
 
     def probe(t: float) -> bool:
         """Solve the mean equation at slope exp(t), record the fit in ``fits``
@@ -381,8 +380,6 @@ def solve_qmm_2d(
             return last[3]
 
         def mean_slope(beta: float) -> float:
-            if beta != last[0]:
-                mean_resid(beta)
             return float(np.dot(weights, family.link_pdf(last[1], last[2])))
 
         if tangent is not None:  # the intercept that the last slope derivative predicts
@@ -441,18 +438,14 @@ def solve_qmm_2d(
         if not 0.0 < q < float(weights.sum()) or not probe(t) and fits[t][4] is None:
             raise InfeasibleError(f"{family.name}: mean equation insoluble at slope 0")
     else:
-        if not probe(start) and start != 0.0:  # an unusable warm slope
-            start, beta_start = 0.0, None
-            probe(start)
-        if not math.isfinite(fits[start][1]):
+        probe(0.0)
+        if not math.isfinite(fits[0.0][1]):
             raise InfeasibleError(
                 f"{family.name}: mean equation insoluble at unit slope; "
                 "the transform family is numerically exhausted"
             )
         try:
-            t = bisect_root(
-                residual, start - 2.0, start + 2.0, slope_tol, fprime=auc_slope, x0=start,
-            )
+            t = bisect_root(residual, -2.0, 2.0, slope_tol, fprime=auc_slope, x0=0.0)
         except NoRootError:
             aucs = [fit[1] for fit in fits.values() if math.isfinite(fit[1])]
             raise InfeasibleError(

@@ -222,6 +222,19 @@ class TestTableCommand:
         assert code == 2
         assert capsys.readouterr().out.startswith("method")
 
+    @pytest.mark.parametrize("verb", ["table", "run"])
+    def test_undefined_source_auc_names_the_table_row(self, tmp_path, capsys, verb):
+        """capped scaling runs on a source whose posterior mean rounds to 1,
+        but the table's Source row has no AUC: exit 1, naming that row."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(METHOD_REPROS["platt_source_mean_rounds_to_1"][1]))
+        out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+        code = run_cli(verb, "--scenario", str(path), "--methods", "capped_scaling", *out)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("recal: error: results table: Source row: ")
+        assert "Traceback" not in captured.err
+
     def test_invalid_scenario_exits_one_and_prints_nothing(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"source": {}}))
@@ -321,6 +334,13 @@ class TestUsageErrors:
             "run", "--scenario", fixture_path, "--tol-mean", "-1", "--out", str(tmp_path)
         )
         assert code == 1
+
+    def test_unknown_functional_exits_one_and_names_it(self, fixture_path, capsys):
+        code = run_cli("table", "--scenario", fixture_path, "--functional", "cube")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("recal: error: functional: unknown functional id 'cube'")
 
     @pytest.mark.parametrize(
         "flag, value", [("--tol-mean", "inf"), ("--tol-auc", "nan"), ("--tol-mean", "1e400")]

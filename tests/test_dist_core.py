@@ -61,6 +61,14 @@ class TestDiscreteScoreDist:
         with pytest.raises(StructuralError):
             DiscreteScoreDist([], [])
 
+    def test_rejects_two_dimensional_support(self):
+        with pytest.raises(StructuralError, match="support must be one-dimensional"):
+            DiscreteScoreDist([[0.0, 1.0]], [0.5, 0.5])
+
+    def test_rejects_lengths_that_differ(self):
+        with pytest.raises(StructuralError, match="support and probs must have the same length"):
+            DiscreteScoreDist([0.0, 1.0, 2.0], [0.5, 0.5])
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             DiscreteScoreDist([0.0, np.inf], [0.5, 0.5])

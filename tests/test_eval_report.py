@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from recal import (
     CANONICAL_ORDER,
+    DegenerateClassError,
     DiscreteScoreDist,
     DomainError,
     FunctionalSpec,
@@ -18,6 +19,7 @@ from recal import (
     TableRow,
     TargetSpec,
     build_results_table,
+    capped_scaling,
     curves_to_csv,
     export_curves,
     format_table,
@@ -25,9 +27,10 @@ from recal import (
     functional_mean,
     mean_under,
     run_methods,
+    scenario_from_dict,
     table_to_csv,
 )
-from conftest import CELL_TOL, REFERENCE_TABLE, random_dist, random_values
+from conftest import CELL_TOL, METHOD_REPROS, REFERENCE_TABLE, random_dist, random_values
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,14 @@ class TestFunctionalSpec:
         for _ in range(200):
             u, v = rng.uniform(0.0, 1.0, 2)
             assert c((u + v) / 2.0) >= (c(u) + c(v)) / 2.0 - 1e-12
+
+    def test_tabulated_rejects_non_finite_values(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            FunctionalSpec.tabulated([0.0, 0.5, 1.0], [0.0, np.nan, 0.5])
+
+    def test_tabulated_rejects_a_grid_that_does_not_increase(self):
+        with pytest.raises(StructuralError, match="strictly increasing"):
+            FunctionalSpec.tabulated([0.0, 0.5, 0.5, 1.0], [0.0, 0.4, 0.4, 0.5])
 
     def test_tabulated_grid_must_cover_unit_interval(self):
         with pytest.raises(DomainError):
@@ -239,6 +250,16 @@ class TestResultsTable:
                 FunctionalSpec.sqrt(),
             )
 
+    def test_undefined_source_auc_names_the_source_row(self):
+        """A source whose posterior mean rounds to 1 has no AUC, although
+        capped scaling returns a result on it."""
+        sc = scenario_from_dict(METHOD_REPROS["platt_source_mean_rounds_to_1"][1])
+        result = capped_scaling(sc.source, sc.target)
+        with pytest.raises(
+            DegenerateClassError, match="^results table: Source row: posterior mean 1.0 "
+        ):
+            build_results_table(sc.source, sc.target, [result], FunctionalSpec.sqrt())
+
     def test_mixed_support_rejected(self, example_scenario, example_results):
         other = TargetSpec(
             DiscreteScoreDist(np.arange(17, dtype=float) + 0.5, np.full(17, 1.0 / 17.0)),
@@ -354,6 +375,11 @@ class TestExportCurves:
 
     def test_csv_of_no_rows_is_the_header_line(self):
         assert curves_to_csv([]) == "series,support,value\n"
+
+    def test_series_of_no_points_has_no_lines(self):
+        empty = np.array([])
+        series = [("a", empty, empty), ("b", [1.0], [2.0]), ("c", empty, empty)]
+        assert curves_to_csv(series) == "series,support,value\nb,1,2\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.text(), any_float, any_float)))
@@ -484,8 +510,8 @@ class TestCurveNumbers:
 
     def test_csv_of_the_worked_example_is_byte_identical(self, example_scenario, example_results):
         series = export_curves(example_scenario.source, example_scenario.target, example_results)
-        # 1,320 copies span two line blocks, one block boundary inside a series;
-        # a long name makes blocks of fewer lines
+        # each of the 1,320 copies is a block of its own; a 100,000-character
+        # name makes blocks of 10 lines, so its 17 points span two blocks
         series = [(f"{name}{i}", s, v) for i in range(120) for name, s, v in series]
         series.append(("n" * 100_000, series[0][1], series[0][2]))
         rows = [(name, s, v) for name, x, y in series for s, v in zip(x.tolist(), y.tolist())]

@@ -901,6 +901,11 @@ class TestTwoParamQmm:
         assert 0.0 <= full.diagnostics.residual_fixed_point <= 1e-9
 
 
+def test_run_method_refuses_an_id_that_is_not_a_method(example_scenario):
+    with pytest.raises(DomainError, match="^unknown method 'platt'"):
+        run_method("platt", example_scenario.source, example_scenario.target)
+
+
 class TestCrossMethodProperties:
     def test_mean_matching_methods(self):
         from recal import InfeasibleError

@@ -179,6 +179,21 @@ class TestParseScenario:
         assert scenario.settings.max_iter == 50
         assert scenario.settings.tol_auc == 1e-6  # untouched default
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("max_iter", 1.5, "an integer"), ("tol_mean", "1e-9", "a number")],
+    )
+    def test_solver_setting_of_the_wrong_type_named(self, key, value, expected):
+        obj = minimal_dict(solver={key: value})
+        with pytest.raises(ScenarioError, match=f"^solver.{key}: expected {expected}$"):
+            scenario_from_dict(obj)
+
+    def test_unknown_target_feature_type_named(self):
+        obj = minimal_dict()
+        obj["target"]["feature"]["type"] = "lognormal"
+        with pytest.raises(ScenarioError, match="^target.feature.type: unknown type 'lognormal'"):
+            scenario_from_dict(obj)
+
     def test_bad_solver_key_named(self):
         obj = minimal_dict(solver={"tol_means": 1e-6})
         with pytest.raises(ScenarioError, match="tol_means"):
