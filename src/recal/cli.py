@@ -9,7 +9,9 @@ Every verb takes one path: parse the scenario, apply the flag overrides
 (checked by the same validators as the scenario file), run the selected
 methods, render what the verb needs, and write it: into files under
 ``--out`` when given (``run`` defaults it to ``.``), else to stdout.
-``run`` also prints one status line per method.
+``run`` also prints one status line per method. Every output is written
+in slices of 1 MiB characters; ``curves.csv`` is rendered and written one
+series at a time, so no more than one series' text is held at once.
 
 Exit codes: 0 all requested methods converged, 1 usage/input/output error,
 2 at least one method reported converged=false (outputs are still written).
@@ -20,11 +22,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 
 from .errors import RecalError
 from .eval_report import (
+    _SLICE,
+    CURVES_CSV_HEADER,
     _write_slices,
     build_results_table,
     curves_to_csv,
@@ -117,21 +123,39 @@ def _diagnostics_payload(scenario: Scenario, results: list[RecalResult]) -> dict
     }
 
 
-def _render(command: str, scenario: Scenario, results: list[RecalResult]) -> dict[str, str]:
-    """Name -> text of what the verb outputs: the files written under --out,
-    or, without --out, the one text for stdout. ``table`` has only the latter."""
+def _render(
+    command: str, scenario: Scenario, results: list[RecalResult]
+) -> dict[str, Iterable[str]]:
+    """Name -> the texts, in order, of what the verb outputs: the files
+    written under --out, or, without --out, the one output for stdout.
+    ``table`` has only the latter. curves.csv is a lazy sequence of write
+    slices (:func:`_curve_slices`); every other output is one text."""
     src, tgt = scenario.source, scenario.target
     if command == "curves":
-        return {"curves.csv": curves_to_csv(export_curves(src, tgt, results))}
+        return {"curves.csv": _curve_slices(export_curves(src, tgt, results))}
     table = build_results_table(src, tgt, results, scenario.functional)
     if command == "table":
-        return {"table": format_table(table)}
+        return {"table": [format_table(table)]}
     payload = _diagnostics_payload(scenario, results)
     return {
-        "table.csv": table_to_csv(table),
-        "curves.csv": curves_to_csv(export_curves(src, tgt, results)),
-        "diagnostics.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "table.csv": [table_to_csv(table)],
+        "curves.csv": _curve_slices(export_curves(src, tgt, results)),
+        "diagnostics.json": [json.dumps(payload, indent=2, sort_keys=True) + "\n"],
     }
+
+
+def _curve_slices(series: Iterable[tuple]) -> Iterator[str]:
+    """The text of ``curves_to_csv(series)`` in slices of _SLICE characters,
+    one series at a time: each series' text is rendered by curves_to_csv on
+    its own and let go before the next is rendered, so only one is held.
+    Every series after the first starts after its header line."""
+    start = 0
+    for triple in series:
+        text = curves_to_csv([triple])
+        for a in range(start, len(text), _SLICE):
+            yield text[a:a + _SLICE]
+        del text  # else it is held while the next series renders
+        start = len(CURVES_CSV_HEADER) + 1
 
 
 def main(argv=None) -> int:
@@ -149,12 +173,14 @@ def main(argv=None) -> int:
         results = run_methods(scenario)
         texts = _render(args.command, scenario, results)
         if out is None:
-            _write_slices(sys.stdout, *texts.values())
+            for text in chain.from_iterable(texts.values()):
+                _write_slices(sys.stdout, text)
         else:
             Path(out).mkdir(parents=True, exist_ok=True)
-            for name, text in texts.items():
+            for name, pieces in texts.items():
                 with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
-                    _write_slices(f, text)
+                    for text in pieces:
+                        _write_slices(f, text)
     except RecalError as exc:
         print(f"recal: error: {exc}", file=sys.stderr)
         return 1

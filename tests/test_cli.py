@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -260,7 +261,8 @@ class TestCurvesCommand:
 
     def test_text_longer_than_a_slice_is_written_whole(self, tmp_path, capsysbinary):
         """A curve text that spans several write slices comes out byte for
-        byte as curves_to_csv renders it, into --out and on stdout."""
+        byte as one curves_to_csv call renders it, into --out and on stdout,
+        and into the curves.csv of ``recal run``."""
         src, tgt = saturated_tail_scenario(16_385)
         methods = (MethodId.LABEL_SHIFT, MethodId.FJS)
         scenario = Scenario(src, tgt, methods, FunctionalSpec.sqrt(), SolverSettings())
@@ -273,6 +275,8 @@ class TestCurvesCommand:
         capsysbinary.readouterr()
         assert run_cli("curves", "--scenario", str(path)) == 0
         assert capsysbinary.readouterr().out == text.encode("utf-8")
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "run")) == 0
+        assert (tmp_path / "run" / "curves.csv").read_bytes() == text.encode("utf-8")
 
     def test_non_convergence_exits_two(self, fixture_path, capsys):
         code = run_cli(
@@ -495,6 +499,42 @@ def test_saturated_tail_runs_every_method(tmp_path, capsys):
     assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
     assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "diagnostics.json", "table.csv"]
     assert json.loads((out / "diagnostics.json").read_text())["all_converged"] is True
+
+
+def test_run_holds_one_curve_series_at_a_time(tmp_path, monkeypatch, capsys):
+    """``recal run`` renders and writes curves.csv one series at a time:
+    after the methods have run, tracemalloc's peak rises by less than half
+    the bytes of the curves.csv it writes (11 series of 65,537 points,
+    ~35 MB, each series several write slices long). Rendering the whole
+    text before writing it rose by more than the text. The file holds the
+    bytes of one curves_to_csv call."""
+    src, tgt = saturated_tail_scenario(65_537)
+    scenario = Scenario(src, tgt, tuple(MethodId), FunctionalSpec.sqrt(), SolverSettings())
+    path = tmp_path / "scenario.json"
+    write_scenario(scenario, path)
+    held = []
+
+    def run_then_reset_peak(parsed):
+        results = run_methods(parsed)
+        tracemalloc.reset_peak()
+        held.append((tracemalloc.get_traced_memory()[0], parsed, results))
+        return results
+
+    monkeypatch.setattr("recal.cli.run_methods", run_then_reset_peak)
+    tracemalloc.start()
+    try:
+        code = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    written = (tmp_path / "out" / "curves.csv").read_bytes()
+    assert len(written) > 8 * eval_report._SLICE
+    [(before, parsed, results)] = held
+    assert peak - before < len(written) / 2
+    series = export_curves(parsed.source, parsed.target, results)
+    assert len(series) == 11
+    assert written == curves_to_csv(series).encode("utf-8")
 
 
 def test_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys):

@@ -13,7 +13,9 @@ from recal import eval_report, example_scenario_path
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_hook_resolves_and_a_run_exports_curves_once(tmp_path, monkeypatch, capsys):
+def test_every_hook_resolves_and_a_run_renders_each_curve_series_once(
+    tmp_path, monkeypatch, capsys
+):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     import layers
     import spans
@@ -30,6 +32,8 @@ def test_every_hook_resolves_and_a_run_exports_curves_once(tmp_path, monkeypatch
     names = [tracer.names[i] for i in tracer.name]
     assert names.count("cli.main") == 1
     assert names.count("eval_report.export_curves") == 1
-    assert names.count("eval_report.curves_to_csv") == 1
+    # one curves_to_csv call per series: source_pmf, target_pmf,
+    # posterior_source and the worked example's 8 methods
+    assert names.count("eval_report.curves_to_csv") == 11
     assert recal.cli.export_curves is eval_report.export_curves
     assert recal.cli.curves_to_csv is eval_report.curves_to_csv
