@@ -10,8 +10,8 @@ Every verb takes one path: parse the scenario, apply the flag overrides
 methods, render what the verb needs, and write it: into files under
 ``--out`` when given (``run`` defaults it to ``.``), else to stdout.
 ``run`` also prints one status line per method. Every output is written
-in slices of 1 MiB characters; ``curves.csv`` is rendered and written one
-series at a time, so no more than one series' text is held at once.
+in slices of 1 MiB characters; ``curves.csv`` is written block by block as
+it is rendered, so no more than one block of its text (~512 KiB) is held.
 
 Exit codes: 0 all requested methods converged, 1 usage/input/output error,
 2 at least one method reported converged=false (outputs are still written).
@@ -22,18 +22,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
 from .errors import RecalError
+# curves_to_csv is not called here; it stays importable under this module's
+# name because perfbench/layers.py wraps it there
+from .eval_report import curves_to_csv  # noqa: F401
 from .eval_report import (
-    _SLICE,
-    CURVES_CSV_HEADER,
+    _curves_csv_blocks,
     _write_slices,
     build_results_table,
-    curves_to_csv,
     export_curves,
     format_table,
     table_to_csv,
@@ -128,34 +129,20 @@ def _render(
 ) -> dict[str, Iterable[str]]:
     """Name -> the texts, in order, of what the verb outputs: the files
     written under --out, or, without --out, the one output for stdout.
-    ``table`` has only the latter. curves.csv is a lazy sequence of write
-    slices (:func:`_curve_slices`); every other output is one text."""
+    ``table`` has only the latter. curves.csv is a lazy sequence of blocks
+    (:func:`eval_report._curves_csv_blocks`); every other output is one text."""
     src, tgt = scenario.source, scenario.target
     if command == "curves":
-        return {"curves.csv": _curve_slices(export_curves(src, tgt, results))}
+        return {"curves.csv": _curves_csv_blocks(export_curves(src, tgt, results))}
     table = build_results_table(src, tgt, results, scenario.functional)
     if command == "table":
         return {"table": [format_table(table)]}
     payload = _diagnostics_payload(scenario, results)
     return {
         "table.csv": [table_to_csv(table)],
-        "curves.csv": _curve_slices(export_curves(src, tgt, results)),
+        "curves.csv": _curves_csv_blocks(export_curves(src, tgt, results)),
         "diagnostics.json": [json.dumps(payload, indent=2, sort_keys=True) + "\n"],
     }
-
-
-def _curve_slices(series: Iterable[tuple]) -> Iterator[str]:
-    """The text of ``curves_to_csv(series)`` in slices of _SLICE characters,
-    one series at a time: each series' text is rendered by curves_to_csv on
-    its own and let go before the next is rendered, so only one is held.
-    Every series after the first starts after its header line."""
-    start = 0
-    for triple in series:
-        text = curves_to_csv([triple])
-        for a in range(start, len(text), _SLICE):
-            yield text[a:a + _SLICE]
-        del text  # else it is held while the next series renders
-        start = len(CURVES_CSV_HEADER) + 1
 
 
 def main(argv=None) -> int:

@@ -6,12 +6,13 @@ to CSV. CSV output is UTF-8 with '.' decimals and LF line endings. The
 curve CSV's numbers are the bytes of ``"%.12g" % x``, rendered by a numpy
 kernel (:func:`_g12_fields`) that rounds exactly for 1e-11 <= |x| < 1e12
 and formats zeros, non-finite values and the rest by ``"%.12g"`` itself.
-Its lines are built one series at a time, in blocks of about 1 MiB.
+Its lines are built one series at a time, in blocks of about 512 KiB.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import starmap
 
@@ -41,7 +42,7 @@ _TABLE_CSV_LINE = "{},{:.12g},{:.12g},{:.12g}\n".format
 # that UTF-8 never uses; a series goes out in blocks of ~_BLOCK_BYTES bytes
 _FIELD = 24
 _PAD = 0xFF
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 19
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # outputs are written in slices of this many characters, so that at most one
 # slice is ever held encoded beside the text
@@ -360,16 +361,29 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
     """CSV rendering of (series, support, values) triples at 12 significant
     digits, one line per point; a row (series, s, v) is a one-point series.
 
-    Each distinct support is formatted once, keyed on its bits, so -0.0
-    prints as -0 even beside an otherwise equal support holding 0.0. Numbers
-    are ``"%.12g"`` from :func:`_g12_fields`. Each series is built in blocks
-    of about _BLOCK_BYTES bytes, one series per block (:func:`_csv_block`);
-    a caller that exports many short series pays one kernel call per series.
-    The text grows by ``+=`` one block at a time: CPython resizes a str that
-    nothing else references in place (a realloc, not a copy), so the peak is
-    the output plus one block.
+    The text is the blocks of :func:`_curves_csv_blocks`, joined: each
+    distinct support is formatted once, keyed on its bits, so -0.0 prints
+    as -0 even beside an otherwise equal support holding 0.0, and numbers
+    are ``"%.12g"`` from :func:`_g12_fields`. A caller that exports many
+    short series pays one kernel call per series. The text grows by ``+=``
+    one block at a time: CPython resizes a str that nothing else references
+    in place (a realloc, not a copy), so the peak is the output plus one
+    block. The CLI writes the blocks as they come and never holds the text.
     """
-    text = CURVES_CSV_HEADER + "\n"
+    text = ""
+    for block in _curves_csv_blocks(series):
+        text += block
+    return text
+
+
+def _curves_csv_blocks(
+    series: Iterable[tuple[str, np.ndarray, np.ndarray]],
+) -> Iterator[str]:
+    """The text of ``curves_to_csv(series)`` in pieces: the header line,
+    then each series in blocks of about _BLOCK_BYTES bytes, one series per
+    block (:func:`_csv_block`). Each distinct support is formatted once per
+    call, in block-sized slices, into one field matrix kept for the call."""
+    yield CURVES_CSV_HEADER + "\n"
     formatted: dict[bytes, np.ndarray] = {}  # support bits -> its number fields
     for name, support, vals in series:
         support = np.asarray(support, dtype=float).ravel()
@@ -384,14 +398,13 @@ def curves_to_csv(series: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
         prefix = f"{name},".encode("utf-8", "surrogatepass")
         lines = max(1, _BLOCK_BYTES // (len(prefix) + 2 * _FIELD + 2))
         key = support.tobytes()
-        if key not in formatted:
-            formatted[key] = np.concatenate(
-                [_g12_fields(support[a:a + lines]) for a in range(0, support.size, lines)]
-            )
-        fields = formatted[key]
+        fields = formatted.get(key)
+        if fields is None:
+            fields = formatted[key] = np.empty((support.size, _FIELD), dtype=np.uint8)
+            for a in range(0, support.size, lines):
+                fields[a:a + lines] = _g12_fields(support[a:a + lines])
         for a in range(0, vals.size, lines):
-            text += _csv_block(prefix, fields[a:a + lines], vals[a:a + lines])
-    return text
+            yield _csv_block(prefix, fields[a:a + lines], vals[a:a + lines])
 
 
 def _csv_block(prefix: bytes, support_fields: np.ndarray, values: np.ndarray) -> str:

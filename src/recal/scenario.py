@@ -134,6 +134,8 @@ def _open_unit(obj: dict, path: str, key: str) -> float:
 
 def _vector(obj: dict, path: str, key: str) -> np.ndarray:
     value = obj[key]
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size and value.dtype == float:
+        return value
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{path}.{key}: expected a non-empty array of numbers")
     # check each distinct element type once; bool is an int subclass, not a number
@@ -304,10 +306,29 @@ def scenario_from_dict(obj: dict) -> Scenario:
     return Scenario(source, target, methods, functional, settings)
 
 
+# the keys whose value _vector reads: an array of numbers
+_VECTOR_KEYS = frozenset({"support", "probs", "posterior", "grid", "values"})
+
+
+def _float_arrays(obj: dict) -> dict:
+    """``json.loads`` object hook: a list of only floats under a
+    :data:`_VECTOR_KEYS` key becomes a float64 array as its object closes,
+    so at most one object's lists are held as Python floats at a time.
+    Any other list, one holding an int or a bool say, stays a list and
+    meets the checks of :func:`_vector`."""
+    for key in _VECTOR_KEYS.intersection(obj):
+        value = obj[key]
+        if isinstance(value, list) and set(map(type, value)) == {float}:
+            obj[key] = np.array(value, dtype=float)
+    return obj
+
+
 def parse_scenario(path) -> Scenario:
-    """Read and fully validate a scenario file; errors name the offending key."""
+    """Read and fully validate a scenario file; errors name the offending key.
+    It accepts and refuses what :func:`scenario_from_dict` of the file's
+    ``json.loads`` does, with the same arrays and messages."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_float_arrays)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except UnicodeDecodeError as exc:

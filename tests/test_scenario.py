@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from recal import (
@@ -350,6 +351,24 @@ class TestVectorRules:
         ):
             scenario_from_dict(obj)
 
+    def test_float64_array_accepted(self):
+        obj = minimal_dict()
+        obj["source"]["support"] = np.array([0.0, 1.0])
+        assert scenario_from_dict(obj).source.support.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([[0.0, 1.0]]), np.array([0, 1]), np.array([], dtype=float)],
+        ids=["2d", "int", "empty"],
+    )
+    def test_other_arrays_rejected_and_key_named(self, value):
+        obj = minimal_dict()
+        obj["source"]["support"] = value
+        with pytest.raises(
+            ScenarioError, match="^source.support: expected a non-empty array of numbers$"
+        ):
+            scenario_from_dict(obj)
+
     def test_numpy_float64_elements_accepted(self):
         obj = minimal_dict()
         for key in ("support", "probs", "posterior"):
@@ -386,6 +405,100 @@ class TestVectorRules:
         else:
             with pytest.raises(ScenarioError, match="x.v: expected a non-empty array"):
                 _vector(obj, "x", "v")
+
+
+# list elements that take different routes through a parse: floats at the
+# edges of float64, JSON ints, bools, nested and empty lists, and an int past
+# the float range
+EDGE_LISTS = st.one_of(
+    st.lists(
+        st.sampled_from([-0.0, 0.0, 5e-324, 0.5, 1.0, 1e308, 0, 1, 2, True, False, [0.5], [],
+                         TOO_BIG]),
+        max_size=4,
+    ),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+)
+# the supports are drawn valid, so that some scenarios parse
+SUPPORTS = st.sampled_from([[0.0, 1.0], [-0.0, 1.0], [5e-324, 1e308], [0, 1.0], [0, 1], [-0.0, 1]])
+# the vector keys, and keys that hold no array but are handed one here
+LIST_SLOTS = (
+    ("source", "support"), ("source", "probs"), ("source", "posterior"),
+    ("target", "feature", "support"), ("target", "feature", "probs"),
+    ("functional", "grid"), ("functional", "values"),
+    ("source", "prior"), ("target", "feature", "type"), ("functional", "id"), ("methods",),
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    obj = minimal_dict(
+        functional={"id": "tabulated", "grid": [0.0, 0.5, 1.0], "values": [0.0, 0.4, 0.5]}
+    )
+    support = draw(SUPPORTS)
+    obj["source"]["support"] = list(support)
+    obj["target"]["feature"]["support"] = list(support)
+    for path in draw(st.lists(st.sampled_from(LIST_SLOTS), unique=True, max_size=3) | st.just([])):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(EDGE_LISTS)
+    return json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+
+
+def parsed_bits(parse):
+    """The bits of every array and number the parse keeps, or its
+    ScenarioError's message."""
+    try:
+        s = parse()
+    except ScenarioError as exc:
+        return str(exc)
+    grids = (s.functional.grid, s.functional.grid_values)
+    return (
+        s.source.support.tobytes(),
+        s.source.feature_dist.probs.tobytes(),
+        s.source.posterior.values.tobytes(),
+        s.source.prior.hex(),
+        s.target.support.tobytes(),
+        s.target.feature_dist.probs.tobytes(),
+        s.target.prior.hex(),
+        s.methods,
+        s.functional.id,
+        tuple(None if g is None else g.tobytes() for g in grids),
+        s.settings,
+    )
+
+
+class TestFileParse:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(scenario_texts())
+    def test_file_parse_equals_dict_parse(self, tmp_path, text):
+        """parse_scenario turns float lists into arrays as their object
+        closes; it keeps the same bits, and refuses with the same message,
+        as scenario_from_dict of the file's json.loads."""
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        from_file = parsed_bits(lambda: parse_scenario(path))
+        assert from_file == parsed_bits(lambda: scenario_from_dict(json.loads(text)))
+
+    def test_parse_holds_one_objects_float_lists_at_a_time(self, tmp_path):
+        """Its tracemalloc peak on a compact 65,537-point file stays within
+        2.1 times the file's bytes (~2.05: the text and the source's three
+        lists); holding all five arrays as float lists peaked at ~2.6."""
+        src, tgt = saturated_tail_scenario(65_537)
+        scenario = Scenario(src, tgt, (MethodId.FJS,), FunctionalSpec.sqrt(), SolverSettings())
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            parsed = parse_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * path.stat().st_size
+        assert parsed.source.posterior.values.tobytes() == src.posterior.values.tobytes()
+        assert parsed.target.feature_dist.probs.tobytes() == tgt.feature_dist.probs.tobytes()
 
 
 class TestRoundTrip:
