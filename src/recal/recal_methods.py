@@ -35,8 +35,11 @@ from .solvers import (
     SolveDiagnostics,
     SolverSettings,
     _closed_form_solve,
+    _logistic_pdf,
     _moment_rows,
     bisect_root,
+    expit,
+    intercept_root,
     logistic_cspd_family,
     normal_cspd_family,
     platt_family,
@@ -132,51 +135,6 @@ def _finish(
     )
 
 
-def _match_mean(
-    method, tgt, curve_at, rate, lo, hi, param, settings, widen=True, x0=None
-) -> RecalResult:
-    """Solve mean(curve_at(t)) = q under the target features for the one
-    parameter t, reported as ``param``: :func:`bisect_root` from [lo, hi]
-    and ``x0``, widened unless ``widen`` is False, with Newton steps on the
-    mean's derivative sum(w * rate(t, v)), where ``rate`` gives dv/dt from
-    the values v = curve_at(t) already evaluated there. One diagnostics
-    iteration per mean evaluation. A search that finds no sign change
-    raises an :class:`InfeasibleError` naming the method and the interval
-    it searched."""
-    q = tgt.prior
-    weights = tgt.feature_dist.probs
-    evals = 0
-    last = None  # (t, curve_at(t)) of the last mean evaluation
-
-    def mean_resid(t: float) -> float:
-        nonlocal evals, last
-        evals += 1
-        last = t, curve_at(t)
-        return float(np.dot(weights, last[1])) - q
-
-    def mean_slope(t: float) -> float:
-        return float(np.dot(weights, rate(t, last[1])))
-
-    try:
-        t = bisect_root(
-            mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=x0, widen=widen
-        )
-    except NoRootError as exc:
-        lo, hi = exc.probed_interval
-        raise InfeasibleError(
-            f"{method.value}: no sign change of the mean equation in {param} over "
-            f"[{lo!r}, {hi!r}]"
-        ) from exc
-    values = last[1] if t == last[0] else curve_at(t)
-    residual = abs(float(np.dot(weights, values)) - q)
-    diag = SolveDiagnostics(
-        iterations=evals,
-        converged=residual <= settings.tol_mean,
-        residual_mean=residual,
-    )
-    return _finish(method, tgt, values, {param: float(t)}, diag)
-
-
 def capped_scaling(
     src: SourceModel, tgt: TargetSpec, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> RecalResult:
@@ -186,60 +144,79 @@ def capped_scaling(
     non-decreasing in t. It is 0 at t = 0 and rises to the target mass
     sum(w) over the points with eta > 0, so the search finds t for any q up
     to that mass; a q above it cannot be reached, and the search raises an
-    :class:`InfeasibleError` naming this method. The mean residual is -q at
-    t = 0, so the search never goes below 0. Its derivative is the weighted
-    sum of eta over the points the cap leaves free. The search starts at
-    t0 = q / sum(w * eta), the root when nothing is capped and below it
-    otherwise, so its Newton steps climb to the root from below; it runs on
-    [0, 2 * t0], or on [0, 2] where 2 * t0 is not finite. The cap can
+    :class:`InfeasibleError` naming this method and the interval searched.
+    The mean residual is -q at t = 0, so the search never goes below 0. Its
+    derivative is the weighted sum of eta over the points the cap leaves
+    free. The search starts at t0 = q / sum(w * eta), the root when nothing
+    is capped and below it otherwise, so its Newton steps climb to the root
+    from below; it runs on [0, 2 * t0], or on [0, 2] where 2 * t0 is not
+    finite. One diagnostics iteration per mean evaluation. The cap can
     flatten the curve at value 1 but nowhere else.
     """
     _require_shared_support(src.support, tgt.support, "source and target")
     eta = src.posterior.values
-    mean = float(np.dot(tgt.feature_dist.probs, eta))
-    t0 = tgt.prior / mean if mean > 0.0 else math.inf
+    weights, q = tgt.feature_dist.probs, tgt.prior
+    mean = float(np.dot(weights, eta))
+    t0 = q / mean if mean > 0.0 else math.inf
     hi, x0 = (2.0 * t0, t0) if math.isfinite(2.0 * t0) else (2.0, None)
-    return _match_mean(
-        MethodId.CAPPED_SCALING, tgt, lambda t: np.minimum(t * eta, 1.0),
-        lambda t, values: np.where(values < 1.0, eta, 0.0), 0.0, hi, "t", settings, x0=x0,
+    evals = 0
+    last = None  # (t, capped curve) of the last mean evaluation
+
+    def mean_resid(t: float) -> float:
+        nonlocal evals, last
+        evals += 1
+        last = t, np.minimum(t * eta, 1.0)
+        return float(np.dot(weights, last[1])) - q
+
+    def mean_slope(t: float) -> float:
+        return float(np.dot(weights, np.where(last[1] < 1.0, eta, 0.0)))
+
+    try:
+        t = bisect_root(mean_resid, 0.0, hi, settings.tol_mean, fprime=mean_slope, x0=x0)
+    except NoRootError as exc:
+        lo, hi = exc.probed_interval
+        raise InfeasibleError(
+            f"capped_scaling: no sign change of the mean equation in t over [{lo!r}, {hi!r}]"
+        ) from exc
+    values = last[1] if t == last[0] else np.minimum(t * eta, 1.0)
+    residual = abs(float(np.dot(weights, values)) - q)
+    diag = SolveDiagnostics(
+        iterations=evals, converged=residual <= settings.tol_mean, residual_mean=residual
     )
+    return _finish(MethodId.CAPPED_SCALING, tgt, values, {"t": float(t)}, diag)
 
 
-def _require_fjs_inputs(src: SourceModel, tgt: TargetSpec, method: str) -> None:
-    """A shared support, an interior posterior and a finite q / p (FJS scales by it)."""
+def _label_shift_logits(src: SourceModel, tgt: TargetSpec, method: str):
+    """(x, beta0) = (log(eta) - log1p(-eta), logit(q) - logit(p)) after
+    checking a shared support and an interior posterior; numpy forms the
+    source log-odds x on any support, so no scipy import is needed."""
     _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, method)
-    if not math.isfinite(float(tgt.prior) / float(src.prior)):
-        raise DomainError(f"{method}: q / p = {tgt.prior!r} / {src.prior!r} is not finite")
-
-
-def _fjs_values(eta: np.ndarray, p: float, q: float, rho: float) -> np.ndarray:
-    # rho = 1 is label shift, bit for bit: (1.0 / 1.0) * c == c
-    num = (q / p) * eta
-    den = num + (1.0 / rho) * ((1.0 - q) / (1.0 - p)) * (1.0 - eta)
-    return num / den
+    eta = src.posterior.values
+    return np.log(eta) - np.log1p(-eta), sp.log_odds(tgt.prior) - sp.log_odds(src.prior)
 
 
 def label_shift_correct(
     src: SourceModel, tgt: TargetSpec, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> RecalResult:
     """Posterior correction for a prior moving from p to q with unchanged
-    class-conditional feature distributions: FJS with class-0 weight 1.
+    class-conditional feature distributions: expit(logit(eta) + logit(q) -
+    logit(p)), FJS with class-0 weight 1.
 
     The achieved mean equals q only when the target feature distribution is
     the corresponding mixture of the source class conditionals; whatever mean
     obtains is recorded, never forced.
     """
-    _require_fjs_inputs(src, tgt, "label_shift")
-    values = _fjs_values(src.posterior.values, src.prior, tgt.prior, 1.0)
+    x, beta0 = _label_shift_logits(src, tgt, "label_shift")
     diag = SolveDiagnostics(iterations=0, converged=True)
-    return _finish(MethodId.LABEL_SHIFT, tgt, values, {}, diag)
+    return _finish(MethodId.LABEL_SHIFT, tgt, expit(x + beta0), {}, diag)
 
 
 def fjs_bounds(src: SourceModel, tgt: TargetSpec) -> tuple[float, float]:
-    """Closed interval that always contains the factorizable-shift weight: the
-    Jensen bounds, in order (rounding swaps them where they meet, at a constant
-    posterior) and clipped into the normal float range, where 1 / rho is finite."""
+    """Closed interval that always contains the factorizable-shift weight rho
+    of :func:`fjs_recalibrate`, which does not search it: the Jensen bounds,
+    in order (rounding swaps them where they meet, at a constant posterior)
+    and clipped into the normal float range."""
     p = src.prior
     eta = src.posterior.values
     weights = tgt.feature_dist.probs
@@ -257,22 +234,30 @@ def fjs_recalibrate(
 ) -> RecalResult:
     """Recalibrate under factorizable joint shift.
 
-    The class-0 density weight rho is the unique root of the mean equation
-    and always lies inside :func:`fjs_bounds`; the search runs on that
-    closed interval with no expansion, from rho = 1 (label shift, the root
-    whenever the target is a mixture of the source classes) clamped into it,
-    with Newton steps on the derivative dv/drho = v (1 - v) / rho, and a
-    missing sign change is surfaced as infeasibility rather than hidden.
+    The posterior with class-0 density weight rho is expit(logit(eta) +
+    beta0 + log(rho)), beta0 = logit(q) - logit(p): the logistic CSPD family
+    at slope 1. :func:`intercept_root` solves the mean equation in beta from
+    beta0 (label shift, the root whenever the target is a mixture of the
+    source classes), one diagnostics iteration per mean evaluation, and rho =
+    exp(beta - beta0) lies inside :func:`fjs_bounds`. A rho that is not a
+    positive finite float is surfaced as infeasibility rather than hidden.
     """
-    _require_fjs_inputs(src, tgt, "fjs")
-    p, q = src.prior, tgt.prior
-    eta = src.posterior.values
-    lower, upper = fjs_bounds(src, tgt)
-    return _match_mean(
-        MethodId.FJS, tgt, lambda rho: _fjs_values(eta, p, q, rho),
-        lambda rho, values: values * (1.0 - values) / rho,
-        lower, upper, "rho", settings, widen=False, x0=min(max(1.0, lower), upper),
+    x, beta0 = _label_shift_logits(src, tgt, "fjs")
+    try:
+        beta, _, values, residual, evals = intercept_root(
+            expit, _logistic_pdf, x, tgt, settings.tol_mean, beta0
+        )
+        rho = math.exp(beta - beta0)
+    except (NoRootError, OverflowError):
+        rho = 0.0
+    if not rho > 0.0:  # no root, or exp(beta - beta0) left the float range
+        raise InfeasibleError(
+            "fjs: no sign change of the mean equation in rho over the positive floats"
+        )
+    diag = SolveDiagnostics(
+        iterations=evals, converged=residual <= settings.tol_mean, residual_mean=residual
     )
+    return _finish(MethodId.FJS, tgt, values, {"rho": rho}, diag)
 
 
 _PARAMETRIC_FAMILIES = {

@@ -76,7 +76,6 @@ def bisect_root(
     *,
     fprime: Callable[[float], float] | None = None,
     x0: float | None = None,
-    widen: bool = True,
 ) -> float:
     """Root search for a non-decreasing scalar function: returns x with
     |f(x)| <= tol or bracket width <= tol * max(1, |x|).
@@ -89,9 +88,8 @@ def bisect_root(
     to +-``width``. A clamped step, or one with no positive derivative or
     too short to move, goes ``width`` toward the root's side and doubles it.
     ``width`` starts at half of [lo, hi], so the walk from the midpoint
-    probes hi, then hi + (hi - lo), and so on. With ``widen`` False each
-    step is clamped into [lo, hi]. A step that cannot move or leaves the
-    float range, or more than ``MAX_EXPANSIONS`` doublings, raise
+    probes hi, then hi + (hi - lo), and so on. A step that cannot move or
+    leaves the float range, or more than ``MAX_EXPANSIONS`` doublings, raise
     :class:`NoRootError`, which carries the probed interval. In the bracket
     each step is the midpoint, or with ``fprime`` Newton from the last point
     where that stays inside the bracket, the derivative is positive and the
@@ -103,7 +101,7 @@ def bisect_root(
     """
     if not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
         raise DomainError("bisect_root needs a finite interval with lo <= hi")
-    if x0 is None or not (widen or lo <= x0 <= hi):
+    if x0 is None:
         x0 = 0.5 * (lo + hi)
     x, fx = x0, float(f(x0))
     if not math.isfinite(fx):
@@ -123,7 +121,7 @@ def bisect_root(
             up = pos is None
             if not abs(step) <= width or x - step == x:
                 step, width, expansions = -width if up else width, 2.0 * width, expansions + 1
-            trial = x - step if widen else min(max(x - step, lo), hi)
+            trial = x - step
             if trial == x or not math.isfinite(trial) or expansions > MAX_EXPANSIONS:
                 break
             lo, hi = min(lo, trial), max(hi, trial)
@@ -168,6 +166,37 @@ def _moment_rows(weights, values, merged, pdf, x):
     auc_rows *= pdf
     pdf *= weights
     return pdf, auc_rows, [[float(np.dot(r, x)), float(r.sum())] for r in (pdf, auc_rows)]
+
+
+def intercept_root(link, link_pdf, ax, target, tol, beta_start=0.0):
+    """Solve the mean equation w . link(ax + beta) = q of ``target`` in beta
+    by :func:`bisect_root` from ``beta_start`` on [beta_start - 2,
+    beta_start + 2], widened as needed, with Newton steps on the derivative
+    w . link_pdf, taken at the link argument and values of the mean
+    evaluation at the same beta. Returns (beta, link argument, link values,
+    |mean residual|, mean evaluations) there; a :class:`NoRootError`
+    propagates."""
+    weights, q = target.feature_dist.probs, target.prior
+    evals = 0
+    last = None  # (beta, link argument, link values, mean residual) of the last evaluation
+
+    def mean_resid(beta: float) -> float:
+        nonlocal evals, last
+        evals += 1
+        z = ax + beta
+        values = link(z)
+        last = beta, z, values, float(np.dot(weights, values)) - q
+        return last[3]
+
+    def mean_slope(beta: float) -> float:
+        return float(np.dot(weights, link_pdf(last[1], last[2])))
+
+    beta = bisect_root(
+        mean_resid, beta_start - 2.0, beta_start + 2.0, tol, fprime=mean_slope, x0=beta_start
+    )
+    if beta != last[0]:
+        mean_resid(beta)
+    return beta, last[1], last[2], abs(last[3]), evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +294,9 @@ def solve_qmm_2d(
     the accepted probe computed, and the diagnostics.
 
     Both levels are :func:`bisect_root` with a derivative. At a fixed slope
-    (a probe) the intercept solves the strictly monotone mean equation,
-    derivative the link's pdf, starting where the last slope derivative
-    predicts it, else at the last intercept. The slope solves the AUC
+    (a probe) :func:`intercept_root` solves the strictly monotone mean
+    equation, starting where the last slope derivative predicts the
+    intercept, else at the last intercept. The slope solves the AUC
     residual in log(alpha) from unit slope, Newton steps clamped to a width
     that starts at 2 and doubles, with derivative dA/dalpha = sum_k dA/dv_k
     pdf_k (x_k + dbeta/dalpha) along the mean equation, dbeta/dalpha =
@@ -356,7 +385,7 @@ def solve_qmm_2d(
     # log slope -> (alpha, auc, beta, |mean residual|, link values, link argument, AUC merge)
     fits = {}
     tangent = None
-    beta_start = None  # the last probe's intercept
+    beta_start = 0.0  # the last probe's intercept
 
     def probe(t: float) -> bool:
         """Solve the mean equation at slope exp(t), record the fit in ``fits``
@@ -367,37 +396,17 @@ def solve_qmm_2d(
         nonlocal evals, beta_start
         evals += 1
         alpha = math.exp(t)
-        ax = alpha * x
-        # (beta, link argument, link values, mean residual) of the last
-        # intercept tried; the Newton step's derivative reuses them
-        last = None
-
-        def mean_resid(beta: float) -> float:
-            nonlocal last
-            z = ax + beta
-            values = family.link(z)
-            last = beta, z, values, float(np.dot(weights, values)) - q
-            return last[3]
-
-        def mean_slope(beta: float) -> float:
-            return float(np.dot(weights, family.link_pdf(last[1], last[2])))
-
         if tangent is not None:  # the intercept that the last slope derivative predicts
             predicted = tangent[1] + tangent[2] * (alpha - tangent[0])
             beta_start = predicted if math.isfinite(predicted) else beta_start
-        lo, hi = (-2.0, 2.0) if beta_start is None else (beta_start - 2.0, beta_start + 2.0)
         fits[t] = (alpha, np.nan, np.nan, np.nan, None, None, None)
         try:
-            beta = bisect_root(
-                mean_resid, lo, hi, settings.tol_mean, fprime=mean_slope, x0=beta_start
+            beta, z, values, resid, _ = intercept_root(
+                family.link, family.link_pdf, alpha * x, target, settings.tol_mean, beta_start
             )
         except NoRootError:
             return False
         beta_start = beta
-        if beta != last[0]:
-            mean_resid(beta)
-        _, z, values, resid = last
-        resid = abs(resid)
         fits[t] = (alpha, np.nan, beta, resid, values, z, None)
         if resid > settings.tol_mean:
             return False

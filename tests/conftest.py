@@ -226,7 +226,7 @@ METHOD_REPROS = {
     "capped_scaling_walk_past_the_float_range": (
         "capped_scaling", explicit_scenario([0.0, 8e-301], [0.5, 0.5], [0.9, 0.1], 0.5)
     ),
-    # q / p overflowed, and the curve was NaN
+    # q / p overflowed, and the curve was NaN; with no q / p formed it is [0.3]
     "label_shift_subnormal_prior": ("label_shift", explicit_scenario([1e-320], [1.0], [1.0], 0.3)),
     # a probe's curve has a subnormal mean, and its AUC gradient overflowed
     "normal_cspd_subnormal_curve_mean": (

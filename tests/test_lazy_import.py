@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recal import MethodId, parse_scenario, run_method, worked_example_scenario
@@ -57,6 +58,33 @@ def explicit_path(tmp_path_factory):
         "functional": "sqrt",
     }
     path = tmp_path_factory.mktemp("lazy") / "explicit.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.fixture(scope="module")
+def large_explicit_path(tmp_path_factory):
+    """An explicit scenario of 257 points, past ``STDLIB_MAX_POINTS``: Gaussian
+    source and target features on [-4, 4] and a logistic source posterior."""
+    s = np.linspace(-4.0, 4.0, 257)
+    assert s.size > STDLIB_MAX_POINTS
+    src, tgt = np.exp(-0.5 * s**2), np.exp(-0.5 * ((s - 0.3) / 1.1) ** 2)
+    obj = {
+        "source": {
+            "support": s.tolist(),
+            "probs": (src / src.sum()).tolist(),
+            "posterior": (1.0 / (1.0 + np.exp(2.5 - 1.5 * s))).tolist(),
+        },
+        "target": {
+            "feature": {
+                "type": "explicit", "support": s.tolist(), "probs": (tgt / tgt.sum()).tolist()
+            },
+            "prior": 0.12,
+        },
+        "methods": "all",
+        "functional": "sqrt",
+    }
+    path = tmp_path_factory.mktemp("lazy") / "large.json"
     path.write_text(json.dumps(obj))
     return path
 
@@ -117,11 +145,16 @@ def test_large_input_needs_scipy():
     assert fresh(code) == "ImportError\n"
 
 
-def test_cheap_methods_run_without_scipy(explicit_path, tmp_path):
+@pytest.mark.parametrize(
+    "scenario", ["explicit_path", "large_explicit_path"], ids=["worked_example", "large"]
+)
+def test_cheap_methods_run_without_scipy(scenario, request, tmp_path):
+    """The cheap methods and Platt import no scipy on any support."""
+    path = request.getfixturevalue(scenario)
     code = (
         "from recal.cli import main\n"
-        f"code = main(['run', '--scenario', {str(explicit_path)!r}, '--methods',"
-        f" 'capped_scaling,label_shift,fjs', '--out', {str(tmp_path)!r}])\n"
+        f"code = main(['run', '--scenario', {str(path)!r}, '--methods',"
+        f" 'capped_scaling,label_shift,fjs,platt', '--out', {str(tmp_path)!r}])\n"
         "assert code == 0, code\n"
     )
     assert fresh(code + PRINT_SCIPY_MODULES).endswith("[]\n")

@@ -88,6 +88,14 @@ def exact_capped_scale(eta, w, q):
             return t
 
 
+def fjs_curve(eta, p, q, rho):
+    """The FJS posterior in its ratio form (Tasche 2022): (q / p) eta over
+    itself plus (1 / rho) ((1 - q) / (1 - p)) (1 - eta)."""
+    num = (q / p) * eta
+    den = num + (1.0 / rho) * ((1.0 - q) / (1.0 - p)) * (1.0 - eta)
+    return num / den
+
+
 def method_row(result, tgt):
     """(mean, auc) actually achieved, recomputed from the stored curve."""
     return (
@@ -150,9 +158,7 @@ REPRO_OUTCOMES = {
     "capped_scaling_walk_past_the_float_range": (
         InfeasibleError, "capped_scaling: no sign change of the mean equation in t"
     ),
-    "label_shift_subnormal_prior": (
-        DomainError, "label_shift: q / p = 0.3 / 1e-320 is not finite"
-    ),
+    "label_shift_subnormal_prior": {},
     "normal_cspd_subnormal_curve_mean": (InfeasibleError, "normal_cspd: target AUC"),
     "platt_source_mean_rounds_to_1": (
         DegenerateClassError,
@@ -604,9 +610,7 @@ class TestFjs:
         w = tgt.feature_dist.probs
 
         def resid(rho):
-            num = (q / p) * eta
-            den = num + (1.0 / rho) * ((1.0 - q) / (1.0 - p)) * (1.0 - eta)
-            return float(np.dot(w, num / den)) - q
+            return float(np.dot(w, fjs_curve(eta, p, q, rho))) - q
 
         grid = np.linspace(lower, upper, 4001)
         signs = np.array([resid(r) for r in grid])
@@ -627,7 +631,7 @@ class TestFjs:
         src_probs /= src_probs.sum()
         eta = expit(1.3 * s - 2.0)
         p, q, rho = float(np.dot(src_probs, eta)), 0.2, 2.5
-        expected = recal_methods._fjs_values(eta, p, q, rho)
+        expected = fjs_curve(eta, p, q, rho)
         left, right = (np.exp(-0.5 * (s - shift) ** 2) for shift in (-1.0, 1.0))
         left, right = left / left.sum(), right / right.sum()
         share = (q - np.dot(right, expected)) / (np.dot(left, expected) - np.dot(right, expected))
@@ -1001,6 +1005,45 @@ class TestCrossMethodProperties:
         for method in MethodId:
             with pytest.raises(StructuralError):
                 run_method(method, src, other)
+
+
+def class_swapped(sc):
+    """The scenario with its classes swapped: support s -> -s and posterior
+    eta -> 1 - eta, each reversed so that the support stays increasing, each
+    pmf reversed, p -> 1 - p and q -> 1 - q."""
+    src, tgt = sc.source, sc.target
+    s = -src.support[::-1]
+    source = SourceModel(
+        DiscreteScoreDist(s, src.feature_dist.probs[::-1]),
+        PosteriorCurve(s, 1.0 - src.posterior.values[::-1]),
+        1.0 - src.prior,
+    )
+    return source, TargetSpec(DiscreteScoreDist(s, tgt.feature_dist.probs[::-1]), 1.0 - tgt.prior)
+
+
+# how far each method symmetric in the classes may put the curve of the
+# swapped scenario from 1 minus its own curve, reversed
+CLASS_SWAP_BOUNDS = {
+    MethodId.LABEL_SHIFT: 1e-15,
+    MethodId.FJS: 1e-14,
+    MethodId.PLATT: 1e-13,
+    MethodId.LOGISTIC_CSPD: 1e-13,
+    MethodId.NORMAL_CSPD: 1e-13,
+}
+
+
+@pytest.mark.parametrize("method", list(CLASS_SWAP_BOUNDS), ids=lambda m: m.value)
+def test_class_swap_mirrors_the_curve(monkeypatch, example_scenario, method):
+    """Oracle: on the worked example and the seed-1 benchmark geometries at
+    n = 257, a method symmetric in the classes returns 1 minus its curve,
+    reversed, on the class-swapped scenario. Capped scaling (a cap at 1) and
+    both QMMs (the class-0 CDF) are not symmetric by construction."""
+    for sc in [example_scenario, *workgen_scenarios(monkeypatch)[:7]]:
+        curve = run_method(method, sc.source, sc.target).posterior.values
+        mirror = run_method(method, *class_swapped(sc)).posterior.values
+        np.testing.assert_allclose(
+            mirror, 1.0 - curve[::-1], rtol=0.0, atol=CLASS_SWAP_BOUNDS[method]
+        )
 
 
 class TestWarmStartedAlternation:

@@ -67,10 +67,6 @@ class TestBisectRoot:
         with pytest.raises(NoRootError, match="^f is not finite at"):
             bisect_root(f, 0.0, 2.0, 1e-12)
 
-    def test_closed_interval_without_expansion(self):
-        with pytest.raises(NoRootError):
-            bisect_root(lambda x: x - 5.0, 0.0, 1.0, 1e-9, widen=False)
-
     def test_degenerate_interval(self):
         assert bisect_root(lambda x: 0.0, 2.0, 2.0, 1e-9) == 2.0
         with pytest.raises(NoRootError):
@@ -143,33 +139,13 @@ def _walk_problems(draw):
 
 class TestBisectRootWalk:
     @settings(max_examples=200, deadline=None)
-    @given(_walk_problems(), st.sampled_from([1e-12, 1e-9, 1e-6]), st.booleans())
-    def test_walk_finds_the_root_within_the_permitted_sides(self, problem, tol, widen):
+    @given(_walk_problems(), st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_walk_finds_the_root_within_the_permitted_sides(self, problem, tol):
         f, lo, hi, x0 = problem
-        calls = []
-
-        def logged(x):
-            calls.append(x)
-            return f(x)
-
-        def search():
-            try:
-                return bisect_root(logged, lo, hi, tol, x0=x0, widen=widen)
-            except NoRootError as err:
-                return err
-
-        first = search()
-        if not widen:
-            assert lo <= min(calls) and max(calls) <= hi
-        second = search()
-        if isinstance(first, NoRootError):
-            # only a root outside [lo, hi] without widening goes unfound
-            assert not widen and (f(lo) > 0.0 or f(hi) < 0.0)
-            assert isinstance(second, NoRootError)
-            assert second.probed_interval == first.probed_interval
-        else:
-            assert _meets_contract(f, first, tol)
-            assert np.float64(second).tobytes() == np.float64(first).tobytes()
+        first = bisect_root(f, lo, hi, tol, x0=x0)
+        assert _meets_contract(f, first, tol)
+        second = bisect_root(f, lo, hi, tol, x0=x0)
+        assert np.float64(second).tobytes() == np.float64(first).tobytes()
 
 
 @st.composite
