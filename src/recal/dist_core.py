@@ -70,7 +70,9 @@ class DiscreteScoreDist:
             raise StructuralError("support must be strictly increasing (no duplicates)")
         if np.any(self.probs < 0):
             raise DomainError("probs must be non-negative")
-        if abs(float(self.probs.sum()) - 1.0) > PROB_SUM_TOL:
+        with np.errstate(over="ignore"):  # masses near the float limit sum to inf
+            total = float(self.probs.sum())
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(f"probs must sum to 1 within {PROB_SUM_TOL}")
 
     @property

@@ -4,12 +4,21 @@ Each method maps a source model and a target spec to a recalibrated
 posterior curve over the shared support, together with the achieved mean,
 the implied AUC, the fitted parameters and solver diagnostics. Methods are
 pure given their inputs; distinct methods can run concurrently.
+
+Both QMMs iterate the class-0 CDF to a fixed point, and ``two_param_qmm``
+starts its alternation where ``roc_qmm``'s converged. Inside
+:func:`_sharing_roc_fixed_point`, the block ``scenario.run_methods`` runs
+the methods in, that fixed point is computed once for both; outside it each
+method computes its own, to the same bits, so no output depends on which
+other methods run.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -317,10 +326,12 @@ def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, complement):
     """(F, z, d0): the class-0 masses d0 = p (1 - v) / (1 - pbar) implied by a
     posterior v over the target features, their CDF F and its probit z
-    (:func:`_class0_cdf`). ``complement`` is 1 - v, which the fits hold as
-    expit(-eta), positive where v rounds to 1. Where it has the bits of 1 - v,
-    F has those of ``adjusted_cdf(class_conditionals(feature, curve).dist0)``,
-    with the checks of that path: a mean that leaves a class empty
+    (:func:`_class0_cdf`). Where pbar > 1/2 the masses are divided by their
+    own sum instead, which keeps its digits as pbar nears 1. ``complement`` is
+    1 - v, which the fits hold as expit(-eta), positive where v rounds to 1.
+    Where it has the bits of 1 - v and pbar <= 1/2, F has those of
+    ``adjusted_cdf(class_conditionals(feature, curve).dist0)``, with the
+    checks of that path: a mean that leaves a class empty
     (:class:`DegenerateClassError`), a class-0 mass off 1 by more than
     ``PROB_SUM_TOL`` (:class:`DomainError`); each names the method and stage."""
     stage = f"{method}: class-0 CDF refresh"
@@ -329,7 +340,8 @@ def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, c
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(f"{stage}: posterior mean {pbar!r} leaves one class empty")
     d0 = complement * probs
-    d0 /= 1.0 - pbar
+    # 1 - pbar loses digits as pbar nears 1, where the masses' own sum keeps them
+    d0 /= 1.0 - pbar if pbar <= 0.5 else float(d0.sum())
     mass = float(d0.sum())
     if abs(mass - 1.0) > PROB_SUM_TOL:
         raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
@@ -449,9 +461,10 @@ def _newton_iterate(z, fitted, d0, f0, refreshed, phi):
     return step
 
 
-def fixed_point_f0(method, tgt, settings, fit):
+def fixed_point_f0(method, tgt, settings, fit, start=None):
     """Solve the class-0 fixed point z = G(z) of :func:`roc_qmm` and
-    :func:`two_param_qmm`, from the target features' own CDF. G calls
+    :func:`two_param_qmm`, from the probit ``start``, else from that of the
+    target features' own CDF. G calls
     ``fit(z) -> (alpha, beta, values, diag, complement, rows)``, values =
     expit(alpha z + beta) and complement = expit(-(alpha z + beta)), and
     refreshes F, z and the class-0 masses from them (:func:`_refreshed_f0`).
@@ -480,7 +493,9 @@ def fixed_point_f0(method, tgt, settings, fit):
         f0, refreshed, d0 = _refreshed_f0(method, tgt.feature_dist, fitted[2], fitted[4])
         return (fitted, f0, refreshed, d0, *_cdf_residual(z, refreshed))
 
-    z = _class0_cdf(f"{method}: initial class-0 CDF", tgt.feature_dist.probs)[1]
+    z = start
+    if z is None:
+        z = _class0_cdf(f"{method}: initial class-0 CDF", tgt.feature_dist.probs)[1]
     fitted, f0, refreshed, d0, resid, phi = evaluate(z)
     delta, converged, rejected = None, False, False
     while not converged and evals < settings.max_iter:
@@ -509,6 +524,61 @@ def fixed_point_f0(method, tgt, settings, fit):
     return refreshed, diag, fitted
 
 
+def _roc_fit(c: float, q: float):
+    """The fit of :func:`roc_qmm`: (alpha, beta) held at (c, logit(q) - c**2 / 2)."""
+    b = sp.log_odds(q) - c * c / 2.0
+
+    def fit(z: np.ndarray):
+        fam = rob_logit_family(z)
+        eta = c * fam.x + b
+        return c, b, fam.link(eta), None, fam.link(-eta), ()
+
+    return fit
+
+
+def _roc_fixed_point(src: SourceModel, tgt: TargetSpec, settings: SolverSettings):
+    """(c, z, diagnostics) of :func:`roc_qmm`'s alternation: its shape c and
+    the class-0 probit z where :func:`fixed_point_f0` stopped, read-only.
+    Its errors name ``roc_qmm``."""
+    auc_src = _source_auc("roc_qmm", src, tgt)
+    c = float(np.sqrt(2.0) * sp.normal_ppf(auc_src))
+    z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, _roc_fit(c, tgt.prior))
+    z.setflags(write=False)
+    return c, z, diag
+
+
+# roc_qmm's fixed point by (source, target, settings), shared by the methods
+# of one run_methods call; None outside :func:`_sharing_roc_fixed_point`
+_ROC_FIXED_POINTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_ROC_FIXED_POINTS", default=None
+)
+
+
+@contextmanager
+def _sharing_roc_fixed_point():
+    """Within the block, :func:`roc_qmm` and :func:`two_param_qmm` compute
+    :func:`_roc_fixed_point` once per (source, target, settings); the
+    memo is dropped when the block ends."""
+    token = _ROC_FIXED_POINTS.set({})
+    try:
+        yield
+    finally:
+        _ROC_FIXED_POINTS.reset(token)
+
+
+def _shared_roc_fixed_point(src: SourceModel, tgt: TargetSpec, settings: SolverSettings):
+    """:func:`_roc_fixed_point`, from the memo of the enclosing
+    :func:`_sharing_roc_fixed_point` block where there is one."""
+    memo = _ROC_FIXED_POINTS.get()
+    key = (src, tgt, settings)  # the models hash by identity
+    if memo is None or key not in memo:
+        point = _roc_fixed_point(src, tgt, settings)
+        if memo is not None:
+            memo[key] = point
+        return point
+    return memo[key]
+
+
 def roc_qmm(
     src: SourceModel, tgt: TargetSpec, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> RecalResult:
@@ -521,19 +591,12 @@ def roc_qmm(
     the adjusted CDF of the unconditional target features and is refined by
     :func:`fixed_point_f0`: posterior from the ROC shape, class-0 conditional
     from that posterior, adjusted CDF again. Achieved mean and AUC are
-    approximate by construction and are reported, not forced.
+    approximate by construction and are reported, not forced. The fixed
+    point is :func:`_roc_fixed_point`'s, which ``run_methods`` computes once
+    for both QMMs.
     """
-    auc_src = _source_auc("roc_qmm", src, tgt)
-    c = float(np.sqrt(2.0) * sp.normal_ppf(auc_src))
-    b = sp.log_odds(tgt.prior) - c * c / 2.0
-
-    def fit(z: np.ndarray):
-        fam = rob_logit_family(z)
-        eta = c * fam.x + b
-        return c, b, fam.link(eta), None, fam.link(-eta), ()
-
-    z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, fit)
-    return _finish(MethodId.ROC_QMM, tgt, fit(z)[2], {"c": c}, diag)
+    c, z, diag = _shared_roc_fixed_point(src, tgt, settings)
+    return _finish(MethodId.ROC_QMM, tgt, _roc_fit(c, tgt.prior)(z)[2], {"c": c}, diag)
 
 
 def _refit_rows(tgt: TargetSpec, z, values, complement):
@@ -556,7 +619,13 @@ def two_param_qmm(
     """Two-parameter logistic transform of the probit class-0 CDF, alternated
     with refinement of that CDF.
 
-    Each outer step of :func:`fixed_point_f0` solves (a, b) against the
+    The alternation starts at the class-0 probit where :func:`roc_qmm`'s
+    converged (:func:`_roc_fixed_point`), a nearby fixed point of the same
+    family held at the binormal (alpha, beta). It computes that point itself
+    when it runs alone and shares it within ``run_methods``, to the same
+    bits either way. Where roc's alternation raises a :class:`RecalError`,
+    it starts from the target features' own CDF, and roc's error is not
+    raised. Each outer step of :func:`fixed_point_f0` solves (a, b) against the
     targets (q, source implied AUC) at the current class-0 CDF, then refreshes
     the CDF from the resulting posterior exactly as the ROC-based scheme does.
     From the second step on the inner solve is warm-started at the previous
@@ -613,7 +682,13 @@ def two_param_qmm(
         last = fam.x, alpha, beta, _refit_rows(tgt, fam.x, values, complement)
         return alpha, beta, values, inner, complement, last[3]
 
-    _, diag, (alpha, beta, values, inner, *_) = fixed_point_f0("two_param_qmm", tgt, settings, fit)
+    try:
+        start = _shared_roc_fixed_point(src, tgt, settings)[1]
+    except RecalError:
+        start = None
+    _, diag, (alpha, beta, values, inner, *_) = fixed_point_f0(
+        "two_param_qmm", tgt, settings, fit, start
+    )
     converged = (
         diag.converged
         and inner.residual_mean <= settings.tol_mean

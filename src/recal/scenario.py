@@ -58,7 +58,9 @@ from .dist_core import (
 )
 from .errors import RecalError, ScenarioError
 from .eval_report import FunctionalSpec, _write_slices
-from .recal_methods import CANONICAL_ORDER, MethodId, RecalResult, run_method
+from .recal_methods import (
+    CANONICAL_ORDER, MethodId, RecalResult, _sharing_roc_fixed_point, run_method,
+)
 from .solvers import DEFAULT_SETTINGS, SolverSettings
 
 # the SolverSettings fields that a scenario's ``solver`` block and the CLI set
@@ -400,8 +402,11 @@ def worked_example_scenario() -> Scenario:
 
 
 def run_methods(scenario: Scenario) -> list[RecalResult]:
-    """Run the selected methods in canonical order."""
+    """Run the selected methods in canonical order. The two QMMs share
+    ``roc_qmm``'s class-0 fixed point within this call only, which changes
+    no output."""
     order = [m for m in CANONICAL_ORDER if m in scenario.methods]
-    return [
-        run_method(m, scenario.source, scenario.target, scenario.settings) for m in order
-    ]
+    with _sharing_roc_fixed_point():
+        return [
+            run_method(m, scenario.source, scenario.target, scenario.settings) for m in order
+        ]

@@ -593,3 +593,23 @@ def test_roc_qmm_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys
         "recal: error: roc_qmm: initial class-0 CDF has values outside (0, 1)"
     )
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "q, code",
+    [(0.99999, 0), (1.0 - 1e-6, 0), (1.0 - 1e-9, 2)],
+    ids=["q_0.99999", "q_1-1e-6", "q_1-1e-9"],
+)
+def test_both_qmms_near_q_one(tmp_path, capsys, q, code):
+    """The worked example at a target prior near 1, where the class-0
+    masses once summed off 1 and both QMMs raised: `recal table` prints both
+    rows and exits 0, or 2 at q = 1 - 1e-9, where two_param_qmm stops at
+    max_iter and reports converged=False."""
+    scenario = json.loads(example_scenario_path().read_text(encoding="utf-8"))
+    scenario["target"]["prior"] = q
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run_cli("table", "--scenario", str(path), "--methods", "roc_qmm,two_param_qmm") == code
+    captured = capsys.readouterr()
+    assert "ROC QMM" in captured.out and "2-param QMM" in captured.out
+    assert "error" not in captured.err

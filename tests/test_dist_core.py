@@ -57,6 +57,12 @@ class TestDiscreteScoreDist:
         with pytest.raises(DomainError):
             DiscreteScoreDist([0.0, 1.0], [0.4, 0.4])
 
+    def test_rejects_probs_whose_sum_overflows(self):
+        """Two masses of 1e308 sum past the float range: the same
+        DomainError, and no overflow warning."""
+        with pytest.raises(DomainError, match="^probs must sum to 1 within"):
+            DiscreteScoreDist([0.0, 1.0], [1e308, 1e308])
+
     def test_rejects_empty(self):
         with pytest.raises(StructuralError):
             DiscreteScoreDist([], [])

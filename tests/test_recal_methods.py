@@ -41,6 +41,7 @@ from recal import (
     platt_family,
     roc_qmm,
     run_method,
+    run_methods,
     scenario_from_dict,
     solve_qmm_2d,
     two_param_qmm,
@@ -291,6 +292,8 @@ def refresh_inputs(draw):
 def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
     """The array refresh gives the CDF bits of the validated object route,
     or the error it would meet: a degenerate mean or a class-0 mass off 1.
+    Where the posterior mean pbar exceeds 1/2 that route divides the class-0
+    masses p (1 - v) by their own sum, not by 1 - pbar, as the refresh does.
     Its probit z has the bits of the running maximum of the library's ndtri
     applied to F where F <= 1/2 and to the survival sums above, negated
     there; it does not decrease, and is not finite exactly where a zero
@@ -299,14 +302,21 @@ def test_refreshed_f0_matches_class_conditionals_route_bit_for_bit(inputs):
     feature, values = inputs
     # the class-0 posterior 1 - v, given as the fits give expit(-eta)
     args = (values, 1.0 - values)
+    pbar = float(np.dot(feature.probs, values))
     try:
-        cc = class_conditionals(feature, PosteriorCurve(feature.support, values))
-        expected = adjusted_cdf(cc.dist0)
+        if pbar <= 0.5:
+            dist0 = class_conditionals(feature, PosteriorCurve(feature.support, values)).dist0
+        elif pbar < 1.0:
+            masses = feature.probs * (1.0 - values)
+            dist0 = DiscreteScoreDist(feature.support, masses / masses.sum())
+        else:
+            raise DegenerateClassError(f"posterior mean {pbar!r} leaves class 0 empty")
+        expected = adjusted_cdf(dist0)
     except (DegenerateClassError, DomainError) as exc:
         with pytest.raises(type(exc), match="^two_param_qmm: class-0 CDF refresh"):
             recal_methods._refreshed_f0("two_param_qmm", feature, *args)
         return
-    d0 = cc.dist0.probs
+    d0 = dist0.probs
     if d0[0] == 0.0 or d0[-1] == 0.0:
         with pytest.raises(
             DomainError,
@@ -1118,9 +1128,147 @@ class TestWarmStartedAlternation:
 
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         two_param_qmm(example_scenario.source, example_scenario.target)
-        # a cold solve takes 4 probes at every outer step of the example; a
-        # warm one counts each joint (alpha, beta) Newton point as a probe
-        assert probes == [4, 4, 2, 1, 1]
+        # a cold solve takes 4 probes at the first outer step of the example,
+        # which starts at roc_qmm's fixed point; a warm one counts each joint
+        # (alpha, beta) Newton point as a probe
+        assert probes == [4, 3, 1, 1]
+
+
+def _result_bits(result):
+    """Everything a result reports, in a form that compares bit for bit."""
+    return (
+        result.posterior.values.tobytes(), result.params, result.diagnostics,
+        result.achieved_mean, result.implied_auc,
+    )
+
+
+class TestTwoParamQmmStartsAtRocFixedPoint:
+    """two_param_qmm starts its alternation at roc_qmm's class-0 fixed point,
+    which run_methods computes once for both QMMs, within that call only."""
+
+    def test_result_does_not_depend_on_the_selected_methods(self, monkeypatch, example_scenario):
+        """Called alone, through run_method, and inside run_methods alone,
+        with roc_qmm and with every method: the same bits, on the worked
+        example and the seed-1 geometries at n = 257."""
+        selections = [
+            (MethodId.TWO_PARAM_QMM,),
+            (MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM),
+            tuple(MethodId),
+        ]
+        for sc in [example_scenario, *workgen_scenarios(monkeypatch)[:7]]:
+            src, tgt = sc.source, sc.target
+            alone = _result_bits(two_param_qmm(src, tgt))
+            assert _result_bits(run_method(MethodId.TWO_PARAM_QMM, src, tgt)) == alone
+            for methods in selections:
+                results = run_methods(replace(sc, methods=methods))
+                two = next(r for r in results if r.method is MethodId.TWO_PARAM_QMM)
+                assert _result_bits(two) == alone
+
+    def test_fixed_point_is_shared_within_one_run_methods_call_only(
+        self, monkeypatch, example_scenario
+    ):
+        """fixed_point_f0 runs once per QMM in run_methods, on a second call
+        with the same scenario too; two_param_qmm alone runs roc's
+        alternation as well, roc_qmm alone only its own."""
+        calls = []
+        driver = recal_methods.fixed_point_f0
+
+        def counting(name, *args):
+            calls.append(name)
+            return driver(name, *args)
+
+        monkeypatch.setattr(recal_methods, "fixed_point_f0", counting)
+        src, tgt = example_scenario.source, example_scenario.target
+        for methods in [(MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM)] * 2 + [tuple(MethodId)]:
+            calls.clear()
+            run_methods(replace(example_scenario, methods=methods))
+            assert calls == ["roc_qmm", "two_param_qmm"]
+            assert recal_methods._ROC_FIXED_POINTS.get() is None
+        calls.clear()
+        two_param_qmm(src, tgt)
+        assert calls == ["roc_qmm", "two_param_qmm"]
+        calls.clear()
+        roc_qmm(src, tgt)
+        assert calls == ["roc_qmm"]
+
+    def test_shared_fixed_point_is_read_only_and_dropped_on_an_error(self, example_scenario):
+        """One point per block, read-only; none once the block has ended,
+        also when a method in it raised."""
+        src, tgt = example_scenario.source, example_scenario.target
+        with recal_methods._sharing_roc_fixed_point():
+            point = recal_methods._shared_roc_fixed_point(src, tgt, DEFAULT_SETTINGS)
+            assert recal_methods._shared_roc_fixed_point(src, tgt, DEFAULT_SETTINGS) is point
+        assert not point[1].flags.writeable
+        assert recal_methods._shared_roc_fixed_point(src, tgt, DEFAULT_SETTINGS) is not point
+        scenario = scenario_from_dict(ZERO_END_MASS_SCENARIO)
+        with pytest.raises(DomainError, match="^roc_qmm: initial class-0 CDF"):
+            run_methods(replace(scenario, methods=(MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM)))
+        assert recal_methods._ROC_FIXED_POINTS.get() is None
+
+    def test_roc_error_falls_back_to_the_cold_start(self, monkeypatch, example_scenario):
+        """Where roc's alternation raises, two_param_qmm starts from the
+        target features' own CDF and does not raise roc's error: the bits of
+        a run that drops the start, and the cold alternation's path, 5 outer
+        steps of [4, 4, 2, 1, 1] probes to its fit."""
+        src, tgt = example_scenario.source, example_scenario.target
+        driver = recal_methods.fixed_point_f0
+
+        def cold(name, target, settings, fit, start=None):
+            return driver(name, target, settings, fit)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(recal_methods, "fixed_point_f0", cold)
+            reference = _result_bits(two_param_qmm(src, tgt))
+
+        def failing(*args):
+            raise DomainError("roc_qmm: class-0 CDF refresh has values outside (0, 1)")
+
+        probes = []
+
+        def recording_solve(*args, **kwargs):
+            a, b, values, diag = solve_qmm_2d(*args, **kwargs)
+            probes.append(diag.iterations)
+            return a, b, values, diag
+
+        monkeypatch.setattr(recal_methods, "_roc_fixed_point", failing)
+        monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
+        result = two_param_qmm(src, tgt)
+        assert _result_bits(result) == reference
+        assert probes == [4, 4, 2, 1, 1] and result.diagnostics.iterations == 5
+        assert abs(result.params["a"] - -1.2148383685297424) <= 1e-12
+        assert abs(result.params["b"] - 3.669801043332755) <= 1e-12
+        only = replace(example_scenario, methods=(MethodId.TWO_PARAM_QMM,))
+        assert _result_bits(run_methods(only)[0]) == reference
+        with pytest.raises(DomainError, match="^roc_qmm: class-0 CDF refresh"):
+            roc_qmm(src, tgt)
+
+
+class TestQmmNearQOne:
+    """Dividing the class-0 masses p (1 - v) by 1 - pbar lost their digits as
+    pbar neared 1: from q = 0.99999 on both QMMs raised "class-0 mass sums to
+    0.99999999999870...". Where pbar > 1/2 the refresh divides by their own
+    sum, so both run on the worked example up to q = 1 - 1e-6."""
+
+    @staticmethod
+    def _at(example_scenario, q):
+        return example_scenario.source, TargetSpec(example_scenario.target.feature_dist, q)
+
+    @pytest.mark.parametrize("q", [0.99999, 1.0 - 1e-6], ids=["q_0.99999", "q_1-1e-6"])
+    def test_both_qmms_converge(self, example_scenario, q):
+        src, tgt = self._at(example_scenario, q)
+        roc, two = roc_qmm(src, tgt), two_param_qmm(src, tgt)
+        assert roc.diagnostics.converged and two.diagnostics.converged
+        # roc_qmm reports its mean; its class-1 share is within 2% of 1 - q
+        assert abs((1.0 - roc.achieved_mean) / (1.0 - q) - 1.0) <= 0.02
+        assert abs(two.achieved_mean - q) <= DEFAULT_SETTINGS.tol_mean
+        assert abs(two.implied_auc - src.implied_auc) <= DEFAULT_SETTINGS.tol_auc
+
+    def test_two_param_qmm_stops_at_max_iter_at_one_minus_1e9(self, example_scenario):
+        """roc_qmm converges; two_param_qmm runs out of evaluations and says so."""
+        src, tgt = self._at(example_scenario, 1.0 - 1e-9)
+        assert roc_qmm(src, tgt).diagnostics.converged
+        diag = two_param_qmm(src, tgt).diagnostics
+        assert not diag.converged and diag.iterations == DEFAULT_SETTINGS.max_iter
 
 
 class TestSaturatedBinomialTail:
@@ -1178,24 +1326,28 @@ class TestSaturatedBinomialTail:
 
 
 def _captured_fit(monkeypatch, method, src, tgt):
-    """The fit that ``method`` hands to fixed_point_f0 on (src, tgt)."""
-    captured = []
+    """The fit and the start that ``method`` hands to fixed_point_f0 on
+    (src, tgt), under its own name: two_param_qmm runs roc_qmm's alternation
+    first, for its start."""
+    captured = {}
     driver = recal_methods.fixed_point_f0
 
-    def capturing(name, target, settings, fit):
-        captured.append(fit)
-        return driver(name, target, settings, fit)
+    def capturing(name, target, settings, fit, start=None):
+        captured.setdefault(name, (fit, start))
+        return driver(name, target, settings, fit, start)
 
     with monkeypatch.context() as patch:
         patch.setattr(recal_methods, "fixed_point_f0", capturing)
         method(src, tgt)
-    return captured[0]
+    return captured[method.__name__]
 
 
-def _first_state(fit, tgt, method="roc_qmm"):
-    """(z, fit, class-0 masses, F, G(z), phi(G(z))) at the start of the
-    alternation, in the argument order of _newton_iterate."""
-    z = recal_methods._class0_cdf("initial", tgt.feature_dist.probs)[1]
+def _first_state(fit, tgt, method="roc_qmm", z=None):
+    """(z, fit, class-0 masses, F, G(z), phi(G(z))) at the start z of the
+    alternation, by default the target features' own probit, in the
+    argument order of _newton_iterate."""
+    if z is None:
+        z = recal_methods._class0_cdf("initial", tgt.feature_dist.probs)[1]
     fitted = fit(z)
     f0, refreshed, d0 = recal_methods._refreshed_f0(
         method, tgt.feature_dist, fitted[2], fitted[4]
@@ -1218,8 +1370,8 @@ class TestNewtonStep:
             src, tgt = example_scenario.source, example_scenario.target
         else:
             src, tgt = saturated_tail_scenario(65)
-        fit = _captured_fit(monkeypatch, method, src, tgt)
-        z, fitted, d0, f0, refreshed, phi = _first_state(fit, tgt, method.__name__)
+        fit, start = _captured_fit(monkeypatch, method, src, tgt)
+        z, fitted, d0, f0, refreshed, phi = _first_state(fit, tgt, method.__name__, start)
         step = recal_methods._newton_iterate(z, fitted, d0, f0, refreshed, phi) - z
 
         def g_of(point):
@@ -1252,7 +1404,7 @@ class TestNewtonStep:
 
     def _example_state(self, monkeypatch, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
-        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        fit, _ = _captured_fit(monkeypatch, roc_qmm, src, tgt)
         return _first_state(fit, tgt)
 
     @pytest.mark.parametrize("phi_end", [0.0, 5e-324])
@@ -1326,7 +1478,7 @@ class TestNewtonStep:
         next step is plain, so the run has the plain run's bits at 3
         evaluations every 2 steps."""
         src, tgt = example_scenario.source, example_scenario.target
-        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        fit, _ = _captured_fit(monkeypatch, roc_qmm, src, tgt)
         plain = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, self._plain(fit))
         refreshed = []
 
@@ -1346,7 +1498,7 @@ class TestNewtonStep:
 
     def test_newton_iterate_whose_residual_rises_is_rejected(self, monkeypatch, example_scenario):
         src, tgt = example_scenario.source, example_scenario.target
-        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        fit, _ = _captured_fit(monkeypatch, roc_qmm, src, tgt)
         plain = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, self._plain(fit))
         monkeypatch.setattr(recal_methods, "_newton_iterate", lambda z, *rest: z + 0.5)
         z, diag, _ = recal_methods.fixed_point_f0("m", tgt, DEFAULT_SETTINGS, fit)
@@ -1361,7 +1513,7 @@ class TestNewtonStep:
         self, monkeypatch, example_scenario
     ):
         src, tgt = example_scenario.source, example_scenario.target
-        fit = _captured_fit(monkeypatch, roc_qmm, src, tgt)
+        fit, _ = _captured_fit(monkeypatch, roc_qmm, src, tgt)
         calls = []
 
         def failing(z):
@@ -1391,8 +1543,8 @@ def test_newton_and_plain_steps_reach_the_same_fixed_point(
     newton = method(src, tgt)
     driver = recal_methods.fixed_point_f0
 
-    def plain(name, target, settings, fit):
-        return driver(name, target, settings, lambda z: (*fit(z)[:5], None))
+    def plain(name, target, settings, fit, start=None):
+        return driver(name, target, settings, lambda z: (*fit(z)[:5], None), start)
 
     monkeypatch.setattr(recal_methods, "fixed_point_f0", plain)
     reference = method(src, tgt, replace(TIGHT_SETTINGS, tol_mean=1e-9, tol_auc=1e-6))
