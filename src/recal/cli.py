@@ -9,9 +9,9 @@ Every verb takes one path: parse the scenario, apply the flag overrides
 (checked by the same validators as the scenario file), run the selected
 methods, render what the verb needs, and write it: into files under
 ``--out`` when given (``run`` defaults it to ``.``), else to stdout.
-``run`` also prints one status line per method. Every output is written
-in slices of 1 MiB characters; ``curves.csv`` is written block by block as
-it is rendered, so no more than one block of its text (~512 KiB) is held.
+``run`` also prints one status line per method. ``curves.csv`` is written
+block by block as it is rendered, so no more than one block of its text
+(~512 KiB) is held.
 
 Exit codes: 0 all requested methods converged, 1 usage/input/output error,
 2 at least one method reported converged=false (outputs are still written).
@@ -33,7 +33,6 @@ from .errors import RecalError
 from .eval_report import curves_to_csv  # noqa: F401
 from .eval_report import (
     _curves_csv_blocks,
-    _write_slices,
     build_results_table,
     export_curves,
     format_table,
@@ -160,14 +159,12 @@ def main(argv=None) -> int:
         results = run_methods(scenario)
         texts = _render(args.command, scenario, results)
         if out is None:
-            for text in chain.from_iterable(texts.values()):
-                _write_slices(sys.stdout, text)
+            sys.stdout.writelines(chain.from_iterable(texts.values()))
         else:
             Path(out).mkdir(parents=True, exist_ok=True)
             for name, pieces in texts.items():
                 with open(Path(out) / name, "w", encoding="utf-8", newline="\n") as f:
-                    for text in pieces:
-                        _write_slices(f, text)
+                    f.writelines(pieces)
     except RecalError as exc:
         print(f"recal: error: {exc}", file=sys.stderr)
         return 1

@@ -44,9 +44,6 @@ _FIELD = 24
 _PAD = 0xFF
 _BLOCK_BYTES = 1 << 19
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-# outputs are written in slices of this many characters, so that at most one
-# slice is ever held encoded beside the text
-_SLICE = 1 << 20
 
 
 def _check_concave_on_grid(grid: np.ndarray, values: np.ndarray) -> None:
@@ -419,10 +416,3 @@ def _csv_block(prefix: bytes, support_fields: np.ndarray, values: np.ndarray) ->
     m[:, -1] = ord("\n")
     return m.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
-
-def _write_slices(stream, *texts: str) -> None:
-    """Write each text to the text stream ``stream`` in slices of _SLICE
-    characters, so that no encoded copy of a whole text is made."""
-    for text in texts:
-        for start in range(0, len(text), _SLICE):
-            stream.write(text[start:start + _SLICE])

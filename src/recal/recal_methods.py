@@ -24,14 +24,13 @@ from functools import partial
 
 import numpy as np
 
-from . import _special as sp
+from . import _special as sp, solvers
 # adjusted_cdf and class_conditionals are not called here; they stay importable
 # under this module's name because perfbench/layers.py wraps them there
 from .auc_engine import (  # noqa: F401
     _merged, adjusted_cdf, class_conditionals, implied_auc_values, mid_cdf,
 )
 from .dist_core import (
-    PROB_SUM_TOL,
     DiscreteScoreDist,
     PosteriorCurve,
     SourceModel,
@@ -47,7 +46,6 @@ from .solvers import (
     _logistic_pdf,
     _moment_rows,
     bisect_root,
-    expit,
     intercept_root,
     logistic_cspd_family,
     normal_cspd_family,
@@ -131,7 +129,9 @@ def _finish(
     auc = diagnostics.implied_auc  # the AUC a QMM solve's accepted probe computed
     if auc is None:
         try:
-            auc = implied_auc_values(tgt.feature_dist.probs, curve.values)
+            auc = implied_auc_values(
+                tgt.feature_dist.probs, curve.values, tgt.feature_dist.mid_cdf
+            )
         except DegenerateClassError as exc:
             raise DegenerateClassError(f"{method.value}: recalibrated curve: {exc}") from exc
     return RecalResult(
@@ -218,7 +218,7 @@ def label_shift_correct(
     """
     x, beta0 = _label_shift_logits(src, tgt, "label_shift")
     diag = SolveDiagnostics(iterations=0, converged=True)
-    return _finish(MethodId.LABEL_SHIFT, tgt, expit(x + beta0), {}, diag)
+    return _finish(MethodId.LABEL_SHIFT, tgt, solvers.expit(x + beta0), {}, diag)
 
 
 def fjs_bounds(src: SourceModel, tgt: TargetSpec) -> tuple[float, float]:
@@ -254,7 +254,7 @@ def fjs_recalibrate(
     x, beta0 = _label_shift_logits(src, tgt, "fjs")
     try:
         beta, _, values, residual, evals = intercept_root(
-            expit, _logistic_pdf, x, tgt, settings.tol_mean, beta0
+            solvers.expit, _logistic_pdf, x, tgt, settings.tol_mean, beta0
         )
         rho = math.exp(beta - beta0)
     except (NoRootError, OverflowError):
@@ -324,27 +324,23 @@ def _class0_cdf(stage: str, d0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, complement):
-    """(F, z, d0): the class-0 masses d0 = p (1 - v) / (1 - pbar) implied by a
-    posterior v over the target features, their CDF F and its probit z
-    (:func:`_class0_cdf`). Where pbar > 1/2 the masses are divided by their
-    own sum instead, which keeps its digits as pbar nears 1. ``complement`` is
-    1 - v, which the fits hold as expit(-eta), positive where v rounds to 1.
-    Where it has the bits of 1 - v and pbar <= 1/2, F has those of
-    ``adjusted_cdf(class_conditionals(feature, curve).dist0)``, with the
-    checks of that path: a mean that leaves a class empty
-    (:class:`DegenerateClassError`), a class-0 mass off 1 by more than
-    ``PROB_SUM_TOL`` (:class:`DomainError`); each names the method and stage."""
+    """(F, z, d0): the class-0 masses d0 = p (1 - v) / sum(p (1 - v)) implied
+    by a posterior v over the target features, their CDF F and its probit z
+    (:func:`_class0_cdf`). ``complement`` is 1 - v, which the fits hold as
+    expit(-eta), positive where v rounds to 1. A mean pbar = p . v that
+    leaves a class empty, or masses whose sum is not positive and finite,
+    raise a :class:`DegenerateClassError`; each error names the method and
+    stage."""
     stage = f"{method}: class-0 CDF refresh"
     probs = feature.probs
     pbar = float(np.dot(probs, values))
     if not (0.0 < pbar < 1.0):
         raise DegenerateClassError(f"{stage}: posterior mean {pbar!r} leaves one class empty")
     d0 = complement * probs
-    # 1 - pbar loses digits as pbar nears 1, where the masses' own sum keeps them
-    d0 /= 1.0 - pbar if pbar <= 0.5 else float(d0.sum())
     mass = float(d0.sum())
-    if abs(mass - 1.0) > PROB_SUM_TOL:
-        raise DomainError(f"{stage}: class-0 mass sums to {mass!r}, not 1 within {PROB_SUM_TOL}")
+    if not 0.0 < mass < math.inf:
+        raise DegenerateClassError(f"{stage}: class-0 masses sum to {mass!r}")
+    d0 /= mass
     return (*_class0_cdf(stage, d0), d0)
 
 
@@ -471,8 +467,8 @@ def fixed_point_f0(method, tgt, settings, fit, start=None):
 
     Each step tries the Newton iterate of :func:`_newton_iterate` (none
     where ``rows`` is None) and keeps it where G there raises no
-    :class:`RecalError` and max |G(z) - z| phi(G(z)) falls below the last
-    iterate's; a rejected one makes this step and the next plain, G(z).
+    :class:`RecalError` and max |G(z) - z| phi(G(z)) does not rise above the
+    last iterate's; a rejected one makes this step and the next plain, G(z).
 
     The loop stops when the sup-norm change over F and (alpha, beta) between
     the last two fits is at most ``settings.tol_fixed_point`` (None before
@@ -507,7 +503,7 @@ def fixed_point_f0(method, tgt, settings, fit, start=None):
                 trial = evaluate(z_new)
             except RecalError:
                 pass
-            if trial is None or not trial[4] < resid:
+            if trial is None or not trial[4] <= resid:
                 if evals == settings.max_iter:
                     break
                 trial, rejected = None, True
@@ -536,17 +532,6 @@ def _roc_fit(c: float, q: float):
     return fit
 
 
-def _roc_fixed_point(src: SourceModel, tgt: TargetSpec, settings: SolverSettings):
-    """(c, z, diagnostics) of :func:`roc_qmm`'s alternation: its shape c and
-    the class-0 probit z where :func:`fixed_point_f0` stopped, read-only.
-    Its errors name ``roc_qmm``."""
-    auc_src = _source_auc("roc_qmm", src, tgt)
-    c = float(np.sqrt(2.0) * sp.normal_ppf(auc_src))
-    z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, _roc_fit(c, tgt.prior))
-    z.setflags(write=False)
-    return c, z, diag
-
-
 # roc_qmm's fixed point by (source, target, settings), shared by the methods
 # of one run_methods call; None outside :func:`_sharing_roc_fixed_point`
 _ROC_FIXED_POINTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -566,17 +551,23 @@ def _sharing_roc_fixed_point():
         _ROC_FIXED_POINTS.reset(token)
 
 
-def _shared_roc_fixed_point(src: SourceModel, tgt: TargetSpec, settings: SolverSettings):
-    """:func:`_roc_fixed_point`, from the memo of the enclosing
-    :func:`_sharing_roc_fixed_point` block where there is one."""
+def _roc_fixed_point(src: SourceModel, tgt: TargetSpec, settings: SolverSettings):
+    """(c, z, diagnostics) of :func:`roc_qmm`'s alternation: its shape c and
+    the class-0 probit z where :func:`fixed_point_f0` stopped, read-only,
+    from the memo of the enclosing :func:`_sharing_roc_fixed_point` block
+    where there is one. Its errors name ``roc_qmm``."""
     memo = _ROC_FIXED_POINTS.get()
     key = (src, tgt, settings)  # the models hash by identity
-    if memo is None or key not in memo:
-        point = _roc_fixed_point(src, tgt, settings)
-        if memo is not None:
-            memo[key] = point
-        return point
-    return memo[key]
+    if memo is not None and key in memo:
+        return memo[key]
+    auc_src = _source_auc("roc_qmm", src, tgt)
+    c = float(np.sqrt(2.0) * sp.normal_ppf(auc_src))
+    z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, _roc_fit(c, tgt.prior))
+    z.setflags(write=False)
+    point = c, z, diag
+    if memo is not None:
+        memo[key] = point
+    return point
 
 
 def roc_qmm(
@@ -595,7 +586,7 @@ def roc_qmm(
     point is :func:`_roc_fixed_point`'s, which ``run_methods`` computes once
     for both QMMs.
     """
-    c, z, diag = _shared_roc_fixed_point(src, tgt, settings)
+    c, z, diag = _roc_fixed_point(src, tgt, settings)
     return _finish(MethodId.ROC_QMM, tgt, _roc_fit(c, tgt.prior)(z)[2], {"c": c}, diag)
 
 
@@ -683,7 +674,7 @@ def two_param_qmm(
         return alpha, beta, values, inner, complement, last[3]
 
     try:
-        start = _shared_roc_fixed_point(src, tgt, settings)[1]
+        start = _roc_fixed_point(src, tgt, settings)[1]
     except RecalError:
         start = None
     _, diag, (alpha, beta, values, inner, *_) = fixed_point_f0(

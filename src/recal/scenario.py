@@ -57,7 +57,7 @@ from .dist_core import (
     vasicek_mixture_dist,
 )
 from .errors import RecalError, ScenarioError
-from .eval_report import FunctionalSpec, _write_slices
+from .eval_report import FunctionalSpec
 from .recal_methods import (
     CANONICAL_ORDER, MethodId, RecalResult, _sharing_roc_fixed_point, run_method,
 )
@@ -382,7 +382,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def write_scenario(scenario: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        _write_slices(f, json.dumps(scenario_to_dict(scenario), indent=2), "\n")
+        json.dump(scenario_to_dict(scenario), f, indent=2)
+        f.write("\n")
 
 
 def example_scenario_path() -> Path:

@@ -168,7 +168,7 @@ def _moment_rows(weights, values, merged, pdf, x):
     return pdf, auc_rows, [[float(np.dot(r, x)), float(r.sum())] for r in (pdf, auc_rows)]
 
 
-def intercept_root(link, link_pdf, ax, target, tol, beta_start=0.0):
+def intercept_root(link, link_pdf, ax, target, tol, beta_start):
     """Solve the mean equation w . link(ax + beta) = q of ``target`` in beta
     by :func:`bisect_root` from ``beta_start`` on [beta_start - 2,
     beta_start + 2], widened as needed, with Newton steps on the derivative
@@ -298,9 +298,9 @@ def solve_qmm_2d(
     equation, starting where the last slope derivative predicts the
     intercept, else at the last intercept. The slope solves the AUC
     residual in log(alpha) from unit slope, Newton steps clamped to a width
-    that starts at 2 and doubles, with derivative dA/dalpha = sum_k dA/dv_k
-    pdf_k (x_k + dbeta/dalpha) along the mean equation, dbeta/dalpha =
-    -sum(w pdf x) / sum(w pdf) and dA/dv from :func:`implied_auc_gradient`.
+    that starts at 2 and doubles, with derivative dA/dalpha + dA/dbeta
+    dbeta/dalpha along the mean equation, dbeta/dalpha = -(dmean/dalpha) /
+    (dmean/dbeta), all read from the Jacobian of :func:`_moment_rows`.
     A probe whose intercept cannot pin the mean or whose values saturate a
     class is unhealthy, as is a slope outside [2**-60, 2**60]; the search
     counts it as an end on the side it was moving toward. If no slope
@@ -327,7 +327,6 @@ def solve_qmm_2d(
             f"{family.name}: regressor has {x.size} points, the target support {weights.size}"
         )
     tol_auc = settings.tol_auc
-    wx = weights * x
     weights_cdf = target.feature_dist.mid_cdf  # the AUC's prefix sum over increasing values
     slope_tol = SLOPE_TOL_FRACTION * tol_auc
     # a constant transform (slope 0) has AUC exactly 1/2; families that admit
@@ -431,13 +430,12 @@ def solve_qmm_2d(
         if not math.isfinite(auc):
             return math.nan
         pdf = family.link_pdf(z, values)
-        mass = float(np.dot(weights, pdf))
+        (dmean, mass), (dauc, dauc_dbeta) = _moment_rows(weights, values, merged, pdf, x)[2]
         if not mass > 0.0:  # the link is flat at every point
             return math.nan
-        dbeta = -float(np.dot(wx, pdf)) / mass
+        dbeta = -dmean / mass  # dbeta/dalpha along the mean equation
         tangent = alpha, beta, dbeta
-        moved = _merged_gradient(weights, values, merged) * pdf
-        return alpha * (float(np.dot(moved, x)) + dbeta * float(moved.sum()))
+        return alpha * (dauc + dbeta * dauc_dbeta)
 
     if constant:
         # an unhealthy probe reads as not converged; without an intercept

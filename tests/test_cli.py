@@ -261,7 +261,7 @@ class TestCurvesCommand:
 
 
     def test_text_longer_than_a_slice_is_written_whole(self, tmp_path, capsysbinary):
-        """A curve text that spans several write slices comes out byte for
+        """A curve text of over 2 MiB, several blocks, comes out byte for
         byte as one curves_to_csv call renders it, into --out and on stdout,
         and into the curves.csv of ``recal run``."""
         src, tgt = saturated_tail_scenario(16_385)
@@ -270,7 +270,7 @@ class TestCurvesCommand:
         path = tmp_path / "scenario.json"
         write_scenario(scenario, path)
         text = curves_to_csv(export_curves(src, tgt, run_methods(scenario)))
-        assert len(text) > 2 * eval_report._SLICE
+        assert len(text) > 2 << 20
         assert run_cli("curves", "--scenario", str(path), "--out", str(tmp_path)) == 0
         assert (tmp_path / "curves.csv").read_bytes() == text.encode("utf-8")
         capsysbinary.readouterr()
@@ -531,7 +531,7 @@ def test_run_holds_one_curve_series_at_a_time(tmp_path, monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     written = (tmp_path / "out" / "curves.csv").read_bytes()
-    assert len(written) > 8 * eval_report._SLICE
+    assert len(written) > 8 << 20
     [(before, parsed, results)] = held
     assert peak - before < len(written) / 5
     series = export_curves(parsed.source, parsed.target, results)

@@ -16,7 +16,6 @@ from recal import (
     ScenarioError,
     SolverSettings,
     capped_scaling,
-    eval_report,
     example_scenario_path,
     parse_scenario,
     worked_example_scenario,
@@ -521,14 +520,14 @@ class TestRoundTrip:
         assert back.settings == example_scenario.settings
 
     def test_text_longer_than_a_slice_is_written_whole(self, tmp_path):
-        """A scenario whose JSON spans several write slices is written byte
-        for byte as json.dumps renders it, with one trailing LF."""
+        """A scenario whose JSON is over 2 MiB is written byte for byte as
+        json.dumps renders it, with one trailing LF."""
         src, tgt = saturated_tail_scenario(16_385)
         scenario = Scenario(src, tgt, (MethodId.FJS,), FunctionalSpec.sqrt(), SolverSettings())
         path = tmp_path / "large.json"
         write_scenario(scenario, path)
         text = json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
-        assert len(text) > 2 * eval_report._SLICE
+        assert len(text) > 2 << 20
         assert path.read_bytes() == text.encode("utf-8")
         np.testing.assert_array_equal(
             parse_scenario(path).target.feature_dist.probs, tgt.feature_dist.probs
