@@ -29,7 +29,9 @@ PRIOR_CONSISTENCY_TOL = 1e-10
 # Largest generator inputs: a binomial support has at most MAX_TRIALS + 1 =
 # 65,537 points, the largest support size the project measures, and the
 # Vasicek mixture's pmf matrix at most MAX_QUAD_NODES x (MAX_TRIALS + 1)
-# float64 entries (134 MB).
+# float64 entries. Its log-space temporaries take the peak allocation of
+# vasicek_mixture_dist(65536, 0.3, 0.3) to ~539 MB at 256 nodes and ~270 MB
+# at the default 128 (tracemalloc).
 MAX_TRIALS = 65_536
 MIN_QUAD_NODES = 16
 MAX_QUAD_NODES = 256

@@ -45,6 +45,7 @@ from .solvers import (
     _closed_form_solve,
     _logistic_pdf,
     _moment_rows,
+    _normal_pdf,
     bisect_root,
     intercept_root,
     logistic_cspd_family,
@@ -54,7 +55,6 @@ from .solvers import (
     solve_qmm_2d,
 )
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
@@ -291,10 +291,10 @@ def parametric_cspd_qmm(
     probit need the posterior strictly inside (0, 1); Platt's raw values do
     not, so a posterior of 0 or 1 is refused for the CSPDs alone.
     """
-    if family is not MethodId.PLATT:
-        _require_interior(src, family.value)
     if family not in _PARAMETRIC_FAMILIES:
         raise DomainError(f"{family!r} is not a parametric transform family")
+    if family is not MethodId.PLATT:
+        _require_interior(src, family.value)
     auc_src = _source_auc(family.value, src, tgt)
     fam = _PARAMETRIC_FAMILIES[family](src.posterior.values)
     a, b, values, diag = solve_qmm_2d(fam, auc_src, tgt, settings)
@@ -347,10 +347,7 @@ def _refreshed_f0(method: str, feature: DiscreteScoreDist, values: np.ndarray, c
 def _cdf_residual(z: np.ndarray, refreshed: np.ndarray) -> tuple[float, np.ndarray]:
     """max |G(z) - z| phi(G(z)), the fixed-point residual of z in CDF units,
     and the density phi(G(z)) it is weighted by."""
-    phi = np.square(refreshed)
-    phi *= -0.5
-    np.exp(phi, out=phi)
-    phi /= _SQRT_2PI
+    phi = _normal_pdf(refreshed, None)
     resid = refreshed - z
     np.abs(resid, out=resid)
     resid *= phi
@@ -552,19 +549,20 @@ def _sharing_roc_fixed_point():
 
 
 def _roc_fixed_point(src: SourceModel, tgt: TargetSpec, settings: SolverSettings):
-    """(c, z, diagnostics) of :func:`roc_qmm`'s alternation: its shape c and
-    the class-0 probit z where :func:`fixed_point_f0` stopped, read-only,
-    from the memo of the enclosing :func:`_sharing_roc_fixed_point` block
-    where there is one. Its errors name ``roc_qmm``."""
+    """((c, b), z, diagnostics) of :func:`roc_qmm`'s alternation: the
+    (alpha, beta) its fit holds, the class-0 probit z where
+    :func:`fixed_point_f0` stopped, read-only, and its diagnostics, from the
+    memo of the enclosing :func:`_sharing_roc_fixed_point` block where there
+    is one. Its errors name ``roc_qmm``."""
     memo = _ROC_FIXED_POINTS.get()
     key = (src, tgt, settings)  # the models hash by identity
     if memo is not None and key in memo:
         return memo[key]
     auc_src = _source_auc("roc_qmm", src, tgt)
     c = float(np.sqrt(2.0) * sp.normal_ppf(auc_src))
-    z, diag, _ = fixed_point_f0("roc_qmm", tgt, settings, _roc_fit(c, tgt.prior))
+    z, diag, fitted = fixed_point_f0("roc_qmm", tgt, settings, _roc_fit(c, tgt.prior))
     z.setflags(write=False)
-    point = c, z, diag
+    point = fitted[:2], z, diag
     if memo is not None:
         memo[key] = point
     return point
@@ -586,15 +584,15 @@ def roc_qmm(
     point is :func:`_roc_fixed_point`'s, which ``run_methods`` computes once
     for both QMMs.
     """
-    c, z, diag = _roc_fixed_point(src, tgt, settings)
+    (c, _), z, diag = _roc_fixed_point(src, tgt, settings)
     return _finish(MethodId.ROC_QMM, tgt, _roc_fit(c, tgt.prior)(z)[2], {"c": c}, diag)
 
 
 def _refit_rows(tgt: TargetSpec, z, values, complement):
     """(dalpha/dz, dbeta/dz) / alpha of the (alpha, beta) that hold the mean
-    and the AUC of values = expit(alpha z + beta) as z moves: by the implicit
-    function theorem, r in -J r = rows of :func:`_moment_rows`; None where J
-    is singular."""
+    and the AUC of values = expit(alpha z + beta) as z moves, for the Newton
+    step of :func:`_newton_iterate`: by the implicit function theorem, r in
+    -J r = rows of :func:`_moment_rows`; None where J is singular."""
     weights = tgt.feature_dist.probs
     merged = _merged(weights, values, tgt.feature_dist.mid_cdf)
     *rows, jacobian = _moment_rows(weights, values, merged, values * complement, z)
@@ -619,12 +617,11 @@ def two_param_qmm(
     raised. Each outer step of :func:`fixed_point_f0` solves (a, b) against the
     targets (q, source implied AUC) at the current class-0 CDF, then refreshes
     the CDF from the resulting posterior exactly as the ROC-based scheme does.
-    From the second step on the inner solve is warm-started at the previous
-    fit's tangent prediction alpha (1 + r0 . dz), beta + alpha r1 . dz, with
-    dz the move of the probit z and r the refit rows of :func:`_refit_rows`,
-    or at the previous (alpha, beta) where there are no rows or the predicted
-    alpha is not positive. It meets the same tolerances as a cold solve,
-    which keeps the fit within the joint tolerance of the cold alternation's.
+    Each inner solve is warm-started at the previous step's (alpha, beta),
+    the first at roc's (c, logit(q) - c**2 / 2); it is cold where roc's
+    alternation raised or c is not positive (a source AUC that rounds below
+    1/2). A warm solve meets the same tolerances as a cold one, which keeps
+    the fit within the joint tolerance of the cold alternation's.
     An inner solve that finds the targets infeasible raises an
     :class:`InfeasibleError` naming this method and the outer step. The loop
     stops when the CDF values and (a, b) are jointly stable to
@@ -640,43 +637,32 @@ def two_param_qmm(
     inner_settings = replace(
         settings, tol_mean=min(settings.tol_mean, 1e-12), tol_auc=min(settings.tol_auc, 1e-11)
     )
-    last = None  # (z, alpha, beta, refit rows) of the last fit
+    last, start = None, None  # (alpha, beta) of the last fit; the probit to start at
+    try:
+        roc_fit, start, _ = _roc_fixed_point(src, tgt, settings)
+        if roc_fit[0] > 0.0:  # an uninformative source can give c < 0
+            last = roc_fit
+    except RecalError:
+        pass
     steps = 0
 
     def fit(z: np.ndarray):
         nonlocal last, steps
         steps += 1
         fam = rob_logit_family(z)
-        warm_start = None
-        if last is not None:  # the last fit's tangent prediction, else that fit
-            z_last, alpha, beta, rows = last
-            warm_start = alpha, beta
-            if rows is not None:
-                dz = fam.x - z_last
-                with np.errstate(all="ignore"):  # a row that overflowed predicts nothing
-                    predicted = (
-                        alpha * (1.0 + float(np.dot(rows[0], dz))),
-                        beta + alpha * float(np.dot(rows[1], dz)),
-                    )
-                if 0.0 < predicted[0] < math.inf and math.isfinite(predicted[1]):
-                    warm_start = predicted
         try:
             alpha, beta, values, inner = solve_qmm_2d(
-                fam, auc_src, tgt, inner_settings, warm_start=warm_start
+                fam, auc_src, tgt, inner_settings, warm_start=last
             )
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"two_param_qmm: inner (a, b) solve at outer step {steps}: {exc}",
                 attainable_auc_range=exc.attainable_auc_range,
             ) from exc
+        last = alpha, beta
         complement = fam.link(-(alpha * fam.x + beta))
-        last = fam.x, alpha, beta, _refit_rows(tgt, fam.x, values, complement)
-        return alpha, beta, values, inner, complement, last[3]
+        return alpha, beta, values, inner, complement, _refit_rows(tgt, fam.x, values, complement)
 
-    try:
-        start = _roc_fixed_point(src, tgt, settings)[1]
-    except RecalError:
-        start = None
     _, diag, (alpha, beta, values, inner, *_) = fixed_point_f0(
         "two_param_qmm", tgt, settings, fit, start
     )

@@ -727,6 +727,15 @@ class TestParametricCspdQmm:
                 example_scenario.source, example_scenario.target, MethodId.ROC_QMM
             )
 
+    @pytest.mark.parametrize("family", ["platt", None, MethodId.ROC_QMM])
+    def test_refuses_what_is_not_a_parametric_family_first(self, family):
+        """A method name as a string, None, and a method id outside the
+        three families each raise the family error, also on a saturated
+        source that the CSPDs' interior check would refuse first."""
+        scenario = scenario_from_dict(SATURATED_BINOMIAL_SCENARIO)
+        with pytest.raises(DomainError, match="is not a parametric transform family$"):
+            parametric_cspd_qmm(scenario.source, scenario.target, family)
+
 
 class TestRocQmm:
     def test_uninformative_source_collapses_to_prior_in_two_iterations(self):
@@ -915,6 +924,22 @@ class TestTwoParamQmm:
         assert result.params["a"] == 0.0
         assert abs(result.params["b"] - float(np.log((1 - q) / q))) <= 1e-6
         np.testing.assert_allclose(result.posterior.values, q, atol=1e-9)
+
+    def test_source_auc_just_below_one_half_starts_cold(self):
+        """A constant posterior of 0.5 on 13 points whose masses give the
+        prior 0.49999999999999994 has an implied AUC that rounds just below
+        1/2, so roc's c is negative: the first inner solve starts cold, not
+        at roc's (c, b), which solve_qmm_2d refuses as a warm start."""
+        support = np.arange(13.0)
+        masses = np.array([3.0, 1.0, 1.0, 2.0, 1.0, 3.0, 0.0, 3.0, 2.0, 1.0, 2.0, 1.0, 3.0])
+        feature = DiscreteScoreDist(support, masses / masses.sum())
+        posterior = PosteriorCurve(support, np.full(13, 0.5))
+        src = SourceModel(feature, posterior, 0.49999999999999994)
+        tgt = TargetSpec(feature, 0.3)
+        assert src.implied_auc < 0.5 and roc_qmm(src, tgt).params["c"] < 0.0
+        result = two_param_qmm(src, tgt)
+        assert result.diagnostics.converged and result.params["a"] == 0.0
+        np.testing.assert_allclose(result.posterior.values, 0.3, rtol=0.0, atol=1e-12)
 
     def test_zero_end_mass_initial_cdf_names_the_method_and_stage(self):
         scenario = scenario_from_dict(ZERO_END_MASS_SCENARIO)
@@ -1119,8 +1144,11 @@ class TestWarmStartedAlternation:
 
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", cold_solve)
         cold = two_param_qmm(src, tgt)
-        # every outer step after the first is handed the previous one's fit
-        assert warm_starts[0] is None and None not in warm_starts[1:]
+        # the first outer step is handed roc's (c, logit q - c**2 / 2), every
+        # later one the previous one's fit
+        c = roc_qmm(src, tgt).params["c"]
+        assert warm_starts[0] == (c, _special.log_odds(tgt.prior) - c * c / 2.0)
+        assert None not in warm_starts[1:]
         assert len(warm_starts) == cold.diagnostics.iterations
         assert warm.diagnostics.iterations == cold.diagnostics.iterations
         assert warm.diagnostics.converged and cold.diagnostics.converged
@@ -1146,10 +1174,10 @@ class TestWarmStartedAlternation:
 
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         two_param_qmm(example_scenario.source, example_scenario.target)
-        # a cold solve takes 4 probes at the first outer step of the example,
-        # which starts at roc_qmm's fixed point; a warm one counts each joint
-        # (alpha, beta) Newton point as a probe
-        assert probes == [4, 3, 1, 1]
+        # every outer step of the example, the first at roc_qmm's fixed point
+        # from roc's (c, b), solves warm, counting each joint (alpha, beta)
+        # Newton point as a probe
+        assert probes == [4, 3, 2, 1]
 
 
 def _result_bits(result):
@@ -1225,18 +1253,27 @@ class TestTwoParamQmmStartsAtRocFixedPoint:
 
     def test_roc_error_falls_back_to_the_cold_start(self, monkeypatch, example_scenario):
         """Where roc's alternation raises, two_param_qmm starts from the
-        target features' own CDF and does not raise roc's error: the bits of
-        a run that drops the start, and the cold alternation's path, 5 outer
-        steps of [4, 4, 2, 1, 1] probes to its fit."""
+        target features' own CDF with a cold first solve and does not raise
+        roc's error: the bits of a run that drops both roc-derived starts,
+        and the cold alternation's path, 6 outer steps of [4, 5, 3, 2, 1, 1]
+        probes to its fit."""
         src, tgt = example_scenario.source, example_scenario.target
         driver = recal_methods.fixed_point_f0
+        warm_starts = []
 
         def cold(name, target, settings, fit, start=None):
             return driver(name, target, settings, fit)
 
+        def cold_first_solve(*args, warm_start=None, **kwargs):
+            warm_starts.append(warm_start)
+            return solve_qmm_2d(*args, warm_start=warm_starts[-1] if warm_starts[1:] else None,
+                                **kwargs)
+
         with monkeypatch.context() as patch:
             patch.setattr(recal_methods, "fixed_point_f0", cold)
+            patch.setattr(recal_methods, "solve_qmm_2d", cold_first_solve)
             reference = _result_bits(two_param_qmm(src, tgt))
+        assert warm_starts[0] is not None
 
         def failing(*args):
             raise DomainError("roc_qmm: class-0 CDF refresh has values outside (0, 1)")
@@ -1252,7 +1289,7 @@ class TestTwoParamQmmStartsAtRocFixedPoint:
         monkeypatch.setattr(recal_methods, "solve_qmm_2d", recording_solve)
         result = two_param_qmm(src, tgt)
         assert _result_bits(result) == reference
-        assert probes == [4, 4, 2, 1, 1] and result.diagnostics.iterations == 5
+        assert probes == [4, 5, 3, 2, 1, 1] and result.diagnostics.iterations == 6
         assert abs(result.params["a"] - -1.2148383685297424) <= 1e-12
         assert abs(result.params["b"] - 3.669801043332755) <= 1e-12
         only = replace(example_scenario, methods=(MethodId.TWO_PARAM_QMM,))
