@@ -1,11 +1,12 @@
 """Special functions from the standard library for inputs of at most
 ``STDLIB_MAX_POINTS`` elements, from ``scipy.special`` above that.
 
-``ndtr``, ``ndtri`` and ``logit`` return what scipy's do. On a rating scale a
-loop over ``math`` and ``statistics`` takes microseconds, against ~0.3 s to
-import scipy.special; both are imported on first use. The paths agree on 0,
-1, +-inf and NaN (the standard library keeps a NaN's sign bit); elsewhere
-ndtri (AS241) is within 8 ulps, ndtr 1e-12 relative, and logit bit for bit.
+``ndtr`` and ``ndtri`` return what scipy's do. On a rating scale a loop over
+``math`` and ``statistics`` takes microseconds, against ~0.3 s to import
+scipy.special; both are imported on first use. The paths agree on 0, 1,
++-inf and NaN (the standard library keeps a NaN's sign bit); elsewhere ndtri
+(AS241) is within 8 ulps and ndtr 1e-12 relative. The scalar ``log_odds`` is
+log(p) - log1p(-p), the form the logistic families take with numpy.
 """
 
 import math
@@ -36,12 +37,7 @@ def normal_ppf(p: float) -> float:
 
 
 def log_odds(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        return _edge(p)
-    if p < 0.3 or p > 0.65:
-        return math.log(p / (1.0 - p))
-    s = 2.0 * (p - 0.5)  # log(p / (1 - p)) loses digits near 1/2
-    return math.log1p(s) - math.log1p(-s)
+    return math.log(p) - math.log1p(-p) if 0.0 < p < 1.0 else _edge(p)
 
 
 def elementwise(f, x):
@@ -64,4 +60,3 @@ def _by_size(name: str, f):
 
 ndtr = _by_size("ndtr", normal_cdf)
 ndtri = _by_size("ndtri", normal_ppf)
-logit = _by_size("logit", log_odds)

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _special as sp, solvers
+from . import _special as sp
 # adjusted_cdf and class_conditionals are not called here; they stay importable
 # under this module's name because perfbench/layers.py wraps them there
 from .auc_engine import (  # noqa: F401
@@ -43,7 +43,6 @@ from .solvers import (
     SolveDiagnostics,
     SolverSettings,
     _closed_form_solve,
-    _logistic_pdf,
     _moment_rows,
     _normal_pdf,
     bisect_root,
@@ -195,14 +194,13 @@ def capped_scaling(
     return _finish(MethodId.CAPPED_SCALING, tgt, values, {"t": float(t)}, diag)
 
 
-def _label_shift_logits(src: SourceModel, tgt: TargetSpec, method: str):
-    """(x, beta0) = (log(eta) - log1p(-eta), logit(q) - logit(p)) after
-    checking a shared support and an interior posterior; numpy forms the
-    source log-odds x on any support, so no scipy import is needed."""
+def _logistic_family(src: SourceModel, tgt: TargetSpec, method: str):
+    """The logistic CSPD family of the source posterior and beta0 = logit(q) -
+    logit(p), after the shared-support and interior-posterior checks."""
     _require_shared_support(src.support, tgt.support, "source and target")
     _require_interior(src, method)
-    eta = src.posterior.values
-    return np.log(eta) - np.log1p(-eta), sp.log_odds(tgt.prior) - sp.log_odds(src.prior)
+    fam = logistic_cspd_family(src.posterior.values)
+    return fam, sp.log_odds(tgt.prior) - sp.log_odds(src.prior)
 
 
 def label_shift_correct(
@@ -216,9 +214,9 @@ def label_shift_correct(
     the corresponding mixture of the source class conditionals; whatever mean
     obtains is recorded, never forced.
     """
-    x, beta0 = _label_shift_logits(src, tgt, "label_shift")
+    fam, beta0 = _logistic_family(src, tgt, "label_shift")
     diag = SolveDiagnostics(iterations=0, converged=True)
-    return _finish(MethodId.LABEL_SHIFT, tgt, solvers.expit(x + beta0), {}, diag)
+    return _finish(MethodId.LABEL_SHIFT, tgt, fam.link(fam.x + beta0), {}, diag)
 
 
 def fjs_bounds(src: SourceModel, tgt: TargetSpec) -> tuple[float, float]:
@@ -251,11 +249,9 @@ def fjs_recalibrate(
     exp(beta - beta0) lies inside :func:`fjs_bounds`. A rho that is not a
     positive finite float is surfaced as infeasibility rather than hidden.
     """
-    x, beta0 = _label_shift_logits(src, tgt, "fjs")
+    fam, beta0 = _logistic_family(src, tgt, "fjs")
     try:
-        beta, _, values, residual, evals = intercept_root(
-            solvers.expit, _logistic_pdf, x, tgt, settings.tol_mean, beta0
-        )
+        beta, _, values, residual, evals = intercept_root(fam, 1.0, tgt, settings.tol_mean, beta0)
         rho = math.exp(beta - beta0)
     except (NoRootError, OverflowError):
         rho = 0.0

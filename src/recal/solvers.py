@@ -168,15 +168,15 @@ def _moment_rows(weights, values, merged, pdf, x):
     return pdf, auc_rows, [[float(np.dot(r, x)), float(r.sum())] for r in (pdf, auc_rows)]
 
 
-def intercept_root(link, link_pdf, ax, target, tol, beta_start):
-    """Solve the mean equation w . link(ax + beta) = q of ``target`` in beta
-    by :func:`bisect_root` from ``beta_start`` on [beta_start - 2,
-    beta_start + 2], widened as needed, with Newton steps on the derivative
-    w . link_pdf, taken at the link argument and values of the mean
-    evaluation at the same beta. Returns (beta, link argument, link values,
-    |mean residual|, mean evaluations) there; a :class:`NoRootError`
-    propagates."""
-    weights, q = target.feature_dist.probs, target.prior
+def intercept_root(family, alpha, target, tol, beta_start):
+    """Solve the mean equation w . link(alpha x + beta) = q of ``target`` in
+    beta on the :class:`TransformFamily` ``family`` by :func:`bisect_root`
+    from ``beta_start`` on [beta_start - 2, beta_start + 2], widened as
+    needed, with Newton steps on the derivative w . link_pdf, taken at the
+    link argument and values of the mean evaluation at the same beta.
+    Returns (beta, link argument, link values, |mean residual|, mean
+    evaluations) there; a :class:`NoRootError` propagates."""
+    weights, q, ax = target.feature_dist.probs, target.prior, alpha * family.x
     evals = 0
     last = None  # (beta, link argument, link values, mean residual) of the last evaluation
 
@@ -184,12 +184,12 @@ def intercept_root(link, link_pdf, ax, target, tol, beta_start):
         nonlocal evals, last
         evals += 1
         z = ax + beta
-        values = link(z)
+        values = family.link(z)
         last = beta, z, values, float(np.dot(weights, values)) - q
         return last[3]
 
     def mean_slope(beta: float) -> float:
-        return float(np.dot(weights, link_pdf(last[1], last[2])))
+        return float(np.dot(weights, family.link_pdf(last[1], last[2])))
 
     beta = bisect_root(
         mean_resid, beta_start - 2.0, beta_start + 2.0, tol, fprime=mean_slope, x0=beta_start
@@ -260,8 +260,12 @@ def platt_family(u) -> TransformFamily:
 
 
 def logistic_cspd_family(u) -> TransformFamily:
-    """eta = sigmoid(a * logit(u) + b); strictly increasing needs a > 0."""
-    x = sp.logit(np.asarray(u, dtype=float))
+    """eta = sigmoid(a * logit(u) + b), strictly increasing for a > 0, and at
+    a = 1 label shift and FJS; numpy forms logit(u) = log(u) - log1p(-u) on
+    any support, infinite and refused with no warning at a u of 0 or 1."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log(u) - np.log1p(-u)
     return TransformFamily("logistic_cspd", expit, _logistic_pdf, x, slope_may_vanish=False)
 
 
@@ -401,7 +405,7 @@ def solve_qmm_2d(
         fits[t] = (alpha, np.nan, np.nan, np.nan, None, None, None)
         try:
             beta, z, values, resid, _ = intercept_root(
-                family.link, family.link_pdf, alpha * x, target, settings.tol_mean, beta_start
+                family, alpha, target, settings.tol_mean, beta_start
             )
         except NoRootError:
             return False

@@ -1,9 +1,13 @@
+import io
 import json
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recal import (
     FunctionalSpec,
@@ -25,6 +29,7 @@ from conftest import (
     UNATTAINABLE_Q_SCENARIO,
     ZERO_END_MASS_SCENARIO,
     example_with_count,
+    explicit_scenario,
     saturated_tail_scenario,
 )
 
@@ -613,3 +618,46 @@ def test_both_qmms_near_q_one(tmp_path, capsys, q, code):
     captured = capsys.readouterr()
     assert "ROC QMM" in captured.out and "2-param QMM" in captured.out
     assert "error" not in captured.err
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Explicit scenarios of 1 to 40 points with zero masses, a sorted or
+    unsorted posterior with values within 1e-15 of 0 and 1, in some draws
+    exactly 0 and 1, and q from 1e-12 to 1 - 1e-6."""
+    n = draw(st.integers(1, 40))
+    interior = draw(st.booleans())  # most methods refuse a posterior of 0 or 1
+    value = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=interior, exclude_max=interior),
+        st.floats(0.0, 1e-15, exclude_min=interior),
+        st.floats(1.0 - 1e-15, 1.0, exclude_max=interior),
+        st.sampled_from([5e-324, 1.0 - 2.0**-53] if interior else [0.0, 1.0]),
+    )
+    posterior = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        posterior.sort()
+    masses = []
+    for _ in range(2):
+        m = np.array(draw(st.lists(st.one_of(st.floats(1e-6, 1.0), st.just(0.0)),
+                                   min_size=n, max_size=n)))
+        if not m.sum() > 0.0:
+            m[-1] = 1.0
+        masses.append((m / m.sum()).tolist())
+    scenario = explicit_scenario(posterior, *masses, draw(st.floats(1e-12, 1.0 - 1e-6)))
+    # one method alone, so that an error of another cannot hide its path
+    scenario["methods"] = draw(st.sampled_from(["all", *([m.value] for m in MethodId)]))
+    return scenario
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenario_dicts())
+def test_table_on_drawn_scenarios_exits_cleanly(tmp_path_factory, scenario):
+    """`recal table` on a drawn scenario file exits 0, 1 or 2 and writes no
+    traceback; a RuntimeWarning would escape as an error."""
+    path = tmp_path_factory.getbasetemp() / "drawn_scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["table", "--scenario", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

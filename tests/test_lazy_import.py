@@ -149,12 +149,13 @@ def test_large_input_needs_scipy():
     "scenario", ["explicit_path", "large_explicit_path"], ids=["worked_example", "large"]
 )
 def test_cheap_methods_run_without_scipy(scenario, request, tmp_path):
-    """The cheap methods and Platt import no scipy on any support."""
+    """The cheap methods, Platt and the logistic CSPD import no scipy on any
+    support: their links and regressors are numpy's."""
     path = request.getfixturevalue(scenario)
     code = (
         "from recal.cli import main\n"
         f"code = main(['run', '--scenario', {str(path)!r}, '--methods',"
-        f" 'capped_scaling,label_shift,fjs,platt', '--out', {str(tmp_path)!r}])\n"
+        f" 'capped_scaling,label_shift,fjs,platt,logistic_cspd', '--out', {str(tmp_path)!r}])\n"
         "assert code == 0, code\n"
     )
     assert fresh(code + PRINT_SCIPY_MODULES).endswith("[]\n")

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit, ndtri
 
-from recal import _special, recal_methods
+from recal import _special, recal_methods, solvers
 from recal.auc_engine import mid_cdf
 from recal import (
     DEFAULT_SETTINGS,
@@ -593,6 +593,23 @@ class TestLabelShift:
             match=rf"^{method}: source posterior values must lie strictly inside \(0, 1\)",
         ):
             run_method(MethodId(method), src, tgt)
+
+    def test_is_the_logistic_cspd_family_at_slope_1(self, example_scenario, monkeypatch):
+        """On the worked example and a seeded 257-point scenario, the logistic
+        CSPD regressor holds the bits of numpy's log(eta) - log1p(-eta), and
+        label shift those of expit(x + beta0) on it, beta0 = logit q - logit p."""
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        import workgen
+
+        seeded = scenario_from_dict(workgen.scenario_dict(257, workgen.small_batch_params(1)[0]))
+        for sc in (example_scenario, seeded):
+            src, tgt = sc.source, sc.target
+            eta, p, q = src.posterior.values, src.prior, tgt.prior
+            fam = logistic_cspd_family(eta)
+            assert fam.x.tobytes() == (np.log(eta) - np.log1p(-eta)).tobytes()
+            beta0 = (math.log(q) - math.log1p(-q)) - (math.log(p) - math.log1p(-p))
+            curve = label_shift_correct(src, tgt).posterior.values
+            assert curve.tobytes() == solvers.expit(fam.x + beta0).tobytes()
 
 
 class TestFjs:

@@ -20,7 +20,6 @@ REAL = np.concatenate((RNG.uniform(-40.0, 10.0, 20_000), np.linspace(-38.5, 8.5,
 EDGES = {
     "ndtri": [0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, -1.0, 2.0, np.nan, -np.nan],
     "ndtr": [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, np.nan, -np.nan],
-    "logit": [0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, -1.0, 2.0, np.nan, -np.nan],
 }
 
 
@@ -47,8 +46,14 @@ def test_ndtr_within_1e_12_relative(chunk):
     assert np.all(np.abs(ours - theirs)[kept] <= 1e-12 * theirs[kept])
 
 
-def test_logit_has_scipys_bits(chunk):
-    assert in_chunks("logit", UNIT, chunk).tobytes() == scipy.special.logit(UNIT).tobytes()
+def test_log_odds_within_2_ulps_of_scipys_logit():
+    """The scalar log(p) - log1p(-p), in ulps of max(1, |logit p|): near
+    p = 1/2 the difference cancels to an absolute error, not a relative one."""
+    ours = np.array([_special.log_odds(p) for p in UNIT.tolist()])
+    theirs = scipy.special.logit(UNIT)
+    assert np.all(np.abs(ours - theirs) <= 2.0 * np.spacing(np.maximum(1.0, np.abs(theirs))))
+    edges = [0.0, -0.0, 1.0, np.inf, -np.inf, -1.0, 2.0, np.nan]
+    np.testing.assert_array_equal([_special.log_odds(p) for p in edges], scipy.special.logit(edges))
 
 
 @pytest.mark.parametrize("name", sorted(EDGES))
@@ -79,7 +84,8 @@ def test_shapes_and_types_follow_scipy(name):
 @pytest.mark.parametrize("end", [0.0, 1.0])
 @pytest.mark.parametrize("family", [logistic_cspd_family, normal_cspd_family])
 def test_regressor_at_0_or_1_is_refused_without_warning(family, end, n):
-    """Either path gives an infinite regressor, with no RuntimeWarning
+    """On both sides of the size rule (ndtri's two paths, numpy's logit on
+    either) a u of 0 or 1 gives an infinite regressor, with no RuntimeWarning
     (pytest turns one into an error), and the family refuses it."""
     u = np.linspace(0.1, 0.9, n)
     u[0 if end == 0.0 else -1] = end
