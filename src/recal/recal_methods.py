@@ -227,8 +227,8 @@ def fjs_bounds(src: SourceModel, tgt: TargetSpec) -> tuple[float, float]:
     p = src.prior
     eta = src.posterior.values
     weights = tgt.feature_dist.probs
-    odds = eta / (1.0 - eta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        odds = eta / (1.0 - eta)
         lower = float(p / ((1.0 - p) * np.dot(weights, odds)))
         upper = float(p / (1.0 - p) * np.dot(weights, 1.0 / odds))
     upper = _HUGE if math.isnan(upper) else upper  # 1 / odds overflowed at a zero mass

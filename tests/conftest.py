@@ -196,8 +196,9 @@ _MASSES_ROUNDING_BELOW_1 = [
     k / 151 for k in (16, 0, 0, 16, 0, 32, 16, 0, 0, 16, 0, 15, 0, 0, 0, 24, 16)
 ]
 
-# inputs on which a method let a RuntimeWarning or a ZeroDivisionError out, or
-# raised an error that did not name it: id -> (method, scenario)
+# inputs on which a method or fjs_bounds let a RuntimeWarning or a
+# ZeroDivisionError out, or raised an error that did not name it:
+# id -> (method, scenario)
 METHOD_REPROS = {
     # fjs_bounds rounded to (1.0, 0.9999999999999999) around the root rho = 1
     "fjs_constant_posterior": ("fjs", explicit_scenario([0.01], [1.0], [1.0], 0.3)),
@@ -217,6 +218,11 @@ METHOD_REPROS = {
     # root, ~1e-324, lies below the float range
     "fjs_bounds_underflow": (
         "fjs", explicit_scenario([1e-308, 1.0 - 2.0**-53], [1.0, 0.0], [0.0, 1.0], 0.3)
+    ),
+    # eta / (1 - eta) divided by zero in fjs_bounds at a posterior of 1,
+    # which fjs itself refuses
+    "fjs_bounds_posterior_at_1": (
+        "fjs", three_point_scenario([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.5)
     ),
     # the search stops within tol_mean on an all-zero curve, whose AUC is undefined
     "capped_scaling_all_zero_curve": (

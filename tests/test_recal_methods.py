@@ -152,6 +152,9 @@ REPRO_OUTCOMES = {
     "fjs_overflow_at_a_zero_mass": (
         InfeasibleError, "fjs: no sign change of the mean equation in rho"
     ),
+    "fjs_bounds_posterior_at_1": (
+        DomainError, "fjs: source posterior values must lie strictly inside (0, 1)"
+    ),
     "capped_scaling_all_zero_curve": (
         DegenerateClassError,
         "capped_scaling: recalibrated curve: posterior mean 0.0 leaves one class empty",
@@ -246,12 +249,14 @@ def test_every_method_gives_a_result_or_an_error_naming_it(inputs):
         ("fjs_subnormal_posterior", (pytest.approx(0.2625, rel=1e-15), np.finfo(float).max)),
         ("fjs_bounds_underflow", (np.finfo(float).tiny,) * 2),
         ("fjs_overflow_at_a_zero_mass", (np.finfo(float).tiny, np.finfo(float).max)),
+        ("fjs_bounds_posterior_at_1", (np.finfo(float).tiny, np.finfo(float).max)),
     ],
 )
 def test_fjs_bounds_are_ordered_and_inside_the_normal_range(case, expected):
     """Rounding swapped the bounds of a constant posterior; 1 / odds
     overflowed to inf past a subnormal posterior value, with a warning, and
-    to NaN at a zero mass; a subnormal prior underflowed the bounds to 0."""
+    to NaN at a zero mass; a subnormal prior underflowed the bounds to 0;
+    the odds divided by zero, with a warning, at a posterior of 1."""
     sc = scenario_from_dict(METHOD_REPROS[case][1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1196,6 +1201,23 @@ class TestWarmStartedAlternation:
         # Newton point as a probe
         assert probes == [4, 3, 2, 1]
 
+    @pytest.mark.parametrize("field", ["residual_mean", "residual_auc"])
+    def test_inner_residual_at_the_tolerance_is_converged(
+        self, monkeypatch, example_scenario, field
+    ):
+        """two_param_qmm reports the last inner solve's residuals; one equal
+        to the settings' tolerance meets it, the next float above does not."""
+        tol = getattr(DEFAULT_SETTINGS, field.replace("residual", "tol"))
+        for residual, converged in [(tol, True), (math.nextafter(tol, math.inf), False)]:
+
+            def at_the_edge(*args, **kwargs):
+                *fit, diag = solve_qmm_2d(*args, **kwargs)
+                return (*fit, replace(diag, **{field: residual}))
+
+            monkeypatch.setattr(recal_methods, "solve_qmm_2d", at_the_edge)
+            diag = two_param_qmm(example_scenario.source, example_scenario.target).diagnostics
+            assert getattr(diag, field) == residual and diag.converged is converged
+
 
 def _result_bits(result):
     """Everything a result reports, in a form that compares bit for bit."""
@@ -1209,23 +1231,27 @@ class TestTwoParamQmmStartsAtRocFixedPoint:
     """two_param_qmm starts its alternation at roc_qmm's class-0 fixed point,
     which run_methods computes once for both QMMs, within that call only."""
 
-    def test_result_does_not_depend_on_the_selected_methods(self, monkeypatch, example_scenario):
-        """Called alone, through run_method, and inside run_methods alone,
-        with roc_qmm and with every method: the same bits, on the worked
-        example and the seed-1 geometries at n = 257."""
-        selections = [
-            (MethodId.TWO_PARAM_QMM,),
-            (MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM),
-            tuple(MethodId),
-        ]
+    @pytest.mark.parametrize(
+        "method, qmm",
+        [(MethodId.ROC_QMM, roc_qmm), (MethodId.TWO_PARAM_QMM, two_param_qmm)],
+        ids=["roc_qmm", "two_param_qmm"],
+    )
+    def test_result_does_not_depend_on_the_selected_methods(
+        self, monkeypatch, example_scenario, method, qmm
+    ):
+        """Either QMM called alone, through run_method, and inside
+        run_methods alone, with the other QMM and with every method: the
+        same bits, diagnostics included, on the worked example and the
+        seed-1 geometries at n = 257."""
+        selections = [(method,), (MethodId.ROC_QMM, MethodId.TWO_PARAM_QMM), tuple(MethodId)]
         for sc in [example_scenario, *workgen_scenarios(monkeypatch)[:7]]:
             src, tgt = sc.source, sc.target
-            alone = _result_bits(two_param_qmm(src, tgt))
-            assert _result_bits(run_method(MethodId.TWO_PARAM_QMM, src, tgt)) == alone
+            alone = _result_bits(qmm(src, tgt))
+            assert _result_bits(run_method(method, src, tgt)) == alone
             for methods in selections:
                 results = run_methods(replace(sc, methods=methods))
-                two = next(r for r in results if r.method is MethodId.TWO_PARAM_QMM)
-                assert _result_bits(two) == alone
+                result = next(r for r in results if r.method is method)
+                assert _result_bits(result) == alone
 
     def test_fixed_point_is_shared_within_one_run_methods_call_only(
         self, monkeypatch, example_scenario

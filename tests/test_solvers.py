@@ -43,6 +43,30 @@ class TestBisectRoot:
         root = bisect_root(lambda x: x - 1000.0, 0.0, 1.0, 1e-9)
         assert abs(root - 1000.0) <= 1e-5
 
+    def test_expansion_cap_is_the_60th_doubling(self):
+        """The walk from [0, 2] probes 2**k at its k-th doubling: a root first
+        bracketed at the 60th, MAX_EXPANSIONS, is found, one past it is not."""
+        assert solvers.MAX_EXPANSIONS == 60
+        assert bisect_root(lambda x: x - 0.75 * 2.0**60, 0.0, 2.0, 1e-12) == 0.75 * 2.0**60
+        with pytest.raises(NoRootError, match="within 60 expansions$") as err:
+            bisect_root(lambda x: x - 1.5 * 2.0**60, 0.0, 2.0, 1e-12)
+        assert err.value.probed_interval == (0.0, 2.0**60)
+
+    def test_newton_step_of_half_the_step_before_is_taken(self):
+        """In the bracket [0, 0.75], after a step of 0.25, the Newton step
+        0.125 from 0.75 is exactly half of it: taken, to the root 0.625,
+        rather than the midpoint 0.375. The slopes are chosen, not f's
+        derivative."""
+        points = {0.0: (-1.0, 1.0), 1.0: (1.0, 4.0), 0.75: (0.5, 4.0), 0.625: (0.0, 4.0)}
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return points[x][0] if x in points else math.nan
+
+        root = bisect_root(f, -2.0, 2.0, 1e-12, fprime=lambda x: points[x][1], x0=0.0)
+        assert root == 0.625 and probes == [0.0, 1.0, 0.75, 0.625]
+
     def test_no_root_error_carries_probed_interval(self):
         with pytest.raises(NoRootError) as err:
             bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
@@ -542,6 +566,38 @@ class TestSolveQmm2d:
         assert diag.converged and diag.iterations == 3
         assert diag.bracket == (a, a)
 
+    @pytest.mark.parametrize("power", [-60, 60])
+    def test_slope_search_probes_up_to_the_slope_limit(self, monkeypatch, power):
+        """The slope search probes the last log slope t inside the range,
+        exp(t) in [2**-60, 2**60], and reads the next float t, past it, as an
+        unhealthy end without probing it."""
+        inside = lambda t: 1.0 / solvers.SLOPE_LIMIT <= math.exp(t) <= solvers.SLOPE_LIMIT
+        outward = math.copysign(math.inf, power)
+        t = power * math.log(2.0)
+        while not inside(t):
+            t = math.nextafter(t, -outward)
+        while inside(math.nextafter(t, outward)):
+            t = math.nextafter(t, outward)
+        past = math.nextafter(t, outward)
+        slopes = []
+        intercept_root = solvers.intercept_root
+
+        def recording_intercept_root(family, alpha, *args):
+            slopes.append(alpha)
+            return intercept_root(family, alpha, *args)
+
+        def edges_first(f, *args, **kwargs):
+            if f.__name__ == "residual":  # the slope search, not an intercept solve
+                f(t)
+                assert math.isnan(f(past))
+            return bisect_root(f, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "intercept_root", recording_intercept_root)
+        monkeypatch.setattr(solvers, "bisect_root", edges_first)
+        target, curve = _toy_problem()
+        solve_qmm_2d(platt_family(curve.values), implied_auc(target.feature_dist, curve), target)
+        assert math.exp(t) in slopes and math.exp(past) not in slopes
+
 
 @st.composite
 def _explicit_problems(draw):
@@ -814,10 +870,21 @@ class TestSolveQmm2dWarmStart:
         assert a_warm == pytest.approx(a, rel=1e-15) and warm.bracket == (a_warm, a_warm)
         assert cold.bracket == pytest.approx((1.272211272545272, 1.2811122386400855), rel=1e-12)
 
-    @pytest.mark.parametrize("alpha0", [0.0, 1e10, 2.0**61])
+    @pytest.mark.parametrize(
+        "alpha0",
+        [
+            0.0, 1e10, 2.0**61,
+            pytest.param(2.0**60, id="2**60"),
+            pytest.param(math.nextafter(2.0**60, math.inf), id="past_2**60"),
+            pytest.param(2.0**-60, id="2**-60"),
+            pytest.param(math.nextafter(2.0**-60, 0.0), id="past_2**-60"),
+        ],
+    )
     def test_unusable_warm_slope_starts_the_slope_search_cold(self, alpha0):
-        """Slope 0, a slope whose mean equation the intercept cannot pin, and a
-        slope past the search range all restart the slope search at 1."""
+        """Slope 0, a slope whose mean equation the intercept cannot pin, the
+        slopes 2**60 and 2**-60 at the ends of the search range, where the
+        link saturates or is flat and the Jacobian is singular, and a slope
+        past either end all restart the slope search at 1."""
         target, curve = _toy_problem()
         auc = implied_auc(target.feature_dist, curve)
         a_cold, b_cold, _, cold = solve_qmm_2d(platt_family(curve.values), auc, target)
@@ -825,9 +892,10 @@ class TestSolveQmm2dWarmStart:
             platt_family(curve.values), auc, target, warm_start=(alpha0, b_cold)
         )
         assert diag.converged and diag.bracket == cold.bracket
-        # only a warm slope inside the range costs more: one joint Newton
-        # point, whose saturated link has no Jacobian, before the cold solve
-        assert diag.iterations - cold.iterations == (1 if alpha0 == 1e10 else 0)
+        # only a warm slope inside the range, ends included, costs more: one
+        # joint Newton point, with no Jacobian to step on, before the cold solve
+        extra = 1 if alpha0 in (1e10, 2.0**60, 2.0**-60) else 0
+        assert diag.iterations - cold.iterations == extra
         assert abs(a - a_cold) <= 1e-9 * a_cold and abs(b - b_cold) <= 1e-9 * abs(b_cold)
 
     @pytest.mark.parametrize(
