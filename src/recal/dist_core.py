@@ -9,7 +9,8 @@ compute it, from the same immutable inputs and so with the same bits, and one
 result is kept; the cached mid-CDF array is read-only. The generators take
 their special functions from the standard library (``math.lgamma``, and the
 normal CDF and quantile of :mod:`._special` per quadrature node), not from
-scipy.
+scipy, and compute their Gauss-Hermite rule with numpy, so they import
+neither scipy nor ``numpy.polynomial`` and call no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ PROB_SUM_TOL = 1e-12
 PRIOR_CONSISTENCY_TOL = 1e-10
 
 # Largest generator inputs: a binomial support has at most MAX_TRIALS + 1 =
-# 65,537 points, the largest support size the project measures, and the
-# Vasicek mixture's pmf matrix at most MAX_QUAD_NODES x (MAX_TRIALS + 1)
-# float64 entries. Its log-space temporaries take the peak allocation of
-# vasicek_mixture_dist(65536, 0.3, 0.3) to ~539 MB at 256 nodes and ~270 MB
-# at the default 128 (tracemalloc).
+# 65,537 points, the largest support size the project measures. The Vasicek
+# quadrature's Gauss-Hermite rule takes four Newton steps of quad_nodes^2 / 2
+# recurrence entries each (~0.6 ms at 128 nodes, ~1.3 ms at 256), and the
+# mixture holds no nodes x support matrix: vasicek_mixture_dist(65536, 0.3,
+# 0.3) peaks at ~6.8 MB (tracemalloc) at 128 and 256 nodes alike.
 MAX_TRIALS = 65_536
 MIN_QUAD_NODES = 16
 MAX_QUAD_NODES = 256
@@ -168,19 +169,119 @@ def _count(value, name: str, lo: int, hi: int) -> int:
     return int(value)
 
 
-def _binomial_pmf(trials: int, success_prob) -> np.ndarray:
-    """Binomial pmf over k = 0..trials, computed in log space.
+# exp() of a log pmf below about -745.13 is exactly 0; the margin covers the
+# rounding of the log pmf, which stays below 1e-9 up to MAX_TRIALS
+_LOG_PMF_FLOOR = -750.0
+# (node, k) pairs that one vectorised pass of _binomial_mixture evaluates
+_CHUNK_ENTRIES = 1 << 16
 
-    ``success_prob`` may be an array, broadcast against k along the last
-    axis. Log-gamma coefficients keep every term finite for any trial count;
-    a success probability of exactly 0 or 1 gives the degenerate pmf.
+
+def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the weight exp(-x^2), as
+    ``numpy.polynomial.hermite.hermgauss`` returns them, without its
+    eigenproblem (a LAPACK call).
+
+    The non-negative nodes start at Tricomi's approximation, the quantiles
+    of the semicircle law that the zeros of H_n follow, and take Newton steps
+    on the orthonormal recurrence p_k = sqrt(2/k) x p_{k-1} - sqrt((k-1)/k)
+    p_{k-2}, run on the ratios r_k = p_k / p_{k-1} so that nothing
+    overflows. As p_n' = sqrt(2n) p_{n-1}, the step is r_n / sqrt(2n); four
+    steps settle every n in [MIN_QUAD_NODES, MAX_QUAD_NODES]. A node's
+    weight is proportional to 1 / p_{n-1}(x)^2, and the weights are scaled to
+    sum to sqrt(pi). The negative half mirrors the positive one, so the rule
+    is exactly symmetric.
     """
-    k = np.arange(trials + 1)
+    m = n // 2
+    # T - sin T = (4j - 1) pi / (2n + 1) for the j-th node from the top
+    rhs = np.arange(4 * m - 1, 0, -4) * (math.pi / (2 * n + 1))
+    t = np.full(m, math.pi / 2)
+    for _ in range(8):
+        t -= (t - np.sin(t) - rhs) / (1.0 - np.cos(t))
+    x = math.sqrt(2 * n + 1) * np.cos(0.5 * t)
+    k = np.arange(1.0, n + 1)
+    a = np.sqrt(2.0 / k)
+    b = np.sqrt((k - 1.0) / k).tolist()
+    ratio = np.empty((n, m))  # row k - 1 holds r_k
+    rows = list(ratio)
+    for _ in range(8):
+        ax = list(np.multiply.outer(a, x))
+        rows[0][:] = ax[0]
+        for prev, row, ax_k, b_k in zip(rows, rows[1:], ax[1:], b[1:]):
+            np.divide(b_k, prev, out=row)
+            np.subtract(ax_k, row, out=row)
+        dx = ratio[-1] / math.sqrt(2 * n)
+        x -= dx
+        if np.max(np.abs(dx)) <= 1e-9:
+            break
+    # p_{n-1} / p_0 at the last iterate, carried to x - dx to first order
+    # by p_{n-1}' = sqrt(2(n-1)) p_{n-2}
+    p = np.prod(ratio[:-1], axis=0) * (1.0 - dx * math.sqrt(2 * (n - 1)) / ratio[-2])
+    w = 1.0 / (p * p)
+    # an odd n adds the node 0, where p_{n-1}(0)^2 / p_0^2 = C(n-1, j) / 4^j
+    j = (n - 1) // 2
+    middle = [4.0**j / math.comb(n - 1, j)] if n % 2 else []
+    nodes = np.concatenate([-x[::-1], [0.0] * (n % 2), x])
+    weights = np.concatenate([w[::-1], middle, w])
+    return nodes, weights * (math.sqrt(math.pi) / weights.sum())
+
+
+def _log_pmf(log_fact, trials: int, k, log_s, log_f) -> np.ndarray:
+    """Binomial log pmf at the counts ``k``, given the log of the success
+    and failure probabilities at each count; 0 * log(0) is taken as 0."""
+    with np.errstate(invalid="ignore"):
+        log_p = np.where(k == 0, 0.0, k * log_s)
+        log_q = np.where(k == trials, 0.0, (trials - k) * log_f)
+    return log_fact[trials] - log_fact[k] - log_fact[trials - k] + log_p + log_q
+
+
+def _windows(log_fact, trials: int, succ, log_s, log_f) -> tuple[np.ndarray, np.ndarray]:
+    """First and last k of each row whose log pmf reaches _LOG_PMF_FLOOR.
+
+    The pmf is log-concave, so these counts form an interval around the
+    mode. Both ends are bisected at once: j counts the points dropped at
+    one end, k = j on the left and trials - j on the right.
+    """
+    mode = np.clip(np.floor((trials + 1) * succ), 0, trials).astype(np.int64)
+    rows = succ.size
+    log_s, log_f = np.tile(log_s, 2), np.tile(log_f, 2)
+    end = np.repeat([0, trials], rows)
+    step = np.repeat([1, -1], rows)
+    lo, hi = np.zeros(2 * rows, np.int64), np.concatenate([mode, trials - mode])
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        reached = _log_pmf(log_fact, trials, end + step * mid, log_s, log_f) >= _LOG_PMF_FLOOR
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid + 1)
+    return lo[:rows], trials - lo[rows:]
+
+
+def _binomial_mixture(trials: int, succ: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * binomial pmf(trials, succ[i]) over k = 0..trials.
+
+    Row i is evaluated in log space on its window only (``_windows``):
+    outside it, exp() of the log pmf is exactly 0. The (row, k) pairs of all
+    windows are evaluated _CHUNK_ENTRIES at a time and added into the result
+    in row order by ``np.add.at``, with no BLAS, so its bits depend neither
+    on the chunk size nor on the thread count. Log-gamma coefficients keep
+    every term finite for any trial count; a success probability of exactly
+    0 or 1 gives the degenerate row.
+    """
     log_fact = np.fromiter(map(math.lgamma, range(1, trials + 2)), float, trials + 1)  # log k!
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) is taken as 0
-        log_p = np.where(k == 0, 0.0, k * np.log(success_prob))
-        log_q = np.where(k == trials, 0.0, (trials - k) * np.log1p(-success_prob))
-    return np.exp(log_fact[-1] - log_fact - log_fact[::-1] + log_p + log_q)
+    with np.errstate(divide="ignore"):
+        log_s, log_f = np.log(succ), np.log1p(-succ)
+    first, last = _windows(log_fact, trials, succ, log_s, log_f)
+    size = last - first + 1
+    stop = np.cumsum(size)
+    shift = first - (stop - size)  # k of an entry is its index plus its row's shift
+    total = int(stop[-1])
+    pmf = np.zeros(trials + 1)
+    for start in range(0, total, _CHUNK_ENTRIES):
+        entry = np.arange(start, min(start + _CHUNK_ENTRIES, total))
+        row = np.searchsorted(stop, entry, side="right")
+        k = entry + shift[row]
+        terms = np.exp(_log_pmf(log_fact, trials, k, log_s[row], log_f[row]))
+        np.add.at(pmf, k, weights[row] * terms)
+    return pmf
 
 
 def binomial_dist(trials: int, success_prob: float) -> DiscreteScoreDist:
@@ -193,7 +294,7 @@ def binomial_dist(trials: int, success_prob: float) -> DiscreteScoreDist:
     trials = _count(trials, "trials", 1, MAX_TRIALS)
     if not np.isfinite(success_prob) or not (0.0 < success_prob < 1.0):
         raise DomainError("success_prob must be finite and strictly inside (0, 1)")
-    pmf = _binomial_pmf(trials, success_prob)
+    pmf = _binomial_mixture(trials, np.array([success_prob], dtype=float), np.ones(1))
     pmf = pmf / pmf.sum()
     return DiscreteScoreDist(np.arange(trials + 1, dtype=float), pmf)
 
@@ -219,7 +320,7 @@ def vasicek_mixture_dist(
             "request the degenerate case as a plain binomial instead"
         )
     quad_nodes = _count(quad_nodes, "quad_nodes", MIN_QUAD_NODES, MAX_QUAD_NODES)
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, weights = _gauss_hermite(quad_nodes)
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
     shifted = (sp.normal_ppf(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation)
@@ -230,8 +331,7 @@ def vasicek_mixture_dist(
             f"{quad_nodes} quadrature nodes give mean {achieved!r}, not the requested {mean!r}; "
             f"raise quad_nodes (at most {MAX_QUAD_NODES}) or lower the correlation"
         )
-    # rows: quadrature nodes, columns: k
-    pmf = w @ _binomial_pmf(trials, succ[:, None])
+    pmf = _binomial_mixture(trials, succ, w)
     pmf = pmf / pmf.sum()
     return DiscreteScoreDist(np.arange(trials + 1, dtype=float), pmf)
 

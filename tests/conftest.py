@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,20 @@ from recal import (
     worked_example_scenario,
 )
 from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh(code: str, **env: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports recal
+    from ``src/``, with ``env`` added to its environment."""
+    env = {**os.environ, **env, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return done.stdout
+
 
 # with CI set (as CI services do), Hypothesis draws the same examples on every
 # run and prints a reproduction blob for each failure, so a failure seen in CI

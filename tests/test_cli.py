@@ -602,13 +602,13 @@ def test_roc_qmm_zero_end_mass_error_names_the_method_and_stage(tmp_path, capsys
 
 @pytest.mark.parametrize(
     "q, code",
-    [(0.99999, 0), (1.0 - 1e-6, 0), (1.0 - 1e-9, 2)],
-    ids=["q_0.99999", "q_1-1e-6", "q_1-1e-9"],
+    [(0.99999, 0), (1.0 - 1e-6, 0), (1.0 - 1e-9, 0), (1.0 - 1e-8, 2)],
+    ids=["q_0.99999", "q_1-1e-6", "q_1-1e-9", "q_1-1e-8"],
 )
 def test_both_qmms_near_q_one(tmp_path, capsys, q, code):
     """The worked example at a target prior near 1, where the class-0
     masses once summed off 1 and both QMMs raised: `recal table` prints both
-    rows and exits 0, or 2 at q = 1 - 1e-9, where two_param_qmm stops at
+    rows and exits 0, or 2 at q = 1 - 1e-8, where two_param_qmm stops at
     max_iter and reports converged=False."""
     scenario = json.loads(example_scenario_path().read_text(encoding="utf-8"))
     scenario["target"]["prior"] = q

@@ -1,5 +1,10 @@
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -15,14 +20,31 @@ from recal import (
     vasicek_mixture_dist,
 )
 from recal.auc_engine import mid_cdf
-from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS, _binomial_pmf
-from conftest import random_dist, random_values
+from recal.dist_core import (
+    MAX_QUAD_NODES,
+    MAX_TRIALS,
+    MIN_QUAD_NODES,
+    _binomial_mixture,
+    _gauss_hermite,
+)
+from conftest import fresh, random_dist, random_values
 
 # refused counts, none of which may size an array: one past the bound, a
 # 400-digit JSON integer, infinity and NaN
 OVERSIZED_IDS = ["bound_plus_1", "400_digits", "inf", "nan"]
 OVERSIZED = [MAX_TRIALS + 1, 10**400, np.inf, np.nan]
 TRIALS_BOUND = rf"trials must be an integer in \[1, {MAX_TRIALS}\]"
+
+
+def full_support_pmf(trials, success_prob):
+    """The binomial pmf over all of k = 0..trials by the log-space formula the
+    generators used before they evaluated windows only."""
+    k = np.arange(trials + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, trials + 2)), float, trials + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(k == 0, 0.0, k * np.log(success_prob))
+        log_q = np.where(k == trials, 0.0, (trials - k) * np.log1p(-success_prob))
+    return np.exp(log_fact[-1] - log_fact - log_fact[::-1] + log_p + log_q)
 
 
 class TestDiscreteScoreDist:
@@ -162,11 +184,52 @@ class TestBinomialDist:
         with pytest.raises(DomainError, match=TRIALS_BOUND):
             binomial_dist(trials, 0.5)
 
+    @pytest.mark.parametrize("trials", [1, 16, 1100, 20_000, MAX_TRIALS])
+    @pytest.mark.parametrize("p", [1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53])
+    def test_keeps_the_bits_of_the_full_support_formula(self, trials, p):
+        """Evaluating only the window drops nothing but exact zeros, and
+        subnormal tail masses survive (1e-300 at 65,536 trials has one at
+        k = 1)."""
+        pmf = full_support_pmf(trials, p)
+        assert binomial_dist(trials, p).probs.tobytes() == (pmf / pmf.sum()).tobytes()
+
     def test_large_trial_count_stays_finite(self):
         # a float binomial coefficient overflows above ~1,030 trials
         d = binomial_dist(2000, 0.05)
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
         assert abs(float(np.dot(d.support, d.probs)) - 2000 * 0.05) <= 1e-9
+
+
+class TestGaussHermite:
+    """The rule against numpy.polynomial.hermite.hermgauss, an oracle used
+    in tests only, at every node count a Vasicek target may ask for."""
+
+    NODE_COUNTS = range(MIN_QUAD_NODES, MAX_QUAD_NODES + 1)
+
+    def test_matches_hermgauss(self):
+        for n in self.NODE_COUNTS:
+            x, w = _gauss_hermite(n)
+            ox, ow = hermgauss(n)
+            assert np.max(np.abs(x - ox)) <= 2 * np.spacing(np.max(np.abs(ox))), n
+            assert np.max(np.abs(w / ow - 1.0)) <= 1e-12, n
+
+    def test_is_exactly_symmetric(self):
+        for n in self.NODE_COUNTS:
+            x, w = _gauss_hermite(n)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+            assert np.all(np.diff(x) > 0) and np.all(w > 0), n
+
+    def test_weights_sum_to_sqrt_pi(self):
+        for n in self.NODE_COUNTS:
+            _, w = _gauss_hermite(n)
+            assert abs(float(w.sum()) - math.sqrt(math.pi)) <= 4 * np.spacing(math.sqrt(math.pi))
+
+    def test_integrates_the_even_moments(self):
+        """sum w x^(2j) = Gamma(j + 1/2), exact for a rule of n >= j + 1 nodes."""
+        for n in self.NODE_COUNTS:
+            x, w = _gauss_hermite(n)
+            for j in range(6):
+                assert abs(float(np.sum(w * x ** (2 * j))) / math.gamma(j + 0.5) - 1.0) <= 1e-14
 
 
 class TestVasicekMixtureDist:
@@ -235,10 +298,52 @@ class TestVasicekMixtureDist:
         round to exactly 0 and 1 (67 and 111 of 256 nodes at correlation
         0.9); their binomial rows put all mass on k = 0 and k = trials, with
         no RuntimeWarning from log(0)."""
-        rows = _binomial_pmf(4, np.array([[0.0], [1.0]]))
-        assert rows.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
+        rows = [_binomial_mixture(4, np.array([s]), np.ones(1)).tolist() for s in (0.0, 1.0)]
+        assert rows == [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
+        mixed = _binomial_mixture(4, np.array([0.0, 1.0]), np.array([0.25, 0.75]))
+        assert mixed.tolist() == [0.25, 0.0, 0.0, 0.0, 0.75]
         d = vasicek_mixture_dist(16, 0.3, 0.9, quad_nodes=MAX_QUAD_NODES)
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+
+    def test_windowed_mixture_has_the_bits_of_the_dense_one(self):
+        """The rows of the full-support formula added in node order: the
+        windows drop only exact zeros, and chunks do not change the order.
+        The rows include degenerate ones, subnormal tails and, at 20,000
+        trials, more pairs than one chunk."""
+        rng = np.random.default_rng(5)
+        succ = np.concatenate([[0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-12, 1.0], rng.random(34)])
+        weights = rng.random(succ.size)
+        for trials in (16, 1100, 20_000):
+            dense = np.zeros(trials + 1)
+            for s, w in zip(succ, weights):
+                dense += w * full_support_pmf(trials, s)
+            assert _binomial_mixture(trials, succ, weights).tobytes() == dense.tobytes()
+
+    def test_large_mixture_peaks_in_bounded_memory(self):
+        """The largest mixture holds no nodes x support matrix: its
+        tracemalloc peak stays under 20 MB (~6 MB; the matrix and its
+        log-space temporaries peaked at ~539 MB)."""
+        tracemalloc.start()
+        try:
+            d = vasicek_mixture_dist(MAX_TRIALS, 0.3, 0.3, quad_nodes=MAX_QUAD_NODES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert abs(float(np.dot(d.support, d.probs)) / MAX_TRIALS - 0.3) <= 1e-8
+
+    def test_large_mixture_bits_do_not_follow_the_blas_thread_count(self):
+        """No BLAS call sums the rows, so one OpenBLAS thread and two give the
+        same pmf bytes, as does this process."""
+        code = (
+            "import hashlib\n"
+            "from recal import vasicek_mixture_dist\n"
+            f"d = vasicek_mixture_dist({MAX_TRIALS}, 0.3, 0.3, quad_nodes={MAX_QUAD_NODES})\n"
+            "print(hashlib.sha256(d.probs.tobytes()).hexdigest())\n"
+        )
+        one, two = (fresh(code, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2))
+        here = vasicek_mixture_dist(MAX_TRIALS, 0.3, 0.3, quad_nodes=MAX_QUAD_NODES)
+        assert one == two == hashlib.sha256(here.probs.tobytes()).hexdigest() + "\n"
 
     @pytest.mark.parametrize("nodes", [128, MAX_QUAD_NODES])
     def test_quadrature_that_misses_the_mean_is_refused(self, nodes):

@@ -1,38 +1,28 @@
 """scipy.special is imported on first use by an input of more than
 ``STDLIB_MAX_POINTS`` elements, not by ``import recal``, and the bundled
-worked example never imports it.
+worked example never imports it, nor ``numpy.polynomial``.
 
 The test process has imported scipy already, so every check runs in a
 fresh interpreter.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fresh
 from recal import MethodId, parse_scenario, run_method, worked_example_scenario
 from recal._special import STDLIB_MAX_POINTS
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
 # prints the names of the loaded scipy modules after the code before it
 PRINT_SCIPY_MODULES = "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+# the same for numpy.polynomial, which numpy itself loads only on first use
+PRINT_POLYNOMIAL_MODULES = (
+    "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+)
 # makes every later ``import scipy...`` raise ImportError
 BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
-
-
-def fresh(code: str) -> str:
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    return done.stdout
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +111,13 @@ def worked_example_code(out_dir) -> str:
 
 def test_worked_example_loads_no_scipy(tmp_path):
     assert fresh(worked_example_code(tmp_path) + PRINT_SCIPY_MODULES).endswith("[]\n")
+    assert (tmp_path / "table.csv").exists()
+
+
+def test_worked_example_loads_no_numpy_polynomial(tmp_path):
+    """Its Vasicek target takes its Gauss-Hermite rule from dist_core, not
+    from ``numpy.polynomial.hermite.hermgauss``."""
+    assert fresh(worked_example_code(tmp_path) + PRINT_POLYNOMIAL_MODULES).endswith("[]\n")
     assert (tmp_path / "table.csv").exists()
 
 
