@@ -28,14 +28,13 @@ PROB_SUM_TOL = 1e-12
 PRIOR_CONSISTENCY_TOL = 1e-10
 
 # Largest generator inputs: a binomial support has at most MAX_TRIALS + 1 =
-# 65,537 points, the largest support size the project measures. The Vasicek
-# quadrature's Gauss-Hermite rule takes four Newton steps of quad_nodes^2 / 2
-# recurrence entries each (~0.6 ms at 128 nodes, ~1.3 ms at 256), and the
-# mixture holds no nodes x support matrix: vasicek_mixture_dist(65536, 0.3,
-# 0.3) peaks at ~6.8 MB (tracemalloc) at 128 and 256 nodes alike.
+# 65,537 points, the largest support size the project measures. The mixture
+# holds no nodes x support matrix: vasicek_mixture_dist(65536, 0.3, 0.3)
+# peaks at ~6.8 MB (tracemalloc) at 128 and 256 nodes alike.
 MAX_TRIALS = 65_536
-MIN_QUAD_NODES = 16
-MAX_QUAD_NODES = 256
+# Gauss-Hermite node counts a Vasicek quadrature tries in turn (~0.6 ms for
+# the 128-node rule, ~1.5 ms for 256); at 512 the rule's weights overflow
+VASICEK_QUAD_NODES = (128, 256)
 # largest miss of the requested mean that a Vasicek quadrature may leave
 VASICEK_MEAN_TOL = 1e-8
 
@@ -186,7 +185,7 @@ def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     on the orthonormal recurrence p_k = sqrt(2/k) x p_{k-1} - sqrt((k-1)/k)
     p_{k-2}, run on the ratios r_k = p_k / p_{k-1} so that nothing
     overflows. As p_n' = sqrt(2n) p_{n-1}, the step is r_n / sqrt(2n); four
-    steps settle every n in [MIN_QUAD_NODES, MAX_QUAD_NODES]. A node's
+    steps settle every n from 16 to 256. A node's
     weight is proportional to 1 / p_{n-1}(x)^2, and the weights are scaled to
     sum to sqrt(pi). The negative half mirrors the positive one, so the rule
     is exactly symmetric.
@@ -299,17 +298,15 @@ def binomial_dist(trials: int, success_prob: float) -> DiscreteScoreDist:
     return DiscreteScoreDist(np.arange(trials + 1, dtype=float), pmf)
 
 
-def vasicek_mixture_dist(
-    trials: int, mean: float, correlation: float, quad_nodes: int = 128
-) -> DiscreteScoreDist:
+def vasicek_mixture_dist(trials: int, mean: float, correlation: float) -> DiscreteScoreDist:
     """Binomial pmf mixed over a Vasicek-distributed success probability.
 
     The success probability is V(z) = ndtr((ndtri(mean) - sqrt(corr) * z)
     / sqrt(1 - corr)) for a standard normal z, the one-factor law with the
     given mean. The mixture integral is evaluated by Gauss-Hermite quadrature
-    with ``MIN_QUAD_NODES`` to ``MAX_QUAD_NODES`` nodes and the pmf is
-    renormalized. Nodes whose mean of V misses ``mean`` by more than
-    ``VASICEK_MEAN_TOL`` (near correlation 1) raise a :class:`DomainError`.
+    with the first of ``VASICEK_QUAD_NODES`` whose mean of V lies within
+    ``VASICEK_MEAN_TOL`` of ``mean``, and the pmf is renormalized. If every
+    count misses (near correlation 1) a :class:`DomainError` is raised.
     """
     trials = _count(trials, "trials", 1, MAX_TRIALS)
     if not np.isfinite(mean) or not (0.0 < mean < 1.0):
@@ -319,17 +316,19 @@ def vasicek_mixture_dist(
             "correlation must lie strictly inside (0, 1); "
             "request the degenerate case as a plain binomial instead"
         )
-    quad_nodes = _count(quad_nodes, "quad_nodes", MIN_QUAD_NODES, MAX_QUAD_NODES)
-    nodes, weights = _gauss_hermite(quad_nodes)
-    z = np.sqrt(2.0) * nodes
-    w = weights / np.sqrt(np.pi)
-    shifted = (sp.normal_ppf(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation)
-    succ = sp.elementwise(sp.normal_cdf, shifted)
-    achieved = float(np.dot(w, succ))
-    if not abs(achieved - mean) <= VASICEK_MEAN_TOL:
+    for n in VASICEK_QUAD_NODES:
+        nodes, weights = _gauss_hermite(n)
+        z = np.sqrt(2.0) * nodes
+        w = weights / np.sqrt(np.pi)
+        shifted = (sp.normal_ppf(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation)
+        succ = sp.elementwise(sp.normal_cdf, shifted)
+        achieved = float(np.dot(w, succ))
+        if abs(achieved - mean) <= VASICEK_MEAN_TOL:
+            break
+    else:
         raise DomainError(
-            f"{quad_nodes} quadrature nodes give mean {achieved!r}, not the requested {mean!r}; "
-            f"raise quad_nodes (at most {MAX_QUAD_NODES}) or lower the correlation"
+            f"{n} quadrature nodes give mean {achieved!r}, not the requested {mean!r}; "
+            "lower the correlation"
         )
     pmf = _binomial_mixture(trials, succ, w)
     pmf = pmf / pmf.sum()

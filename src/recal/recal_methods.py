@@ -664,6 +664,7 @@ def two_param_qmm(
     )
     converged = (
         diag.converged
+        and inner.residual_auc is not None
         and inner.residual_mean <= settings.tol_mean
         and inner.residual_auc <= settings.tol_auc
     )

@@ -15,7 +15,7 @@ Schema (all keys checked; unknown keys are rejected)::
       "target": {
         "feature": {"type": "binomial", "trials": int, "success_prob": float}
                  | {"type": "vasicek_mixture", "trials": int, "mean": float,
-                    "correlation": float, "quad_nodes": int (optional)}
+                    "correlation": float}
                  | {"type": "explicit", "support": [...], "probs": [...]},
         "prior": float
       },
@@ -25,8 +25,9 @@ Schema (all keys checked; unknown keys are rejected)::
       "solver": {"tol_mean": float, "tol_auc": float, "max_iter": int}  // optional
     }
 
-``solver`` takes :data:`SETTINGS_KEYS`, ``trials`` at most ``dist_core.MAX_TRIALS``,
-and ``quad_nodes`` ``dist_core.MIN_QUAD_NODES`` to ``dist_core.MAX_QUAD_NODES``.
+``solver`` takes :data:`SETTINGS_KEYS` and ``trials`` at most ``dist_core.MAX_TRIALS``.
+A ``vasicek_mixture`` target picks its own quadrature size
+(``dist_core.VASICEK_QUAD_NODES``).
 
 With a class-conditional source, the unconditional feature pmf is
 prior * f1 + (1 - prior) * f0 and the posterior at each support point is the
@@ -45,9 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .dist_core import (
-    MAX_QUAD_NODES,
     MAX_TRIALS,
-    MIN_QUAD_NODES,
     PRIOR_CONSISTENCY_TOL,
     DiscreteScoreDist,
     PosteriorCurve,
@@ -208,21 +207,12 @@ def _parse_target(obj: dict, source_support: np.ndarray) -> TargetSpec:
                 _open_unit(feat, "target.feature", "success_prob"),
             )
         elif kind == "vasicek_mixture":
-            _check_keys(
-                feat,
-                "target.feature",
-                ("type", "trials", "mean", "correlation"),
-                optional=("quad_nodes",),
+            _check_keys(feat, "target.feature", ("type", "trials", "mean", "correlation"))
+            dist = vasicek_mixture_dist(
+                _integer(feat, "target.feature", "trials", 1, MAX_TRIALS),
+                _open_unit(feat, "target.feature", "mean"),
+                _open_unit(feat, "target.feature", "correlation"),
             )
-            trials = _integer(feat, "target.feature", "trials", 1, MAX_TRIALS)
-            mean = _open_unit(feat, "target.feature", "mean")
-            correlation = _open_unit(feat, "target.feature", "correlation")
-            nodes = {}  # absent, the generator's default applies
-            if "quad_nodes" in feat:
-                nodes["quad_nodes"] = _integer(
-                    feat, "target.feature", "quad_nodes", MIN_QUAD_NODES, MAX_QUAD_NODES
-                )
-            dist = vasicek_mixture_dist(trials, mean, correlation, **nodes)
         elif kind == "explicit":
             _check_keys(feat, "target.feature", ("type", "support", "probs"))
             dist = DiscreteScoreDist(

@@ -52,7 +52,8 @@ class SolveDiagnostics:
     """Outcome record of a solver run.
 
     ``converged`` being True implies every applicable residual met its
-    tolerance; residuals that do not apply to a method are ``None``.
+    tolerance; residuals that do not apply to a method, or that the run
+    did not compute, are ``None``.
     ``bracket`` records the sign-change interval that the slope search of
     the two-parameter solve saw, so multiple-solution situations stay
     detectable. ``implied_auc`` is the AUC of the returned curve when the
@@ -472,13 +473,14 @@ def solve_qmm_2d(
             bracket = (min(max(below), alpha), max(min(above), alpha))
 
     alpha, auc, beta, residual_mean, values, _, _ = fits[t]
-    residual_auc = abs(auc - source_auc_target)
+    healthy = math.isfinite(auc)  # an unhealthy constant probe computed no AUC
+    residual_auc = abs(auc - source_auc_target) if healthy else None
     diag = SolveDiagnostics(
         iterations=evals,
-        converged=residual_mean <= settings.tol_mean and residual_auc <= tol_auc,
+        converged=healthy and residual_mean <= settings.tol_mean and residual_auc <= tol_auc,
         residual_mean=residual_mean,
         residual_auc=residual_auc,
         bracket=bracket,
-        implied_auc=auc if math.isfinite(auc) else None,
+        implied_auc=auc if healthy else None,
     )
     return alpha, beta, values, diag

@@ -19,7 +19,7 @@ from recal import (
     example_scenario_path,
     worked_example_scenario,
 )
-from recal.dist_core import MAX_QUAD_NODES, MAX_TRIALS
+from recal.dist_core import MAX_TRIALS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -110,7 +110,6 @@ COUNT_KEYS = [
     ("source.class1.trials", "vasicek_mixture", 1, MAX_TRIALS),
     ("target.feature.trials", "binomial", 1, MAX_TRIALS),
     ("target.feature.trials", "vasicek_mixture", 1, MAX_TRIALS),
-    ("target.feature.quad_nodes", "vasicek_mixture", 16, MAX_QUAD_NODES),
 ]
 
 

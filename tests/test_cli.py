@@ -43,6 +43,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestRunCommand:
     def test_full_run_writes_outputs_and_exits_zero(self, tmp_path, fixture_path, capsys):
         code = run_cli(
@@ -189,14 +198,27 @@ class TestRunCommand:
             "run", "--scenario", fixture_path, "--max-iter", "1", "--out", str(tmp_path)
         )
         assert code == 2
-
-        def refuse(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        text = (tmp_path / "diagnostics.json").read_text()
-        diag = json.loads(text, parse_constant=refuse)
+        diag = strict_json((tmp_path / "diagnostics.json").read_text())
         assert diag["methods"]["two_param_qmm"]["residual_fixed_point"] is None
         assert diag["methods"]["two_param_qmm"]["converged"] is False
+
+    def test_constant_posterior_at_unreachable_tol_mean_writes_strict_json(
+        self, tmp_path, capsys
+    ):
+        """A constant posterior has source AUC exactly 1/2, so Platt and the
+        two-parameter QMM take the slope-0 branch, whose intercept cannot pin
+        the mean to 1e-30: that probe computes no AUC, and its residual is
+        written as null, not NaN."""
+        scenario = explicit_scenario([0.2, 0.2, 0.2], [0.25, 0.5, 0.25], [0.3, 0.4, 0.3], 0.1)
+        scenario["methods"] = ["platt", "two_param_qmm"]
+        scenario["solver"] = {"tol_mean": 1e-30}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 2
+        diag = strict_json((tmp_path / "diagnostics.json").read_text())
+        for method in ("platt", "two_param_qmm"):
+            assert diag["methods"][method]["residual_auc"] is None
+            assert diag["methods"][method]["converged"] is False
 
     def test_unknown_method_exits_one(self, tmp_path, fixture_path, capsys):
         code = run_cli(
@@ -620,6 +642,24 @@ def test_both_qmms_near_q_one(tmp_path, capsys, q, code):
     assert "error" not in captured.err
 
 
+@pytest.mark.parametrize("correlation, code", [(0.97, 0), (0.98, 1)])
+def test_worked_example_at_a_steep_correlation(tmp_path, capsys, correlation, code):
+    """Where 128 quadrature nodes miss the mean, the target takes 256:
+    correlation 0.97 builds and `recal table` exits 0; at 0.98 256 nodes
+    miss too, an input error that says to lower the correlation."""
+    scenario = json.loads(example_scenario_path().read_text(encoding="utf-8"))
+    scenario["target"]["feature"]["correlation"] = correlation
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run_cli("table", "--scenario", str(path)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("recal: error: target.feature: 256 quadrature nodes give mean ")
+        assert err.endswith("; lower the correlation\n")
+    else:
+        assert err == ""
+
+
 @st.composite
 def scenario_dicts(draw):
     """Explicit scenarios of 1 to 40 points with zero masses, a sorted or
@@ -661,3 +701,31 @@ def test_table_on_drawn_scenarios_exits_cleanly(tmp_path_factory, scenario):
         code = main(["table", "--scenario", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=scenario_dicts(),
+    constant=st.floats(1e-6, 1.0 - 1e-6),
+    tol_mean=st.sampled_from([None, "1e-30"]),
+)
+def test_run_on_drawn_constant_posteriors_writes_strict_json(
+    tmp_path_factory, scenario, constant, tol_mean
+):
+    """`recal run` on a drawn scenario with a constant posterior (source
+    AUC exactly 1/2, where Platt and the two-parameter QMM fit slope 0),
+    in some draws with a mean tolerance no solve can meet, exits 0, 1 or 2,
+    and any diagnostics.json it writes is strict JSON."""
+    scenario["source"]["posterior"] = [constant] * len(scenario["source"]["posterior"])
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "drawn_run.json", base / "drawn_run"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    (out / "diagnostics.json").unlink(missing_ok=True)
+    argv = ["run", "--scenario", str(path), "--out", str(out)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv + (["--tol-mean", tol_mean] if tol_mean else []))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 1:
+        strict_json((out / "diagnostics.json").read_text(encoding="utf-8"))

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import tracemalloc
 
@@ -19,11 +20,11 @@ from recal import (
     mean_under,
     vasicek_mixture_dist,
 )
+from recal import _special as sp
 from recal.auc_engine import mid_cdf
 from recal.dist_core import (
-    MAX_QUAD_NODES,
     MAX_TRIALS,
-    MIN_QUAD_NODES,
+    VASICEK_QUAD_NODES,
     _binomial_mixture,
     _gauss_hermite,
 )
@@ -45,6 +46,18 @@ def full_support_pmf(trials, success_prob):
         log_p = np.where(k == 0, 0.0, k * np.log(success_prob))
         log_q = np.where(k == trials, 0.0, (trials - k) * np.log1p(-success_prob))
     return np.exp(log_fact[-1] - log_fact - log_fact[::-1] + log_p + log_q)
+
+
+def vasicek_at(trials, mean, correlation, nodes):
+    """The Vasicek mixture's renormalized pmf and the mean of V that a
+    ``nodes``-node rule gives, computed step by step from the private
+    helpers, as ``vasicek_mixture_dist`` does at one node count."""
+    x, w = _gauss_hermite(nodes)
+    z, w = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    shifted = (sp.normal_ppf(mean) - np.sqrt(correlation) * z) / np.sqrt(1.0 - correlation)
+    succ = sp.elementwise(sp.normal_cdf, shifted)
+    pmf = _binomial_mixture(trials, succ, w)
+    return pmf / pmf.sum(), float(np.dot(w, succ))
 
 
 class TestDiscreteScoreDist:
@@ -202,9 +215,10 @@ class TestBinomialDist:
 
 class TestGaussHermite:
     """The rule against numpy.polynomial.hermite.hermgauss, an oracle used
-    in tests only, at every node count a Vasicek target may ask for."""
+    in tests only, at every node count from 16 to the largest that a
+    Vasicek target tries."""
 
-    NODE_COUNTS = range(MIN_QUAD_NODES, MAX_QUAD_NODES + 1)
+    NODE_COUNTS = range(16, VASICEK_QUAD_NODES[-1] + 1)
 
     def test_matches_hermgauss(self):
         for n in self.NODE_COUNTS:
@@ -250,7 +264,7 @@ class TestVasicekMixtureDist:
 
         oracle_mean, err = quad(lambda z: success_prob(z) * normal_pdf(z), -12, 12, limit=200)
         assert err < 1e-8  # oracle resolution far below the 1e-6 assertion
-        d = vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=128)
+        d = vasicek_mixture_dist(16, 0.3, 0.3)
         pmf_mean = float(np.dot(d.support, d.probs)) / 16.0
         assert abs(pmf_mean - oracle_mean) <= 1e-6
         assert abs(pmf_mean - 0.3) <= 1e-6
@@ -262,32 +276,41 @@ class TestVasicekMixtureDist:
         assert mixed.probs[-1] > plain.probs[-1]
 
     def test_invariant_under_node_doubling(self):
-        a = vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=128)
-        b = vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=256)
-        assert float(np.max(np.abs(a.probs - b.probs))) <= 1e-10
+        a, _ = vasicek_at(16, 0.3, 0.3, 128)
+        b, _ = vasicek_at(16, 0.3, 0.3, 256)
+        assert float(np.max(np.abs(a - b))) <= 1e-10
+
+    def test_first_rung_keeps_the_128_node_bits(self):
+        """Where 128 nodes meet the mean, the pmf is the 128-node one, bit
+        for bit: the worked example's target did not move."""
+        pmf, achieved = vasicek_at(16, 0.3, 0.3, 128)
+        assert abs(achieved - 0.3) <= 1e-8
+        assert vasicek_mixture_dist(16, 0.3, 0.3).probs.tobytes() == pmf.tobytes()
+
+    @pytest.mark.parametrize("correlation", [0.95, 0.97])
+    def test_second_rung_where_128_nodes_miss_the_mean(self, correlation):
+        """128 nodes miss the mean 0.3 by 6.9e-8 at correlation 0.95 and by
+        1.1e-5 at 0.97, 256 nodes by 9.8e-14 and 3.4e-9: the pmf is the
+        256-node one."""
+        _, miss_128 = vasicek_at(16, 0.3, correlation, 128)
+        pmf, achieved = vasicek_at(16, 0.3, correlation, 256)
+        assert abs(miss_128 - 0.3) > 1e-8 >= abs(achieved - 0.3)
+        assert vasicek_mixture_dist(16, 0.3, correlation).probs.tobytes() == pmf.tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_rejects_degenerate_correlation(self, bad):
         with pytest.raises(DomainError):
             vasicek_mixture_dist(16, 0.3, bad)
 
-    def test_rejects_few_nodes(self):
-        with pytest.raises(DomainError):
-            vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=8)
+    def test_takes_no_node_count(self):
+        """The quadrature size follows from the mean miss alone."""
+        parameters = list(inspect.signature(vasicek_mixture_dist).parameters)
+        assert parameters == ["trials", "mean", "correlation"]
 
     @pytest.mark.parametrize("trials", OVERSIZED, ids=OVERSIZED_IDS)
     def test_rejects_trials_above_bound(self, trials):
         with pytest.raises(DomainError, match=TRIALS_BOUND):
             vasicek_mixture_dist(trials, 0.3, 0.3)
-
-    @pytest.mark.parametrize(
-        "nodes", [MAX_QUAD_NODES + 1, 10**400, np.inf, np.nan], ids=OVERSIZED_IDS
-    )
-    def test_rejects_quad_nodes_above_bound(self, nodes):
-        with pytest.raises(
-            DomainError, match=rf"quad_nodes must be an integer in \[16, {MAX_QUAD_NODES}\]"
-        ):
-            vasicek_mixture_dist(16, 0.3, 0.3, quad_nodes=nodes)
 
     def test_pmf_normalized(self):
         d = vasicek_mixture_dist(16, 0.3, 0.3)
@@ -295,14 +318,15 @@ class TestVasicekMixtureDist:
 
     def test_nodes_at_probability_0_and_1_give_degenerate_rows(self):
         """At a high correlation the outer nodes' success probabilities
-        round to exactly 0 and 1 (67 and 111 of 256 nodes at correlation
-        0.9); their binomial rows put all mass on k = 0 and k = trials, with
+        round to exactly 0 and 1 (91 and 117 of 256 nodes at correlation
+        0.96); their binomial rows put all mass on k = 0 and k = trials, with
         no RuntimeWarning from log(0)."""
         rows = [_binomial_mixture(4, np.array([s]), np.ones(1)).tolist() for s in (0.0, 1.0)]
         assert rows == [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
         mixed = _binomial_mixture(4, np.array([0.0, 1.0]), np.array([0.25, 0.75]))
         assert mixed.tolist() == [0.25, 0.0, 0.0, 0.0, 0.75]
-        d = vasicek_mixture_dist(16, 0.3, 0.9, quad_nodes=MAX_QUAD_NODES)
+        d = vasicek_mixture_dist(16, 0.3, 0.96)
+        assert d.probs.tobytes() == vasicek_at(16, 0.3, 0.96, 256)[0].tobytes()
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
 
     def test_windowed_mixture_has_the_bits_of_the_dense_one(self):
@@ -320,12 +344,13 @@ class TestVasicekMixtureDist:
             assert _binomial_mixture(trials, succ, weights).tobytes() == dense.tobytes()
 
     def test_large_mixture_peaks_in_bounded_memory(self):
-        """The largest mixture holds no nodes x support matrix: its
-        tracemalloc peak stays under 20 MB (~6 MB; the matrix and its
-        log-space temporaries peaked at ~539 MB)."""
+        """The largest mixture holds no nodes x support matrix: at
+        correlation 0.96, which takes 256 nodes, its tracemalloc peak stays
+        under 20 MB (~6 MB; the matrix and its log-space temporaries peaked
+        at ~539 MB)."""
         tracemalloc.start()
         try:
-            d = vasicek_mixture_dist(MAX_TRIALS, 0.3, 0.3, quad_nodes=MAX_QUAD_NODES)
+            d = vasicek_mixture_dist(MAX_TRIALS, 0.3, 0.96)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -334,27 +359,29 @@ class TestVasicekMixtureDist:
 
     def test_large_mixture_bits_do_not_follow_the_blas_thread_count(self):
         """No BLAS call sums the rows, so one OpenBLAS thread and two give the
-        same pmf bytes, as does this process."""
+        same pmf bytes of the 256 nodes that correlation 0.96 takes, as does
+        this process."""
         code = (
             "import hashlib\n"
             "from recal import vasicek_mixture_dist\n"
-            f"d = vasicek_mixture_dist({MAX_TRIALS}, 0.3, 0.3, quad_nodes={MAX_QUAD_NODES})\n"
+            f"d = vasicek_mixture_dist({MAX_TRIALS}, 0.3, 0.96)\n"
             "print(hashlib.sha256(d.probs.tobytes()).hexdigest())\n"
         )
         one, two = (fresh(code, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2))
-        here = vasicek_mixture_dist(MAX_TRIALS, 0.3, 0.3, quad_nodes=MAX_QUAD_NODES)
+        here = vasicek_mixture_dist(MAX_TRIALS, 0.3, 0.96)
         assert one == two == hashlib.sha256(here.probs.tobytes()).hexdigest() + "\n"
 
-    @pytest.mark.parametrize("nodes", [128, MAX_QUAD_NODES])
-    def test_quadrature_that_misses_the_mean_is_refused(self, nodes):
-        """At correlation 0.99 the mixing law is close to a step in the
-        normal factor, and even 256 nodes miss its mean 0.3 (by 1e-4)."""
+    @pytest.mark.parametrize("correlation", [0.98, 0.99])
+    def test_quadrature_that_misses_the_mean_is_refused(self, correlation):
+        """Near correlation 1 the mixing law is close to a step in the
+        normal factor, and even 256 nodes miss its mean 0.3 (by 6.1e-7 at
+        0.98, by 1.1e-4 at 0.99)."""
         with pytest.raises(
             DomainError,
-            match=rf"^{nodes} quadrature nodes give mean 0\.29.*, not the requested 0\.3; "
-            rf"raise quad_nodes \(at most {MAX_QUAD_NODES}\) or lower the correlation$",
+            match=r"^256 quadrature nodes give mean 0\.29.*, not the requested 0\.3; "
+            r"lower the correlation$",
         ):
-            vasicek_mixture_dist(16, 0.3, 0.99, quad_nodes=nodes)
+            vasicek_mixture_dist(16, 0.3, correlation)
 
     def test_large_trial_count_stays_finite(self):
         # a float binomial coefficient overflows above ~1,030 trials

@@ -164,8 +164,16 @@ class TestParseScenario:
         obj["target"]["feature"]["correlation"] = 0.99
         path = tmp_path / "steep.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(ScenarioError, match="^target.feature: 128 quadrature nodes give"):
+        with pytest.raises(ScenarioError, match="^target.feature: 256 quadrature nodes give"):
             parse_scenario(path)
+
+    def test_vasicek_quad_nodes_key_refused(self):
+        """The quadrature size is no longer an input; old files that set it
+        are refused, not silently read."""
+        obj = json.loads(example_scenario_path().read_text(encoding="utf-8"))
+        obj["target"]["feature"]["quad_nodes"] = 128
+        with pytest.raises(ScenarioError, match=r"^target\.feature\.quad_nodes: unexpected key$"):
+            scenario_from_dict(obj)
 
     def test_methods_all_expands_canonically(self):
         obj = minimal_dict(methods="all")
